@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import enclosure as enc
-from .enclosure import RealEnclosure, from_rational
+from .enclosure import from_rational
 from .families import (
     BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, Constraint, FlBase,
     NatBase, Pi, PiTy, TyTriple, ValTriple, VarBase, Verdict, approx_ty,
@@ -26,10 +26,11 @@ from .families import (
     family_source, instantiate_poly, plus_apply, plus_lambda,
     sample_member_triple, same_family, zero_expr,
 )
-from .floats import float_interval_op_err, nearest_float, to_fraction
+from .floats import nearest_float, to_fraction
 from .interp import (
-    DIVERGED, EvalConfig, VBool, VErr, VFloat, Value,
+    DIVERGED, EvalConfig, VBool, VFloat, Value,
     bound_of, eval_approx, eval_error, eval_exact, err_of_value,
+    float_op_err,  # re-exported: part of this module's public surface
 )
 from .quant import LeqVerdict, scalar_err_leq
 from .sampling import trial_rng
@@ -37,7 +38,7 @@ from .syntax import (
     ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
-    Var, free_vars, to_source,
+    Var, children, free_vars, map_children, to_source,
 )
 from .typecheck import TyCtx, TypeMismatch, infer_type
 
@@ -134,37 +135,20 @@ class CompileResult:
 
 
 # ---------------------------------------------------------------------------
-# interval rounding-error bound for the lowered binary64 ops
-
-def float_op_err(op: str, xe: RealEnclosure, xq: VErr,
-                 ye: RealEnclosure, yq: VErr) -> VErr:
-    """Worst-case distance between the exact op and its rounded float
-    counterpart over the input error box; infinity on overflow or on a
-    divisor interval containing zero."""
-    lo, hi = float_interval_op_err(op, (xe.lo, xe.hi), (xq.lo, xq.hi),
-                                   (ye.lo, ye.hi), (yq.lo, yq.hi))
-    if hi is None and lo == 0:
-        return VErr(None, None)
-    return VErr(lo, hi)
-
-
-# ---------------------------------------------------------------------------
 # small constant folder for error expressions
 
 def fold_err(e: Expr) -> Expr:
-    if isinstance(e, Builtin):
-        args = tuple(fold_err(a) for a in e.args)
-        e = Builtin(e.op, args)
-        if e.op == "+n" and len(args) == 2:
-            a, b = args
+    e = map_children(e, fold_err)
+    if type(e) is Builtin and len(e.args) == 2:
+        a, b = e.args
+        if e.op == "+n":
             if isinstance(a, NatLit) and isinstance(b, NatLit):
                 return NatLit(a.value + b.value)
             if isinstance(a, NatLit) and a.value == 0:
                 return b
             if isinstance(b, NatLit) and b.value == 0:
                 return a
-        if e.op == "*n" and len(args) == 2:
-            a, b = args
+        if e.op == "*n":
             if isinstance(a, NatLit) and isinstance(b, NatLit):
                 return NatLit(a.value * b.value)
             if (isinstance(a, NatLit) and a.value == 0) or \
@@ -174,8 +158,7 @@ def fold_err(e: Expr) -> Expr:
                 return b
             if isinstance(b, NatLit) and b.value == 1:
                 return a
-        if e.op == "+q" and len(args) == 2:
-            a, b = args
+        if e.op == "+q":
             if isinstance(a, ErrLit) and isinstance(b, ErrLit):
                 if a.value is None or b.value is None:
                     return ErrLit(None)
@@ -184,26 +167,9 @@ def fold_err(e: Expr) -> Expr:
                 return b
             if isinstance(b, ErrLit) and b.value == 0:
                 return a
-        if e.op == "*q" and len(args) == 2:
-            a, b = args
+        if e.op == "*q":
             if isinstance(a, ErrLit) and a.value == 1:
                 return b
-        return e
-    if isinstance(e, Lam):
-        return Lam(e.binder, e.annot, fold_err(e.body))
-    if isinstance(e, App):
-        return App(fold_err(e.fn), fold_err(e.arg))
-    if isinstance(e, TyLam):
-        return TyLam(e.tyvar, fold_err(e.body))
-    if isinstance(e, TyApp):
-        return TyApp(fold_err(e.expr), e.ty)
-    if isinstance(e, If):
-        return If(fold_err(e.cond), fold_err(e.then_e), fold_err(e.else_e))
-    if isinstance(e, RedSeq):
-        return RedSeq(fold_err(e.combiner), fold_err(e.count),
-                      fold_err(e.generator))
-    if isinstance(e, Fix):
-        return Fix(fold_err(e.expr))
     return e
 
 
@@ -428,12 +394,8 @@ class Compiler:
         return CompileResult(approx, err, fam, d)
 
     def _arg_family(self, ctx: ApproxCtx, arg: Expr) -> ApproxTy:
-        tymap: Dict[str, VarBase] = {}
-        for en in ctx.entries:
-            if isinstance(en, TyTriple):
-                tymap[en.xe] = VarBase(en.xe, en.xa, en.xq, en.z0, en.zp)
-        ty = infer_type(ctx_exact(ctx), arg)
-        return family_from_type(ty, tymap)
+        return family_from_type(infer_type(ctx_exact(ctx), arg),
+                                self._tymap(ctx))
 
     def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> CompileResult:
         arg_fam = self._arg_family(ctx, e.arg)
@@ -1006,30 +968,10 @@ def label_sites(e: Expr) -> List[Tuple[str, str]]:
     out: List[Tuple[str, str]] = []
 
     def walk(t: Expr):
-        if isinstance(t, RedSeq):
+        if type(t) is RedSeq:
             out.append((f"L{len(out)}", to_source(t)))
-            walk(t.combiner)
-            walk(t.count)
-            walk(t.generator)
-            return
-        if isinstance(t, Lam):
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, TyLam):
-            walk(t.body)
-        elif isinstance(t, TyApp):
-            walk(t.expr)
-        elif isinstance(t, Fix):
-            walk(t.expr)
-        elif isinstance(t, If):
-            walk(t.cond)
-            walk(t.then_e)
-            walk(t.else_e)
-        elif isinstance(t, Builtin):
-            for a in t.args:
-                walk(a)
+        for c in children(t):
+            walk(c)
 
     walk(e)
     return out
@@ -1078,9 +1020,8 @@ def _target_from_type(ty: Ty) -> ApproxTy:
 def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileResult:
     """Final weakening to a caller-supplied error, with the ordering
     side condition checked (sampled for function carriers)."""
-    from .typecheck import TyCtx as _TyCtx
     want = err_ty(result.family)
-    got = infer_type(_TyCtx(), q_weak)
+    got = infer_type(TyCtx(), q_weak)
     if got != want:
         raise TypeMismatch(want, got, "weakening target")
     verdict = _err_leq_verdict(result.family, result.err, q_weak, opts)
@@ -1110,7 +1051,6 @@ def _err_leq_verdict(fam: ApproxTy, q1: Expr, q2: Expr,
                        on_samples=r is LeqVerdict.YES_ON_SAMPLES)
     if isinstance(fam, Pi):
         budget = opts.sample_budget_for_side_conditions
-        comp = Compiler(opts)
         passes = 0
         for t in range(budget):
             rng = trial_rng(opts.seed, 7919 + t)

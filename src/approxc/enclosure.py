@@ -70,9 +70,6 @@ class RealEnclosure:
     def contains(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
 
 def from_rational(q: Fraction, p: int) -> RealEnclosure:
     return RealEnclosure(rd_down(q, p), rd_up(q, p), p)

@@ -1,4 +1,5 @@
-"""Approximation descriptors and sampling-based membership checking.
+"""Approximation descriptors, and membership and approximate equality
+checked by one sampling-based distance check.
 
 A descriptor ties together an exact type, an approximate type, an error
 carrier with its zero and addition, and the membership relation "e is
@@ -17,10 +18,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import enclosure as enc
-from .enclosure import RealEnclosure, from_rational
+from .enclosure import from_rational
 from .floats import nearest_float, to_fraction
 from .interp import (
     DIVERGED, EvalConfig, OracleInconclusive, VErr, VFloat,
@@ -35,7 +36,8 @@ from .sampling import (
 from .syntax import (
     BOOL, ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, FloatLit, Forall, Lam,
-    NatLit, RealLit, Ty, TyApp, TyLam, TyVar, Var, free_vars, to_source,
+    NatLit, RealLit, Ty, TyApp, TyLam, TyVar, Var, free_vars, map_children,
+    to_source,
 )
 
 # ---------------------------------------------------------------------------
@@ -357,17 +359,6 @@ def ctx_exact(ctx: ApproxCtx):
     return t
 
 
-def ctx_approx(ctx: ApproxCtx):
-    from .typecheck import TyCtx
-    t = TyCtx()
-    for en in ctx.entries:
-        if isinstance(en, ValTriple):
-            t = t.bind(en.xa, approx_ty(en.family))
-        elif isinstance(en, TyTriple):
-            t = t.bind_tyvar(en.xa)
-    return t
-
-
 def ctx_err(ctx: ApproxCtx):
     """Exact plus error bindings: the context error expressions live in."""
     from .typecheck import TyCtx
@@ -436,171 +427,161 @@ def _err_interval_strings(q: VErr) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# membership
+# the distance check: membership and approximate equality
+#
+# Both claims read "other is within q of e".  Membership (approx=True)
+# takes other from the approximate world: a float program, evaluated
+# once.  Approximate equality (approx=False) takes a second exact
+# program, evaluated at each precision like e.
 
+_BASES = (FlBase, NatBase, BoolBase)
 _TIGHT_CUTOFF_BITS = 48
 
 
-def _check_distance_leq(d_of_p: Callable[[int], Tuple[RealEnclosure, VErr]],
-                        cfg: EvalConfig) -> Tuple[str, dict]:
-    """Decide distance <= bound with precision escalation.
+def _diverged(fam: ApproxTy, ev, ov, approx: bool) -> Tuple[str, dict]:
+    """The verdict when a side diverges under a finite bound."""
+    if not approx:
+        return ("inconclusive", {"note": "divergence in equality operands"})
+    if ev is DIVERGED and ov is DIVERGED:
+        return ("pass", {"note": "both sides diverge"})
+    if not isinstance(fam, FlBase):
+        return ("fail", {"note": "one side diverges under a finite bound"})
+    if ev is DIVERGED:
+        return ("fail", {"note": "exact diverges, approximation does not"})
+    return ("fail", {"note": "approximation diverges under a finite bound"})
 
-    An undecided comparison means the distance cannot provably exceed
-    the bound, so it passes with the combined enclosure width reported
-    as slack; escalation stops once the enclosures agree to 48 bits
-    beyond the starting precision (a tight bound met exactly) or at the
-    precision cap.
+
+def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
+                cfg: EvalConfig) -> Tuple[str, dict]:
+    """Decide distance <= bound at a base family.
+
+    Each precision step evaluates q, e and (for equality) other once, and
+    takes the infinite-bound and divergence shortcuts on those values
+    before it measures.  Nat and Bool distances are exact.  An Fl distance that
+    stays undecided cannot provably exceed the bound, so it passes with
+    the combined enclosure width reported as slack; escalation stops once
+    the enclosures agree to 48 bits beyond the starting precision (a tight
+    bound met exactly) or at the precision cap.  An undecided comparison
+    inside any of the programs makes the trial inconclusive.
     """
-    p0 = cfg.precision_bits
-    last = None
-    for p in _precisions(cfg):
-        d, qv = d_of_p(p)
-        if qv.lo is None:
-            return ("pass", {"bound": ["inf", "inf"], "slack": "0"})
-        qlo = qv.lo
-        qhi = qv.hi
-        last = (d, qv)
-        if qhi is not None and d.hi <= qlo:
-            return ("pass", {
-                "measured": [str(d.lo), str(d.hi)],
-                "bound": _err_interval_strings(qv),
-                "slack": "0",
-                "tight": bool(d.hi + d.width >= qlo)})
-        if qhi is None:
-            # bound might be infinite; cannot be refuted
-            return ("pass", {
-                "measured": [str(d.lo), str(d.hi)],
-                "bound": _err_interval_strings(qv),
-                "slack": str(d.width)})
-        if d.lo > qhi:
-            return ("fail", {
-                "measured": [str(d.lo), str(d.hi)],
-                "bound": _err_interval_strings(qv),
-                "excess": str(d.lo - qhi)})
-        w = d.width + (qhi - qlo)
-        if w <= Fraction(1, 1 << (p0 + _TIGHT_CUTOFF_BITS)) * max(Fraction(1), qhi):
-            break
-    d, qv = last
-    # undecided: the distance does not provably exceed the bound, so
-    # this passes, with the oracle width reported as slack
-    w = d.width + ((qv.hi - qv.lo) if qv.hi is not None else Fraction(0))
-    return ("pass", {
-        "measured": [str(d.lo), str(d.hi)],
-        "bound": _err_interval_strings(qv),
-        "slack": str(w),
-        "tight": True})
-
-
-def _member_base_once(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
-                      cfg: EvalConfig) -> Tuple[str, dict]:
-    if isinstance(fam, FlBase):
-        av = eval_approx(a, cfg=cfg)
-        try:
-            qv0 = bound_of(eval_error(q, cfg=cfg))
-            ev0 = eval_exact(e, cfg=cfg)
-        except OracleInconclusive as ex:
-            return ("inconclusive", {"note": str(ex)})
-        if qv0.lo is None:
-            return ("pass", {"bound": ["inf", "inf"]})
-        if ev0 is DIVERGED and av is DIVERGED:
-            return ("pass", {"note": "both sides diverge"})
-        if ev0 is DIVERGED:
-            return ("fail", {"note": "exact diverges, approximation does not"})
-        if av is DIVERGED:
-            return ("fail", {"note": "approximation diverges under a finite bound"})
-        if not isinstance(av, VFloat) or not math.isfinite(av.value):
-            return ("fail", {"note": f"approximate value {av!r} has no finite "
-                                     "real reading under a finite bound"})
-        ra = to_fraction(av.value)
-
-        def dist(p: int):
+    if not approx and e == other:
+        return ("pass", {"note": "identical expressions"})
+    cutoff = Fraction(1, 1 << (cfg.precision_bits + _TIGHT_CUTOFF_BITS))
+    try:
+        av = eval_approx(other, cfg=cfg) if approx else None
+        for p in _precisions(cfg):
             cfgp = cfg.at_precision(p)
             qv = bound_of(eval_error(q, cfg=cfgp))
+            if qv.lo is None:
+                return ("pass", {"bound": ["inf", "inf"]})
             ev = eval_exact(e, cfg=cfgp)
-            d = enc.enclose_op("dr", [ev.enc, from_rational(ra, p)], p,
-                               cfg.max_precision_bits)
-            return d, qv
+            ov = av if approx else eval_exact(other, cfg=cfgp)
+            if ev is DIVERGED or ov is DIVERGED:
+                return _diverged(fam, ev, ov, approx)
+            rec = {"bound": _err_interval_strings(qv)}
+            if not isinstance(fam, FlBase):
+                d = Fraction(abs(ev.value - ov.value))
+                rec["measured"] = [str(d), str(d)]
+                return ("pass" if qv.hi is None or d <= qv.hi else "fail", rec)
+            if approx:
+                if not isinstance(ov, VFloat) or not math.isfinite(ov.value):
+                    return ("fail", {"note": f"approximate value {ov!r} has no "
+                                             "finite real reading under a finite bound"})
+                rec["approx"] = repr(ov.value)
+                oenc = from_rational(to_fraction(ov.value), p)
+            else:
+                oenc = ov.enc
+            d = enc.enclose_op("dr", [ev.enc, oenc], p, cfg.max_precision_bits)
+            rec["measured"] = [str(d.lo), str(d.hi)]
+            if qv.hi is None:
+                # bound might be infinite; cannot be refuted
+                return ("pass", {**rec, "slack": str(d.width)})
+            if d.hi <= qv.lo:
+                return ("pass", {**rec, "slack": "0",
+                                 "tight": bool(d.hi + d.width >= qv.lo)})
+            if d.lo > qv.hi:
+                return ("fail", {**rec, "excess": str(d.lo - qv.hi)})
+            slack = d.width + (qv.hi - qv.lo)
+            if slack <= cutoff * max(Fraction(1), qv.hi):
+                break
+    except OracleInconclusive as ex:
+        return ("inconclusive", {"note": str(ex)})
+    return ("pass", {**rec, "slack": str(slack), "tight": True})
 
-        try:
-            status, rec = _check_distance_leq(dist, cfg)
-        except OracleInconclusive as ex:
-            return ("inconclusive", {"note": str(ex)})
-        rec["approx"] = repr(av.value)
-        return (status, rec)
 
-    if isinstance(fam, (NatBase, BoolBase)):
-        ev = eval_exact(e, cfg=cfg)
-        av = eval_approx(a, cfg=cfg)
-        qv = bound_of(eval_error(q, cfg=cfg))
-        if qv.lo is None:
-            return ("pass", {"bound": ["inf", "inf"]})
-        if ev is DIVERGED or av is DIVERGED:
-            if ev is DIVERGED and av is DIVERGED:
-                return ("pass", {"note": "both sides diverge"})
-            return ("fail", {"note": "one side diverges under a finite bound"})
-        if isinstance(fam, NatBase):
-            d = Fraction(abs(ev.value - av.value))
-        else:
-            d = Fraction(0 if ev.value == av.value else 1)
-        hi = qv.hi if qv.hi is not None else d
-        if d <= hi:
-            return ("pass", {"measured": [str(d), str(d)],
-                             "bound": _err_interval_strings(qv)})
-        return ("fail", {"measured": [str(d), str(d)],
-                         "bound": _err_interval_strings(qv)})
-    raise TypeError(fam)
+def _check_once(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
+                rng: random.Random, cfg: EvalConfig,
+                inputs: List[str]) -> Tuple[str, dict]:
+    """One trial: draw inputs down the Pi/PiTy spine, then check the base.
 
-
-def _member_once(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
-                 rng: random.Random, cfg: EvalConfig,
-                 inputs: List[str]) -> Tuple[str, dict]:
-    if isinstance(fam, (FlBase, NatBase, BoolBase)):
-        return _member_base_once(fam, q, a, e, cfg)
+    Membership feeds both sides a member triple; equality feeds both the
+    exact input, with an arbitrary error for a real input."""
+    if isinstance(fam, _BASES):
+        return _base_check(fam, q, e, other, approx, cfg)
     if isinstance(fam, Pi):
         trip = sample_member_triple(fam.fam, rng)
         if trip is None:
             return ("inconclusive",
                     {"note": f"no input sampler for family "
                              f"{family_source(fam.fam)}"})
-        e1, a1, q1 = trip
-        inputs.append(to_source(e1))
-        return _member_once(fam.body,
-                            App(App(q, e1), q1), App(a, a1), App(e, e1),
-                            rng, cfg, inputs)
+        x, xa, xq = trip
+        if not approx:
+            xa = x
+            if isinstance(fam.fam, FlBase):
+                xq = ErrLit(sample_err_fraction(rng))
+        inputs.append(to_source(x))
+        return _check_once(fam.body, App(App(q, x), xq), App(e, x),
+                           App(other, xa), approx, rng, cfg, inputs)
     if isinstance(fam, PiTy):
         base: ApproxTy = FL if rng.randrange(2) == 0 else NAT_A
-        me, ma, mq, mfam = monomorphize(fam, base, e, a, q)
+        me, mo, mq, mfam = monomorphize(fam, base, e, other, q)
+        if not approx:
+            mo = TyApp(other, exact_ty(base))
         inputs.append(f"@{family_source(base)}")
-        return _member_once(mfam, mq, ma, me, rng, cfg, inputs)
-    if isinstance(fam, VarBase):
-        return ("inconclusive", {"note": "free family variable"})
-    raise TypeError(fam)
+        return _check_once(mfam, mq, me, mo, approx, rng, cfg, inputs)
+    return ("inconclusive", {"note": "free family variable"})
+
+
+def _outcomes(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
+              trials: int, seed: int, cfg: EvalConfig) -> List[TrialOutcome]:
+    """Per-trial outcomes.  Base families take no samples: one check runs,
+    and membership copies it into every requested trial."""
+    n = max(1, trials)
+    base = isinstance(fam, _BASES)
+    out = []
+    for t in range(1 if base else n):
+        inputs: List[str] = []
+        status, rec = _check_once(fam, q, e, other, approx, trial_rng(seed, t),
+                                  cfg, inputs)
+        out.append(TrialOutcome(t, status, {"seed": seed, "trial": t,
+                                            "inputs": inputs, **rec}))
+    if base and approx:
+        first = out[0]
+        out += [TrialOutcome(t, first.status,
+                             {**first.record, "trial": t, "inputs": []})
+                for t in range(1, n)]
+    return out
+
+
+def _verdict(fam: ApproxTy, outcomes: List[TrialOutcome]) -> Verdict:
+    passes = sum(1 for o in outcomes if o.status == "pass")
+    inconc = sum(1 for o in outcomes if o.status == "inconclusive")
+    first_fail = next((o for o in outcomes if o.status == "fail"), None)
+    v = Verdict(status="pass", trials=len(outcomes), passes=passes,
+                inconclusive=inconc, on_samples=not isinstance(fam, _BASES))
+    if first_fail is not None:
+        v.status = "fail"
+        v.counterexample = first_fail.record
+    elif inconc == len(outcomes):
+        v.status = "inconclusive"
+        v.reason = outcomes[0].record.get("note", "")
+    return v
 
 
 def member_trials(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
                   trials: int, seed: int, cfg: EvalConfig) -> List[TrialOutcome]:
-    """Per-trial membership outcomes.
-
-    Base families take no samples, so a single deterministic evaluation
-    stands for every requested trial."""
-    n = max(1, trials)
-    if isinstance(fam, (FlBase, NatBase, BoolBase)):
-        status, rec = _member_once(fam, q, a, e, trial_rng(seed, 0), cfg, [])
-        out = []
-        for t in range(n):
-            record = {"seed": seed, "trial": t, "inputs": []}
-            record.update(rec)
-            out.append(TrialOutcome(t, status, record))
-        return out
-    out = []
-    for t in range(n):
-        rng = trial_rng(seed, t)
-        inputs: List[str] = []
-        status, rec = _member_once(fam, q, a, e, rng, cfg, inputs)
-        record = {"seed": seed, "trial": t, "inputs": inputs}
-        record.update(rec)
-        out.append(TrialOutcome(t, status, record))
-    return out
+    """Per-trial membership outcomes of "a approximates e within q"."""
+    return _outcomes(fam, q, e, a, True, trials, seed, cfg)
 
 
 def appr_member(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
@@ -611,20 +592,14 @@ def appr_member(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
     Base families decide by oracle comparison with precision escalation;
     function families sample member inputs, so a pass is on-samples.
     """
-    outcomes = member_trials(fam, q, a, e, trials, seed, cfg)
-    passes = sum(1 for o in outcomes if o.status == "pass")
-    inconc = sum(1 for o in outcomes if o.status == "inconclusive")
-    first_fail = next((o for o in outcomes if o.status == "fail"), None)
-    v = Verdict(status="pass", trials=len(outcomes), passes=passes,
-                inconclusive=inconc,
-                on_samples=not isinstance(fam, (FlBase, NatBase, BoolBase)))
-    if first_fail is not None:
-        v.status = "fail"
-        v.counterexample = first_fail.record
-    elif inconc == len(outcomes) and outcomes:
-        v.status = "inconclusive"
-        v.reason = outcomes[0].record.get("note", "")
-    return v
+    return _verdict(fam, member_trials(fam, q, a, e, trials, seed, cfg))
+
+
+def aeq_check(fam: ApproxTy, q: Expr, e1: Expr, e2: Expr,
+              trials: int = 100, seed: int = 42,
+              cfg: EvalConfig = EvalConfig()) -> Verdict:
+    """Are e1 and e2 within q of each other in this family?"""
+    return _verdict(fam, _outcomes(fam, q, e1, e2, False, trials, seed, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -673,29 +648,9 @@ _fn_triple_cache: Dict[str, List[Tuple[Expr, Expr, Expr]]] = {}
 def as_float_literals(e: Expr) -> Expr:
     """Reread numeric literals as binary64 (surface decimals parse as
     rationals; approximate programs carry float literals)."""
-    if isinstance(e, RealLit):
+    if type(e) is RealLit:
         return FloatLit.of(nearest_float(e.value))
-    if isinstance(e, Lam):
-        return Lam(e.binder, e.annot, as_float_literals(e.body))
-    if isinstance(e, App):
-        return App(as_float_literals(e.fn), as_float_literals(e.arg))
-    if isinstance(e, TyLam):
-        return TyLam(e.tyvar, as_float_literals(e.body))
-    if isinstance(e, TyApp):
-        return TyApp(as_float_literals(e.expr), e.ty)
-    if isinstance(e, Builtin):
-        return Builtin(e.op, tuple(as_float_literals(x) for x in e.args))
-    from .syntax import Fix as _Fix, If as _If, RedSeq as _RedSeq
-    if isinstance(e, _Fix):
-        return _Fix(as_float_literals(e.expr))
-    if isinstance(e, _If):
-        return _If(as_float_literals(e.cond), as_float_literals(e.then_e),
-                   as_float_literals(e.else_e))
-    if isinstance(e, _RedSeq):
-        return _RedSeq(as_float_literals(e.combiner),
-                       as_float_literals(e.count),
-                       as_float_literals(e.generator))
-    return e
+    return map_children(e, as_float_literals)
 
 
 def _fn_triples(key: str) -> List[Tuple[Expr, Expr, Expr]]:
@@ -740,111 +695,6 @@ def sample_member_triple(fam: ApproxTy, rng: random.Random
         pool = _fn_triples(key)
         return pool[rng.randrange(len(pool))]
     return None
-
-
-# ---------------------------------------------------------------------------
-# approximate equality
-
-def _aeq_base_once(fam: ApproxTy, q: Expr, e1: Expr, e2: Expr,
-                   cfg: EvalConfig) -> Tuple[str, dict]:
-    if isinstance(fam, FlBase):
-        def dist(p: int):
-            cfgp = cfg.at_precision(p)
-            qv = bound_of(eval_error(q, cfg=cfgp))
-            v1 = eval_exact(e1, cfg=cfgp)
-            v2 = eval_exact(e2, cfg=cfgp)
-            if v1 is DIVERGED or v2 is DIVERGED:
-                raise OracleInconclusive("divergence in equality operands")
-            d = enc.enclose_op("dr", [v1.enc, v2.enc], p, cfg.max_precision_bits)
-            return d, qv
-
-        qv0 = bound_of(eval_error(q, cfg=cfg))
-        if qv0.lo is None:
-            return ("pass", {"bound": ["inf", "inf"]})
-        if e1 == e2:
-            return ("pass", {"note": "identical expressions"})
-        try:
-            return _check_distance_leq(dist, cfg)
-        except OracleInconclusive as ex:
-            return ("inconclusive", {"note": str(ex)})
-    if isinstance(fam, (NatBase, BoolBase)):
-        v1 = eval_exact(e1, cfg=cfg)
-        v2 = eval_exact(e2, cfg=cfg)
-        qv = bound_of(eval_error(q, cfg=cfg))
-        if qv.lo is None:
-            return ("pass", {"bound": ["inf", "inf"]})
-        if v1 is DIVERGED or v2 is DIVERGED:
-            return ("inconclusive", {"note": "divergence in equality operands"})
-        if isinstance(fam, NatBase):
-            d = Fraction(abs(v1.value - v2.value))
-        else:
-            d = Fraction(0 if v1.value == v2.value else 1)
-        hi = qv.hi if qv.hi is not None else d
-        ok = d <= hi
-        return ("pass" if ok else "fail",
-                {"measured": [str(d), str(d)],
-                 "bound": _err_interval_strings(qv)})
-    raise TypeError(fam)
-
-
-def _aeq_once(fam: ApproxTy, q: Expr, e1: Expr, e2: Expr,
-              rng: random.Random, cfg: EvalConfig,
-              inputs: List[str]) -> Tuple[str, dict]:
-    if isinstance(fam, (FlBase, NatBase, BoolBase)):
-        return _aeq_base_once(fam, q, e1, e2, cfg)
-    if isinstance(fam, Pi):
-        # sample an exact input and an arbitrary input error
-        trip = sample_member_triple(fam.fam, rng)
-        if trip is None:
-            return ("inconclusive",
-                    {"note": f"no input sampler for {family_source(fam.fam)}"})
-        r, _, _ = trip
-        if isinstance(fam.fam, FlBase):
-            rq: Expr = ErrLit(sample_err_fraction(rng))
-        else:
-            rq = trip[2]
-        inputs.append(to_source(r))
-        return _aeq_once(fam.body, App(App(q, r), rq),
-                         App(e1, r), App(e2, r), rng, cfg, inputs)
-    if isinstance(fam, PiTy):
-        base: ApproxTy = FL if rng.randrange(2) == 0 else NAT_A
-        q2 = App(App(TyApp(TyApp(q, exact_ty(base)), err_ty(base)),
-                     zero_expr(base)), plus_lambda(base))
-        inputs.append(f"@{family_source(base)}")
-        return _aeq_once(instantiate_poly(fam, base), q2,
-                         TyApp(e1, exact_ty(base)), TyApp(e2, exact_ty(base)),
-                         rng, cfg, inputs)
-    raise TypeError(fam)
-
-
-def aeq_check(fam: ApproxTy, q: Expr, e1: Expr, e2: Expr,
-              trials: int = 100, seed: int = 42,
-              cfg: EvalConfig = EvalConfig()) -> Verdict:
-    """Are e1 and e2 within q of each other in this family?"""
-    if isinstance(fam, (FlBase, NatBase, BoolBase)):
-        trials = 1
-    passes = inconc = 0
-    fail_rec = None
-    n = max(1, trials)
-    for t in range(n):
-        rng = trial_rng(seed, t)
-        inputs: List[str] = []
-        status, rec = _aeq_once(fam, q, e1, e2, rng, cfg, inputs)
-        if status == "pass":
-            passes += 1
-        elif status == "inconclusive":
-            inconc += 1
-        elif fail_rec is None:
-            rec.update({"seed": seed, "trial": t, "inputs": inputs})
-            fail_rec = rec
-    v = Verdict(status="pass", trials=n, passes=passes, inconclusive=inconc,
-                on_samples=not isinstance(fam, (FlBase, NatBase, BoolBase)))
-    if fail_rec is not None:
-        v.status = "fail"
-        v.counterexample = fail_rec
-    elif inconc == n:
-        v.status = "inconclusive"
-    return v
 
 
 # ---------------------------------------------------------------------------

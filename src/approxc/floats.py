@@ -27,10 +27,6 @@ def float_bits(x: float) -> int:
     return struct.unpack(">Q", struct.pack(">d", x))[0]
 
 
-def bits_float(b: int) -> float:
-    return struct.unpack(">d", struct.pack(">Q", b))[0]
-
-
 def to_fraction(x: float) -> Fraction:
     """The exact rational denoted by a finite binary64."""
     if not math.isfinite(x):

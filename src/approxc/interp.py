@@ -34,10 +34,6 @@ class OracleInconclusive(EvalError):
     """A comparison stayed undecided at the working precision."""
 
 
-class FuelExhausted(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation budget: fuel bounds beta/delta steps, precision_bits
@@ -77,11 +73,6 @@ class VNat:
 @dataclass(frozen=True)
 class VBool:
     value: bool
-
-
-@dataclass(frozen=True)
-class VUnit:
-    pass
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ class VBuiltin:
     args: Tuple["Value", ...] = ()
 
 
-Value = Union[VReal, VFloat, VNat, VBool, VUnit, VErr, VClosure, VTyClosure, VBuiltin]
+Value = Union[VReal, VFloat, VNat, VBool, VErr, VClosure, VTyClosure, VBuiltin]
 
 
 class Diverged:
@@ -172,6 +163,18 @@ def err_add(a: VErr, b: VErr) -> VErr:
         return ERR_INF
     hi = None if (a.hi is None or b.hi is None) else a.hi + b.hi
     return VErr(a.lo + b.lo, hi)
+
+
+def float_op_err(op: str, xe: RealEnclosure, xq: VErr,
+                 ye: RealEnclosure, yq: VErr) -> VErr:
+    """Worst-case distance between the exact op and its rounded float
+    counterpart over the input error box; infinity on overflow or on a
+    divisor interval containing zero."""
+    lo, hi = float_interval_op_err(op, (xe.lo, xe.hi), (xq.lo, xq.hi),
+                                   (ye.lo, ye.hi), (yq.lo, yq.hi))
+    if hi is None and lo == 0:
+        return ERR_INF
+    return VErr(lo, hi)
 
 
 def err_mul(a: VErr, b: VErr) -> VErr:
@@ -375,13 +378,8 @@ class _Machine:
             return err_mul(err_of_value(args[0]), err_of_value(args[1]))
         if op in ("+err", "-err", "*err", "/err"):
             xe, xq, ye, yq = args
-            lo, hi = float_interval_op_err(
-                op[0],
-                (xe.enc.lo, xe.enc.hi), (err_of_value(xq).lo, err_of_value(xq).hi),
-                (ye.enc.lo, ye.enc.hi), (err_of_value(yq).lo, err_of_value(yq).hi))
-            if hi is None and lo == 0:
-                return ERR_INF
-            return VErr(lo, hi)
+            return float_op_err(op[0], xe.enc, err_of_value(xq),
+                                ye.enc, err_of_value(yq))
         if op == "sinerr":
             xe, xq = args
             q = err_of_value(xq)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -87,14 +87,6 @@ NAT = NatT()
 BOOL = BoolT()
 UNIT = UnitT()
 ERRREAL = ErrRealT()
-
-
-def arrows(*tys: Ty) -> Ty:
-    """Right-associated arrow chain: arrows(a, b, c) = a -> (b -> c)."""
-    out = tys[-1]
-    for t in reversed(tys[:-1]):
-        out = Arrow(t, out)
-    return out
 
 
 def free_tyvars(t: Ty, bound: frozenset = frozenset()) -> set:
@@ -302,31 +294,60 @@ def builtin_arity(op: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Child table: the one place that knows each node's subexpressions
+
+def children(e: Expr) -> Tuple[Expr, ...]:
+    """The direct subexpressions of a node, in source order."""
+    t = type(e)
+    if t is App:
+        return (e.fn, e.arg)
+    if t is Lam or t is TyLam:
+        return (e.body,)
+    if t is TyApp or t is Fix:
+        return (e.expr,)
+    if t is If:
+        return (e.cond, e.then_e, e.else_e)
+    if t is Builtin:
+        return e.args
+    if t is RedSeq:
+        return (e.combiner, e.count, e.generator)
+    return ()
+
+
+def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """The node rebuilt with f applied to each direct subexpression."""
+    t = type(e)
+    if t is App:
+        return App(f(e.fn), f(e.arg))
+    if t is Lam:
+        return Lam(e.binder, e.annot, f(e.body))
+    if t is TyLam:
+        return TyLam(e.tyvar, f(e.body))
+    if t is TyApp:
+        return TyApp(f(e.expr), e.ty)
+    if t is Fix:
+        return Fix(f(e.expr))
+    if t is If:
+        return If(f(e.cond), f(e.then_e), f(e.else_e))
+    if t is Builtin:
+        return Builtin(e.op, tuple(f(a) for a in e.args))
+    if t is RedSeq:
+        return RedSeq(f(e.combiner), f(e.count), f(e.generator))
+    return e
+
+
+# ---------------------------------------------------------------------------
 # Free variables and substitution
 
 def free_vars(e: Expr) -> set:
-    if isinstance(e, Var):
+    if type(e) is Var:
         return {e.name}
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.binder}
-    if isinstance(e, App):
-        return free_vars(e.fn) | free_vars(e.arg)
-    if isinstance(e, (TyLam,)):
-        return free_vars(e.body)
-    if isinstance(e, TyApp):
-        return free_vars(e.expr)
-    if isinstance(e, Fix):
-        return free_vars(e.expr)
-    if isinstance(e, If):
-        return free_vars(e.cond) | free_vars(e.then_e) | free_vars(e.else_e)
-    if isinstance(e, Builtin):
-        out = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, RedSeq):
-        return free_vars(e.combiner) | free_vars(e.count) | free_vars(e.generator)
-    return set()
+    out = set()
+    for c in children(e):
+        out |= free_vars(c)
+    if type(e) is Lam:
+        out.discard(e.binder)
+    return out
 
 
 _FRESH_SEP = "%"
@@ -343,61 +364,16 @@ def fresh_name(base: str, avoid: set) -> str:
 
 def subst(e: Expr, name: str, repl: Expr) -> Expr:
     """Capture-avoiding substitution of an expression for a variable."""
-    if isinstance(e, Var):
+    if type(e) is Var:
         return repl if e.name == name else e
-    if isinstance(e, Lam):
+    if type(e) is Lam:
         if e.binder == name:
             return e
         if e.binder in free_vars(repl):
             nb = fresh_name(e.binder, free_vars(repl) | free_vars(e.body) | {name})
             body = subst(e.body, e.binder, Var(nb))
             return Lam(nb, e.annot, subst(body, name, repl))
-        return Lam(e.binder, e.annot, subst(e.body, name, repl))
-    if isinstance(e, App):
-        return App(subst(e.fn, name, repl), subst(e.arg, name, repl))
-    if isinstance(e, TyLam):
-        return TyLam(e.tyvar, subst(e.body, name, repl))
-    if isinstance(e, TyApp):
-        return TyApp(subst(e.expr, name, repl), e.ty)
-    if isinstance(e, Fix):
-        return Fix(subst(e.expr, name, repl))
-    if isinstance(e, If):
-        return If(subst(e.cond, name, repl), subst(e.then_e, name, repl),
-                  subst(e.else_e, name, repl))
-    if isinstance(e, Builtin):
-        return Builtin(e.op, tuple(subst(a, name, repl) for a in e.args))
-    if isinstance(e, RedSeq):
-        return RedSeq(subst(e.combiner, name, repl), subst(e.count, name, repl),
-                      subst(e.generator, name, repl))
-    return e
-
-
-def subst_tyvar(e: Expr, name: str, repl: Ty) -> Expr:
-    """Substitute a type for a type variable throughout annotations."""
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Lam):
-        return Lam(e.binder, subst_ty(e.annot, name, repl), subst_tyvar(e.body, name, repl))
-    if isinstance(e, App):
-        return App(subst_tyvar(e.fn, name, repl), subst_tyvar(e.arg, name, repl))
-    if isinstance(e, TyLam):
-        if e.tyvar == name:
-            return e
-        return TyLam(e.tyvar, subst_tyvar(e.body, name, repl))
-    if isinstance(e, TyApp):
-        return TyApp(subst_tyvar(e.expr, name, repl), subst_ty(e.ty, name, repl))
-    if isinstance(e, Fix):
-        return Fix(subst_tyvar(e.expr, name, repl))
-    if isinstance(e, If):
-        return If(subst_tyvar(e.cond, name, repl), subst_tyvar(e.then_e, name, repl),
-                  subst_tyvar(e.else_e, name, repl))
-    if isinstance(e, Builtin):
-        return Builtin(e.op, tuple(subst_tyvar(a, name, repl) for a in e.args))
-    if isinstance(e, RedSeq):
-        return RedSeq(subst_tyvar(e.combiner, name, repl),
-                      subst_tyvar(e.count, name, repl),
-                      subst_tyvar(e.generator, name, repl))
-    return e
+    return map_children(e, lambda c: subst(c, name, repl))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,16 @@ def test_scalar_program_passes_with_tight_bound():
     assert rep.trials == 1
 
 
+def test_undecided_comparison_is_inconclusive_not_raised():
+    # 1/3 encloses to an interval of nonzero width, so leqr cannot decide
+    # 1/3 <= 1/3 at any precision
+    e = parse("(leqr 1/3 1/3)")
+    r = compile_program(e, OPTS)
+    rep = check_soundness(e, r, trials=3, seed=42, cfg=CFG)
+    assert rep.ok
+    assert rep.inconclusive == rep.trials == 3 and rep.passes == 0
+
+
 def test_doubling_function_soundness():
     e = parse("(lam (x Real) (+r x x))")
     r = compile_program(e, OPTS)

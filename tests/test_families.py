@@ -67,6 +67,38 @@ def test_aeq_examples():
     assert v.status == "fail"
 
 
+def test_aeq_undecided_bound_is_inconclusive():
+    q = parse("(if (leqr 1/3 1/3) (err 1/2) (err 1/4))")
+    v = aeq_check(FL, q, RealLit(Fraction(1)), RealLit(Fraction(5, 4)), cfg=CFG)
+    assert v.status == "inconclusive"
+
+
+def _exact_reading(a):
+    if isinstance(a, FloatLit):
+        return RealLit(to_fraction(a.value))
+    return a
+
+
+def test_membership_and_equality_agree_on_base_triples():
+    """Membership of a agrees with equality against a's exact value."""
+    rng = trial_rng(5, 0)
+    statuses = set()
+    for fam, zero in ((FL, ErrLit(Fraction(0))), (NAT_A, NatLit(0))):
+        for _ in range(15):
+            e, a, q = sample_member_triple(fam, rng)
+            claims = [(q, a), (zero, a)]
+            if fam == NAT_A:
+                claims.append((zero, NatLit(a.value + 1 + rng.randrange(3))))
+            for qq, aa in claims:
+                m = appr_member(fam, qq, aa, e, trials=1, seed=42, cfg=CFG)
+                eq = aeq_check(fam, qq, e, _exact_reading(aa), trials=1,
+                               seed=42, cfg=CFG)
+                assert m.status == eq.status, (to_source(e), to_source(aa),
+                                               to_source(qq))
+                statuses.add(m.status)
+    assert statuses == {"pass", "fail"}
+
+
 def test_nat_membership_exact():
     assert appr_member(NAT_A, NatLit(0), NatLit(7), NatLit(7),
                        trials=1, seed=42, cfg=CFG).ok

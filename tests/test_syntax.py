@@ -7,7 +7,8 @@ from approxc.parser import ParseError, UnknownBuiltin, parse, parse_ty
 from approxc.syntax import (
     BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, REAL, UNIT,
     App, Arrow, BoolLit, Builtin, ErrLit, Fix, Forall, If, Lam, NatLit,
-    RealLit, RedSeq, TyApp, TyLam, TyVar, Var, free_vars, subst, to_source,
+    RealLit, RedSeq, TyApp, TyLam, TyVar, Var, children, free_vars,
+    map_children, subst, to_source,
 )
 
 
@@ -132,3 +133,26 @@ def test_substitution_eliminates_the_variable(e):
     assert "x" not in free_vars(out)
     if "x" in free_vars(e):
         assert "y" in free_vars(out)
+
+
+# -- child table -----------------------------------------------------------------
+
+@given(_exprs())
+def test_map_children_identity_rebuilds_the_node(e):
+    assert map_children(e, lambda c: c) == e
+
+
+@given(_exprs())
+def test_children_cover_every_printed_subexpression(e):
+    # print each node with its children replaced by holes: the holes must
+    # be all the printed subexpressions, in order, and filling them back
+    # in with the children's sources must give the node's source
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        kids = children(node)
+        parts = to_source(map_children(node, lambda c: Var("#"))).split("#")
+        assert len(parts) == len(kids) + 1
+        filled = "".join(p + to_source(k) for p, k in zip(parts, kids))
+        assert filled + parts[-1] == to_source(node)
+        todo.extend(kids)
