@@ -23,6 +23,13 @@ from .syntax import to_source
 from .typecheck import TypeError_
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="approxc",
@@ -32,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--trials", type=int, default=1000)
         sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--precision-bits", type=int, default=128)
+        sp.add_argument("--precision-bits", type=_positive_int, default=128)
         sp.add_argument("--fuel", type=int, default=10**6)
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default: next to the input)")

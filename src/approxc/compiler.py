@@ -5,9 +5,14 @@ expression and a derivation trace.
 Each structural construct is approximated by itself while its error is
 synthesized compositionally; the leaf transformations are real-to-float
 lowering of literals and builtins, the optional sine-by-identity
-substitution, and loop perforation on reductions.  Side conditions that
-the rules require are validated by seeded sampling and recorded on the
-derivation, never assumed.
+substitution, and loop perforation on reductions.  Every bound is an
+error expression built from the premises' errors and exact subterms, so
+it is sound by construction: a conditional whose condition may disagree
+adds the exact distance between its branches, and a reduction chains the
+rounding error of each float addition and adds the exact drift of a
+perforated loop.  Compilation evaluates nothing, except that weakening
+to a caller-supplied bound checks the ordering, on sampled inputs at
+function families.
 """
 from __future__ import annotations
 
@@ -17,10 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from . import enclosure as enc
-from .enclosure import from_rational
 from .families import (
-    BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, Constraint, FlBase,
+    BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
     NatBase, Pi, PiTy, TyTriple, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
     family_source, instantiate_poly, plus_apply, plus_lambda,
@@ -28,8 +31,7 @@ from .families import (
 )
 from .floats import nearest_float, to_fraction
 from .interp import (
-    DIVERGED, EvalConfig, VBool, VFloat, Value,
-    bound_of, eval_approx, eval_error, eval_exact, err_of_value,
+    EvalConfig, bound_of, eval_error,
     float_op_err,  # re-exported: part of this module's public surface
 )
 from .quant import LeqVerdict, scalar_err_leq
@@ -38,7 +40,7 @@ from .syntax import (
     ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
-    Var, children, free_vars, map_children, to_source,
+    Var, children, free_vars, fresh_name, map_children, to_source,
 )
 from .typecheck import TyCtx, TypeMismatch, infer_type
 
@@ -68,7 +70,6 @@ class CompileOpts:
     enable_sin_subst: bool = False
     perforation: Mapping[str, int] = field(default_factory=dict)
     weaken_to: Optional[Expr] = None
-    sample_budget_for_side_conditions: int = 32
     seed: int = 42
     cfg: EvalConfig = field(default_factory=EvalConfig)
 
@@ -239,7 +240,6 @@ class Compiler:
         self.opts = opts
         self.cfg = opts.cfg
         self._site_counter = 0
-        self._sample_counter = 0
         self._fresh_counter = 0
 
     # -- naming ------------------------------------------------------------
@@ -259,79 +259,6 @@ class Compiler:
         label = f"L{self._site_counter}"
         self._site_counter += 1
         return label
-
-    def _rng(self):
-        self._sample_counter += 1
-        return trial_rng(self.opts.seed, self._sample_counter)
-
-    # -- satisfying substitutions -------------------------------------------
-
-    def _sample_envs(self, ctx: ApproxCtx):
-        """One sampled substitution satisfying the context, as value
-        environments for the exact, approximate, and error worlds.
-        Returns None when some entry cannot be sampled or evaluated."""
-        rng = self._rng()
-        env_e: Dict[str, Value] = {}
-        env_a: Dict[str, Value] = {}
-        env_q: Dict[str, Value] = {}
-        tymap: Dict[str, ApproxTy] = {}
-
-        def resolve(famly: ApproxTy) -> ApproxTy:
-            if isinstance(famly, VarBase) and famly.xe in tymap:
-                return tymap[famly.xe]
-            if isinstance(famly, Pi):
-                return Pi(famly.xe, famly.xa, famly.xq,
-                          resolve(famly.fam), resolve(famly.body))
-            return famly
-
-        for en in ctx.entries:
-            if isinstance(en, TyTriple):
-                base: ApproxTy = FL if rng.randrange(2) == 0 else NAT_A
-                tymap[en.xe] = base
-                z0 = eval_error(zero_expr(base), cfg=self.cfg)
-                zp = eval_error(plus_lambda(base), cfg=self.cfg)
-                if z0 is DIVERGED or zp is DIVERGED:
-                    return None
-                env_q[en.z0] = z0
-                env_q[en.zp] = zp
-                continue
-            if isinstance(en, Constraint):
-                continue
-            fam = resolve(en.family)
-            if en.pinned is not None:
-                pe, pa, pq = en.pinned
-                if pe is None:
-                    return None
-                ve = eval_exact(pe, dict(env_e), self.cfg)
-                if ve is DIVERGED:
-                    return None
-                env_e[en.xe] = ve
-                if pa is not None:
-                    va = eval_approx(pa, dict(env_a), self.cfg)
-                    if va is DIVERGED:
-                        return None
-                    env_a[en.xa] = va
-                if pq is not None:
-                    vq = eval_error(pq, dict(env_q) | dict(env_e), self.cfg)
-                    if vq is DIVERGED:
-                        return None
-                    env_q[en.xq] = vq
-                continue
-            trip = sample_member_triple(fam, rng)
-            if trip is None:
-                return None
-            ee, ea, eq = trip
-            ve = eval_exact(ee, {}, self.cfg)
-            va = eval_approx(ea, {}, self.cfg)
-            vq = eval_error(eq, {}, self.cfg)
-            if ve is DIVERGED or va is DIVERGED or vq is DIVERGED:
-                return None
-            env_e[en.xe] = ve
-            env_a[en.xa] = va
-            env_q[en.xq] = vq
-        # error expressions reference exact variables too
-        env_q = dict(env_q) | dict(env_e)
-        return env_e, env_a, env_q
 
     # -- entry point ---------------------------------------------------------
 
@@ -482,146 +409,27 @@ class Compiler:
         rt = self.compile(ctx, e.then_e, target)
         rf = self.compile(ctx, e.else_e, target)
         approx = If(rc.approx, rt.approx, rf.approx)
-        budget = self.opts.sample_budget_for_side_conditions
-
-        agree, agree_rec = self._sample_condition_agreement(ctx, e.cond, rc, budget)
-
-        side: List[SideCondition] = []
-        if agree and agree_rec["samples"] > 0:
-            # both sides take the same branch, so the error can follow
-            # the exact condition; this also gives recursive errors the
-            # same base case as the value recursion
-            q = fold_err(If(e.cond, rt.err, rf.err))
-            side.append(SideCondition(
-                "condition error evaluates to zero and exact/approximate "
-                "conditions agree on sampled substitutions",
-                Verdict(status="pass", trials=agree_rec["samples"],
-                        passes=agree_rec["samples"], on_samples=True)))
-        else:
-            if not isinstance(target, (FlBase, NatBase, BoolBase)):
-                raise Unsupported(
-                    "cross-branch error estimation needs a scalar family")
-            q_cross, est_rec = self._estimate_cross_error(
-                ctx, e, rc, rt, rf, target, budget)
-            side.append(SideCondition(
-                "cross-branch error estimated from sampled disagreeing "
-                "substitutions and validated on fresh samples",
-                Verdict(status="pass", trials=est_rec["samples"],
-                        passes=est_rec["samples"], on_samples=True,
-                        reason=est_rec["note"])))
-            q = plus_apply(target, rt.err, rf.err)
-            if not _is_zero_err(q_cross):
-                q = plus_apply(target, q, q_cross)
-            q = fold_err(q)
+        # a condition error of 0 means both sides take the same branch, so
+        # the error follows the exact condition; this also gives recursive
+        # errors the same base case as the value recursion
+        q: Expr = If(e.cond, rt.err, rf.err)
+        if not _is_zero_err(rc.err):
+            # the sides may take different branches, and
+            # |e_t - a_f| <= |e_t - e_f| + q_f (symmetrically for e_f)
+            if isinstance(target, (FlBase, NatBase)):
+                dist = "dr" if isinstance(target, FlBase) else "dn"
+                cross: Expr = plus_apply(target, plus_apply(
+                    target, rt.err, rf.err), Builtin(dist, (e.then_e, e.else_e)))
+            elif isinstance(target, BoolBase):
+                cross = NatLit(1)
+            else:
+                raise Unsupported("a condition that may disagree needs a "
+                                  "scalar family")
+            q = If(Builtin("leqn", (rc.err, NatLit(0))), q, cross)
+        q = fold_err(q)
         d = Derivation("A-If", e, approx, q, target,
-                       premises=[rc.derivation, rt.derivation, rf.derivation],
-                       side_conditions=side)
+                       premises=[rc.derivation, rt.derivation, rf.derivation])
         return CompileResult(approx, q, target, d)
-
-    def _sample_condition_agreement(self, ctx: ApproxCtx, cond: Expr,
-                                    rc: CompileResult, budget: int):
-        from .interp import EvalError
-        samples = 0
-        for _ in range(budget):
-            envs = self._sample_envs(ctx)
-            if envs is None:
-                continue
-            try:
-                env_e, env_a, env_q = envs
-                ve = eval_exact(cond, env_e, self.cfg)
-                va = eval_approx(rc.approx, env_a, self.cfg)
-                vq = eval_error(rc.err, env_q, self.cfg)
-            except EvalError:
-                continue  # sample not evaluable (e.g. unresolved fix pin)
-            if ve is DIVERGED or va is DIVERGED or vq is DIVERGED:
-                return False, {"samples": samples}
-            if not isinstance(ve, VBool) or not isinstance(va, VBool):
-                return False, {"samples": samples}
-            qv = err_of_value(vq)
-            if ve.value != va.value or (qv.hi or Fraction(0)) != 0:
-                return False, {"samples": samples}
-            samples += 1
-        return True, {"samples": samples}
-
-    def _estimate_cross_error(self, ctx: ApproxCtx, e: If, rc, rt, rf,
-                              target: ApproxTy, budget: int):
-        from .interp import EvalError
-        worst = Fraction(0)
-        observed = 0
-        usable = 0
-        for _ in range(budget):
-            envs = self._sample_envs(ctx)
-            if envs is None:
-                continue
-            try:
-                env_e, env_a, env_q = envs
-                ve = eval_exact(e.cond, env_e, self.cfg)
-                va = eval_approx(rc.approx, env_a, self.cfg)
-                if not isinstance(ve, VBool) or not isinstance(va, VBool):
-                    continue
-                usable += 1
-                if ve.value == va.value:
-                    continue
-                observed += 1
-                evb = eval_exact(e.then_e if ve.value else e.else_e,
-                                 env_e, self.cfg)
-                avb = eval_approx(rt.approx if va.value else rf.approx,
-                                  env_a, self.cfg)
-            except EvalError:
-                continue
-            d = self._measure_distance(target, evb, avb)
-            if d is None:
-                return ErrLit(None), {"samples": budget,
-                                      "note": "cross distance unbounded"}
-            worst = max(worst, d)
-        if usable == 0:
-            raise Unsupported("cannot sample the condition for cross-branch "
-                              "estimation under this context")
-        q_cross = ErrLit(worst) if isinstance(target, FlBase) else \
-            NatLit(math.ceil(worst))
-        # validate the full conclusion error on fresh samples
-        validated = 0
-        for _ in range(budget):
-            envs = self._sample_envs(ctx)
-            if envs is None:
-                continue
-            try:
-                env_e, env_a, env_q = envs
-                ev = eval_exact(e, env_e, self.cfg)
-                av = eval_approx(If(rc.approx, rt.approx, rf.approx),
-                                 env_a, self.cfg)
-                total = plus_apply(target, plus_apply(target, rt.err, rf.err),
-                                   q_cross)
-                qv = bound_of(eval_error(total, env_q, self.cfg))
-            except EvalError:
-                continue
-            d = self._measure_distance(target, ev, av)
-            if d is None:
-                continue
-            if qv.hi is not None and d > qv.hi:
-                raise SideConditionFailed(
-                    "sampled conditional exceeded the estimated cross-branch "
-                    "bound", {"measured": str(d), "bound": str(qv.hi)})
-            validated += 1
-        return q_cross, {"samples": validated,
-                         "note": f"{observed} disagreeing samples, "
-                                 f"worst distance {worst}"}
-
-    def _measure_distance(self, target: ApproxTy, ev, av) -> Optional[Fraction]:
-        if ev is DIVERGED or av is DIVERGED:
-            return None
-        if isinstance(target, FlBase):
-            if not isinstance(av, VFloat) or not math.isfinite(av.value):
-                return None
-            d = enc.enclose_op("dr", [ev.enc, from_rational(
-                to_fraction(av.value), self.cfg.precision_bits)],
-                self.cfg.precision_bits, self.cfg.max_precision_bits)
-            return d.hi
-        if isinstance(target, NatBase):
-            return Fraction(abs(ev.value - av.value))
-        if isinstance(target, BoolBase):
-            return Fraction(0 if ev.value == av.value else 1)
-        return None
 
     # -- literals and builtins ---------------------------------------------------
 
@@ -720,8 +528,7 @@ class Compiler:
                 and not e.combiner.args):
             raise Unsupported(
                 "reduction lowering requires the addition combiner: the "
-                "synthesized bound sums per-element errors, which is only "
-                "sound for an additively exact fold")
+                "synthesized bound chains the rounding error of +r")
         comb_res = self._builtin(ctx, Builtin("+r", ()),
                                  Pi("xe", "xa", "xq", FL,
                                     Pi("ye", "ya", "yq", FL, FL)))
@@ -732,29 +539,39 @@ class Compiler:
         gen_fam = Pi("i", "i_a", "i_q", NAT_A, FL)
         gen_res = self.compile(ctx, e.generator, gen_fam)
 
-        count_lit = e.count if isinstance(e.count, NatLit) else None
-
-        # per-element drift bound q(x) >= d(gen x, gen floor_k(x))
-        q_elem, q_elem_side = self._perforation_elem_bound(ctx, e, k, count_lit)
-        # remainder bound q' for counts that are not multiples of k
-        q_rem, q_rem_side = self._perforation_remainder(ctx, e, k, count_lit)
-
         approx = self._perforated_approx(e, gen_res.approx, comb_res.approx, k)
-        x = "px"
-        avoid = free_vars(e.generator) | free_vars(q_elem) | ctx.names()
-        while x in avoid:
-            x += "'"
-        per_item = Builtin("+q", (
-            App(App(gen_res.err, Builtin("floorK", (Var(x), NatLit(k)))), NatLit(0)),
-            App(q_elem, Var(x))))
-        err = Builtin("+q", (
-            RedSeq(plus_lambda(FL), e.count,
-                   Lam(x, NAT, fold_err(per_item))),
-            q_rem))
-        err = fold_err(err)
 
-        side = [q_elem_side, q_rem_side]
-        side.append(self._validate_redseq_site(ctx, e, approx, err))
+        # the float fold adds the kept elements N times: element
+        # g(floorK s k) at step s, N = n at k = 1 and ceil(n/k)*k otherwise
+        avoid = free_vars(e) | free_vars(gen_res.err) | ctx.names()
+        acc_q, s, t = (fresh_name(v, avoid) for v in ("acc_q", "s", "t"))
+        n_up = e.count if k == 1 else NatLit(-(-e.count.value // k) * k)
+        kept = e.generator if k == 1 else Lam(t, NAT, App(
+            e.generator, Builtin("floorK", (Var(t), NatLit(k)))))
+        # the bound after s additions: the +r leaf's error applied to the
+        # element, its error, the exact prefix sum and the previous bound
+        prev = Builtin("-n", (Var(s), NatLit(1)))
+        idx = prev if k == 1 else Builtin("floorK", (prev, NatLit(k)))
+        step = App(App(App(App(
+            comb_res.err, App(e.generator, idx)),
+            App(App(gen_res.err, idx), NatLit(0))),
+            RedSeq(Builtin("+r", ()), prev, kept)),
+            App(Var(acc_q), prev))
+        err: Expr = App(Fix(Lam(acc_q, Arrow(NAT, ERRREAL), Lam(s, NAT, If(
+            Builtin("leqn", (Var(s), NatLit(0))), ErrLit(Fraction(0)), step)))),
+            n_up)
+        side: List[SideCondition] = []
+        if k > 1:
+            # drift and remainder: the exact sum against the exact sum of
+            # the elements the float fold adds
+            err = Builtin("+q", (
+                Builtin("dr", (e, RedSeq(Builtin("+r", ()), n_up, kept))), err))
+            side.append(SideCondition(
+                f"drift and remainder bounded by the exact distance between "
+                f"the {to_source(e.count)}-fold and the perforated "
+                f"{to_source(n_up)}-fold",
+                Verdict(status="pass", reason="synthesized")))
+        err = fold_err(err)
         d = Derivation("R-Perforate", e, approx, err, target,
                        premises=[comb_res.derivation, count_res.derivation,
                                  gen_res.derivation],
@@ -775,189 +592,6 @@ class Compiler:
         comb = Lam(x, FLOAT64, Lam(acc, FLOAT64, body))
         gen = Lam("j", NAT, self._apply_approx(a3, Builtin("*n", (Var("j"), NatLit(k)))))
         return RedSeq(comb, NatLit(m), gen)
-
-    def _affine_generator(self, gen: Expr) -> Optional[Fraction]:
-        """Slope of generators of shape (lam (i Nat) (nat2real <affine i>))."""
-        if not isinstance(gen, Lam):
-            return None
-        body = gen.body
-        if isinstance(body, RealLit):
-            return Fraction(0)
-        if not (isinstance(body, Builtin) and body.op == "nat2real"
-                and len(body.args) == 1):
-            return None
-
-        def lin(t: Expr) -> Optional[Tuple[int, int]]:
-            if isinstance(t, NatLit):
-                return (0, t.value)
-            if isinstance(t, Var):
-                return (1, 0) if t.name == gen.binder else None
-            if isinstance(t, Builtin) and t.op == "+n" and len(t.args) == 2:
-                l1, l2 = lin(t.args[0]), lin(t.args[1])
-                if l1 is None or l2 is None:
-                    return None
-                return (l1[0] + l2[0], l1[1] + l2[1])
-            if isinstance(t, Builtin) and t.op == "*n" and len(t.args) == 2:
-                l1, l2 = lin(t.args[0]), lin(t.args[1])
-                if l1 is None or l2 is None:
-                    return None
-                if l1[0] == 0:
-                    return (l1[1] * l2[0], l1[1] * l2[1])
-                if l2[0] == 0:
-                    return (l1[0] * l2[1], l1[1] * l2[1])
-                return None
-            return None
-
-        l = lin(body.args[0])
-        return Fraction(l[0]) if l is not None else None
-
-    def _perforation_elem_bound(self, ctx: ApproxCtx, e: RedSeq, k: int,
-                                count_lit: Optional[NatLit]):
-        x = "dx"
-        if k == 1:
-            return (Lam(x, NAT, ErrLit(Fraction(0))),
-                    SideCondition("per-element drift is zero at k = 1",
-                                  Verdict(status="pass")))
-        slope = self._affine_generator(e.generator)
-        if slope is not None:
-            dist = Builtin("nat2err",
-                           (Builtin("dn", (Var(x), Builtin(
-                               "floorK", (Var(x), NatLit(k))))),))
-            body = dist if slope == 1 else Builtin(
-                "*q", (ErrLit(abs(slope)), dist))
-            return (Lam(x, NAT, body),
-                    SideCondition(
-                        f"per-element drift from the generator slope {slope}",
-                        Verdict(status="pass", reason="affine generator")))
-        if count_lit is None:
-            raise Unsupported("perforation of a non-affine generator needs a "
-                              "literal iteration count")
-        if free_vars(e.generator) & ctx.names():
-            raise Unsupported("perforation of an open non-affine generator "
-                              "is not supported")
-        n_up = -(-count_lit.value // k) * k
-        worst = Fraction(0)
-        for xv in range(n_up):
-            d = self._drift_at(e.generator, xv, k)
-            if d is None:
-                return (Lam(x, NAT, ErrLit(None)),
-                        SideCondition("per-element drift unbounded",
-                                      Verdict(status="pass", reason="infinite")))
-            worst = max(worst, d)
-        return (Lam(x, NAT, ErrLit(worst)),
-                SideCondition(
-                    f"per-element drift enumerated exactly over all {n_up} "
-                    "iterations",
-                    Verdict(status="pass", trials=n_up, passes=n_up)))
-
-    def _drift_at(self, gen: Expr, xv: int, k: int) -> Optional[Fraction]:
-        lo = (xv // k) * k
-        v1 = eval_exact(App(gen, NatLit(xv)), {}, self.cfg)
-        v2 = eval_exact(App(gen, NatLit(lo)), {}, self.cfg)
-        if v1 is DIVERGED or v2 is DIVERGED:
-            return None
-        d = enc.enclose_op("dr", [v1.enc, v2.enc], self.cfg.precision_bits,
-                           self.cfg.max_precision_bits)
-        return d.hi
-
-    def _perforation_remainder(self, ctx: ApproxCtx, e: RedSeq, k: int,
-                               count_lit: Optional[NatLit]):
-        if count_lit is not None and count_lit.value % k == 0:
-            return (ErrLit(Fraction(0)),
-                    SideCondition(
-                        "iteration count is a multiple of the perforation "
-                        "factor", Verdict(status="pass")))
-        if count_lit is None:
-            raise Unsupported("perforation with a remainder needs a literal "
-                              "iteration count")
-        n = count_lit.value
-        n_up = -(-n // k) * k
-        if not free_vars(e) & ctx.names():
-            v1 = eval_exact(e, {}, self.cfg)
-            v2 = eval_exact(RedSeq(e.combiner, NatLit(n_up), e.generator),
-                            {}, self.cfg)
-            if v1 is DIVERGED or v2 is DIVERGED:
-                return (ErrLit(None), SideCondition(
-                    "remainder distance diverged", Verdict(status="pass")))
-            d = enc.enclose_op("dr", [v1.enc, v2.enc],
-                               self.cfg.precision_bits,
-                               self.cfg.max_precision_bits)
-            q = enc.rd_up(d.hi, self.cfg.precision_bits)
-            return (ErrLit(q), SideCondition(
-                f"remainder bound computed by the oracle: |{n}-fold - "
-                f"{n_up}-fold| = {float(d.hi):.6g}",
-                Verdict(status="pass")))
-        # open term: sampled maximisation with a safety factor, then validated
-        budget = self.opts.sample_budget_for_side_conditions
-        worst = Fraction(0)
-        used = 0
-        for _ in range(budget):
-            envs = self._sample_envs(ctx)
-            if envs is None:
-                continue
-            env_e, _, _ = envs
-            v1 = eval_exact(e, env_e, self.cfg)
-            v2 = eval_exact(RedSeq(e.combiner, NatLit(n_up), e.generator),
-                            env_e, self.cfg)
-            if v1 is DIVERGED or v2 is DIVERGED:
-                return (ErrLit(None), SideCondition(
-                    "remainder distance diverged while sampling",
-                    Verdict(status="pass")))
-            d = enc.enclose_op("dr", [v1.enc, v2.enc],
-                               self.cfg.precision_bits,
-                               self.cfg.max_precision_bits)
-            worst = max(worst, d.hi)
-            used += 1
-        q = enc.rd_up(worst * 2, self.cfg.precision_bits)
-        return (ErrLit(q), SideCondition(
-            f"remainder bound estimated from {used} samples with a factor-2 "
-            "margin", Verdict(status="pass", trials=used, passes=used,
-                              on_samples=True)))
-
-    def _validate_redseq_site(self, ctx: ApproxCtx, e: RedSeq,
-                              approx: Expr, err: Expr) -> SideCondition:
-        """End-to-end sampled validation of the lowered reduction; this
-        also guards the additively-exact-fold restriction, since float
-        rounding inside the fold would surface as a bound violation."""
-        budget = max(1, self.opts.sample_budget_for_side_conditions // 4)
-        closed = not (free_vars(e) & ctx.names())
-        if closed:
-            budget = 1
-        checked = 0
-        for _ in range(budget):
-            if closed:
-                env_e, env_a, env_q = {}, {}, {}
-            else:
-                envs = self._sample_envs(ctx)
-                if envs is None:
-                    continue
-                env_e, env_a, env_q = envs
-            ev = eval_exact(e, env_e, self.cfg)
-            av = eval_approx(approx, env_a, self.cfg)
-            qv = bound_of(eval_error(err, env_q, self.cfg))
-            if qv.lo is None:
-                checked += 1
-                continue
-            if ev is DIVERGED or av is DIVERGED:
-                raise SideConditionFailed(
-                    "reduction diverged under a finite synthesized bound")
-            if not isinstance(av, VFloat) or not math.isfinite(av.value):
-                raise SideConditionFailed(
-                    "lowered reduction produced a non-finite float under a "
-                    "finite synthesized bound")
-            d = enc.enclose_op("dr", [ev.enc, from_rational(
-                to_fraction(av.value), self.cfg.precision_bits)],
-                self.cfg.precision_bits, self.cfg.max_precision_bits)
-            if qv.hi is not None and d.lo > qv.hi:
-                raise SideConditionFailed(
-                    "sampled reduction exceeded the synthesized bound",
-                    {"measured": str(d.lo), "bound": str(qv.hi)})
-            checked += 1
-        return SideCondition(
-            "lowered reduction validated against the synthesized bound on "
-            "sampled substitutions",
-            Verdict(status="pass", trials=checked, passes=checked,
-                    on_samples=not closed))
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +627,12 @@ def compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
     want = exact_ty(target)
     if got != want:
         raise TypeMismatch(want, got, "program")
+    sites = [label for label, _ in label_sites(e)]
+    unknown = sorted(set(opts.perforation) - set(sites))
+    if unknown:
+        raise CompileError(
+            f"unknown perforation site {', '.join(unknown)}; the program's "
+            f"reduction sites are: {', '.join(sites) or 'none'}")
     result = Compiler(opts).compile(ctx, e, target)
     if opts.weaken_to is not None:
         result = weaken(result, opts.weaken_to, opts)
@@ -1015,6 +655,10 @@ def _target_from_type(ty: Ty) -> ApproxTy:
         return PiTy(ty.var, xa, xq, z0, zp,
                     family_from_type(ty.body, {ty.var: vb}))
     return family_from_type(ty)
+
+
+# sampled inputs for the ordering check of a weakening at a function family
+_WEAKEN_SAMPLES = 32
 
 
 def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileResult:
@@ -1050,9 +694,8 @@ def _err_leq_verdict(fam: ApproxTy, q1: Expr, q2: Expr,
         return Verdict(status="pass", trials=1, passes=1,
                        on_samples=r is LeqVerdict.YES_ON_SAMPLES)
     if isinstance(fam, Pi):
-        budget = opts.sample_budget_for_side_conditions
         passes = 0
-        for t in range(budget):
+        for t in range(_WEAKEN_SAMPLES):
             rng = trial_rng(opts.seed, 7919 + t)
             trip = sample_member_triple(fam.fam, rng)
             if trip is None:

@@ -47,6 +47,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.fuel < 1:
             raise ValueError("fuel must be >= 1")
+        if self.precision_bits < 1:
+            raise ValueError("precision_bits must be >= 1")
 
     def at_precision(self, p: int) -> "EvalConfig":
         return EvalConfig(self.fuel, p, self.max_precision_bits)

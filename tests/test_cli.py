@@ -106,3 +106,22 @@ def test_installed_entry_point_runs(tmp_path):
         [sys.executable, "-m", "approxc.cli", "compile", str(p)],
         capture_output=True, text=True, cwd=str(REPO))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("bits", ["0", "-5"])
+def test_nonpositive_precision_bits_exit_two(bits, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "approxc.cli", "check", "corpus/third.ax",
+         "--trials", "2", "--precision-bits", bits, "--out", str(tmp_path)],
+        capture_output=True, text=True, cwd=str(REPO), timeout=30)
+    assert proc.returncode == 2
+    assert "--precision-bits" in proc.stderr
+
+
+def test_unknown_perforation_site_exit_two(tmp_path, capsys):
+    rc = main(["compile", str(REPO / "corpus" / "redsum8.ax"),
+               "--perforate", "L3=2", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "L3" in err and "L0" in err
+    assert not list(tmp_path.iterdir())

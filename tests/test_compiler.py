@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 
 from approxc.compiler import (
-    CompileOpts, NoRuleApplies, SideConditionFailed, Unsupported, Compiler,
-    compile_expr, compile_program, float_op_err, fold_err, label_sites, weaken,
+    CompileError, CompileOpts, NoRuleApplies, SideConditionFailed, Unsupported,
+    Compiler, compile_expr, compile_program, float_op_err, fold_err,
+    label_sites, weaken,
 )
 from approxc.enclosure import RealEnclosure, from_rational
 from approxc.families import (
-    FL, ApproxCtx, approx_ty, err_ty, family_source,
+    FL, ApproxCtx, Pi, approx_ty, err_ty, family_source,
 )
 from approxc.floats import (
     MAXFLOAT_FRAC, float_bits, nearest_float, round_down_float,
@@ -188,13 +189,89 @@ def test_perforation_odd_count_needs_remainder():
     opts = CompileOpts(perforation={"L0": 2}, cfg=CFG)
     src = "(redseq +r 7 (lam (i Nat) (nat2real i)))"
     r = compile_program(parse(src), opts)
-    # q' = |21 - 28| = 7, computed by the oracle
+    # the float fold adds 0+0+2+2+4+4+6+6 = 24 exactly, and the drift and
+    # remainder term is the exact |21 - 24| = 3
     descs = [sc.description for sc in r.derivation.side_conditions]
     assert any("remainder" in d for d in descs)
     av = eval_approx(r.approx, cfg=CFG)
     qv = bound_of(eval_error(r.err, cfg=CFG))
     assert abs(Fraction(av.value) - 21) <= qv.lo
-    assert qv.hi >= 7
+    assert qv.lo == qv.hi == 3
+
+
+def test_perforation_past_the_count_is_bounded_exactly():
+    opts = CompileOpts(perforation={"L0": 4}, cfg=CFG)
+    r = compile_program(
+        parse("(redseq +r 1 (lam (i Nat) (nat2real (-n 1 i))))"), opts)
+    # the one kept element, 1, is added four times against the exact 1
+    assert eval_approx(r.approx, cfg=CFG).value == 4.0
+    qv = bound_of(eval_error(r.err, cfg=CFG))
+    assert qv.lo == qv.hi == 3
+
+
+def test_unknown_perforation_site_is_refused(tmp_path):
+    src = "(redseq +r 8 (lam (i Nat) (nat2real i)))"
+    with pytest.raises(CompileError, match="L3.*L0"):
+        compile_program(parse(src), CompileOpts(perforation={"L3": 2}, cfg=CFG))
+    p = tmp_path / "sum8.ax"
+    p.write_text(src)
+    (tmp_path / "sum8.opts.json").write_text('{"perforate": {"l0": 2}}')
+    with pytest.raises(CompileError, match="l0.*L0"):
+        compile_program(parse(src), load_sidecar_opts(p, OPTS))
+
+
+def test_reduction_bound_covers_fold_rounding():
+    e = parse("(lam (x Real) (redseq +r 7 (lam (i Nat) (*r x 1/10))))")
+    r = compile_program(e, OPTS)
+    # x = 1.6830850267032698 is one of the inputs where the float fold's
+    # own rounding exceeds the sum of the per-element errors
+    xs = [1.6830850267032698] + [0.5 + 1.5 * j / 24 for j in range(25)]
+    for x in xs:
+        xe = RealLit(to_fraction(x))
+        ev = eval_exact(App(e, xe), cfg=CFG)
+        av = to_fraction(eval_approx(App(r.approx, FloatLit.of(x)), cfg=CFG).value)
+        qv = bound_of(eval_error(App(App(r.err, xe), ErrLit(Fraction(0))),
+                                 cfg=CFG))
+        assert max(abs(ev.enc.lo - av), abs(ev.enc.hi - av)) <= qv.lo, x
+
+
+def test_reduction_overflow_gives_infinite_bound():
+    e = parse("(lam (x Real) (redseq +r 2 (lam (i Nat) x)))")
+    r = compile_program(e, OPTS)
+    x = 2.0 ** 1023
+    assert math.isinf(eval_approx(App(r.approx, FloatLit.of(x)), cfg=CFG).value)
+    qv = bound_of(eval_error(
+        App(App(r.err, RealLit(to_fraction(x))), ErrLit(Fraction(0))), cfg=CFG))
+    assert qv.is_infinite
+
+
+def test_cross_condition_bound_covers_disagreeing_branches():
+    e = parse("(lam (x Real) (if (leqr x 1/3) 0/1 1/1))")
+    r = compile_program(e, OPTS)
+    # the float input rounds 1/3 + 2^-60 down onto the float threshold,
+    # so the float program takes the other branch: distance 1
+    x = Fraction(1, 3) + Fraction(1, 2**60)
+    xa = nearest_float(x)
+    assert eval_approx(App(r.approx, FloatLit.of(xa)), cfg=CFG).value == 0.0
+    qv = bound_of(eval_error(App(App(r.err, RealLit(x)),
+                                 ErrLit(abs(x - to_fraction(xa)))), cfg=CFG))
+    assert qv.lo >= 1
+
+
+def test_fix_sum_bound_covers_erroneous_nat_inputs(corpus_dir):
+    # a small fuel makes the error recursion exhaust quickly; the
+    # infinite bound that results is sound
+    cfg = EvalConfig(fuel=20_000, precision_bits=128)
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+    r = compile_program(e, CompileOpts(cfg=cfg))
+    for n, n_a, n_q in [(0, 1, 1), (3, 4, 1)]:
+        ev = eval_exact(App(e, NatLit(n)), cfg=cfg)
+        av = to_fraction(eval_approx(App(r.approx, NatLit(n_a)), cfg=cfg).value)
+        qv = bound_of(eval_error(App(App(r.err, NatLit(n)), NatLit(n_q)),
+                                 cfg=cfg))
+        measured = max(abs(ev.enc.lo - av), abs(ev.enc.hi - av))
+        assert measured > 0
+        assert qv.is_infinite or measured <= qv.lo, (n, n_a, n_q)
 
 
 def test_perforation_rejects_other_combiners():
@@ -280,6 +357,20 @@ def test_derivation_json_rule_names(corpus_dir):
             assert rule in allowed, (name, rule)
             seen.add(rule)
     assert seen == allowed  # the corpus exercises every rule
+
+
+def test_no_compile_time_side_condition_rests_on_samples(corpus_dir):
+    def walk(d):
+        yield d
+        for p in d.premises:
+            yield from walk(p)
+    for name, e, r in _corpus_results(corpus_dir):
+        for d in walk(r.derivation):
+            for sc in d.side_conditions:
+                if sc.verdict.on_samples:
+                    # only a weakening at a function family samples inputs
+                    assert d.rule == "A-Weak" and isinstance(d.family, Pi), \
+                        (name, d.rule, sc.description)
 
 
 def test_no_rule_for_unregistered_transform():

@@ -110,6 +110,13 @@ def test_fuel_monotonicity():
     assert v1 == v2
 
 
+@pytest.mark.parametrize("kwargs", [{"fuel": 0}, {"precision_bits": 0},
+                                    {"precision_bits": -5}])
+def test_config_rejects_nonpositive_budgets(kwargs):
+    with pytest.raises(ValueError):
+        EvalConfig(**kwargs)
+
+
 def test_monotone_refinement():
     src = "(sinr (+r 1/3 1/7))"
     lo = eval_exact(parse(src), cfg=EvalConfig(fuel=1000, precision_bits=64))
