@@ -140,8 +140,12 @@ class CompileResult:
 
 def fold_err(e: Expr) -> Expr:
     e = map_children(e, fold_err)
+    if type(e) is If and isinstance(e.cond, BoolLit):
+        return e.then_e if e.cond.value else e.else_e
     if type(e) is Builtin and len(e.args) == 2:
         a, b = e.args
+        if e.op == "leqn" and isinstance(a, NatLit) and isinstance(b, NatLit):
+            return BoolLit(a.value <= b.value)
         if e.op == "+n":
             if isinstance(a, NatLit) and isinstance(b, NatLit):
                 return NatLit(a.value + b.value)

@@ -213,7 +213,7 @@ def _sin_enclosure(x: RealEnclosure, p: int) -> RealEnclosure:
     if x.width >= 7:  # wider than a full period
         return RealEnclosure(Fraction(-1), Fraction(1), p)
     s1 = sin_point(x.lo, p + 2)
-    s2 = sin_point(x.hi, p + 2)
+    s2 = s1 if x.lo == x.hi else sin_point(x.hi, p + 2)
     lo = min(s1.lo, s2.lo)
     hi = max(s1.hi, s2.hi)
     # account for interior extrema at (2k+1) * pi/2

@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Optional, Tuple, Union
 
 from . import enclosure as enc
@@ -126,7 +127,21 @@ class VBuiltin:
     args: Tuple["Value", ...] = ()
 
 
-Value = Union[VReal, VFloat, VNat, VBool, VErr, VClosure, VTyClosure, VBuiltin]
+@dataclass(frozen=True)
+class VFix:
+    """The self-reference that `fix fn` passes to fn: applying it to an
+    argument applies `fix fn` to that argument."""
+
+    fn: "Value"
+
+
+Value = Union[VReal, VFloat, VNat, VBool, VErr, VClosure, VTyClosure,
+              VBuiltin, VFix]
+
+# arguments whose equality implies equal results, so a recursive call on
+# them may be answered from the machine's call table; VFloat is left out
+# because 0.0 == -0.0 although (/f 1.0 x) tells them apart
+_KEYED_ARGS = (VNat, VBool, VErr, VReal)
 
 
 class Diverged:
@@ -203,6 +218,9 @@ class _Machine:
     def __init__(self, cfg: EvalConfig):
         self.cfg = cfg
         self.fuel = cfg.fuel
+        # (id(fn), arg) -> (fn, result) for every completed call of a fix
+        # self-reference on a keyed argument; holding fn keeps its id live
+        self.calls: Dict[Tuple[int, Value], Tuple[Value, Value]] = {}
 
     def _tick(self):
         self.fuel -= 1
@@ -268,16 +286,21 @@ class _Machine:
             if len(args) < builtin_arity(fn.op):
                 return VBuiltin(fn.op, args)
             return self.delta(fn.op, args)
+        if isinstance(fn, VFix):
+            if not isinstance(arg, _KEYED_ARGS):
+                return self.apply(self.fix(fn.fn), arg)
+            key = (id(fn.fn), arg)
+            if key not in self.calls:
+                self.calls[key] = (fn.fn, self.apply(self.fix(fn.fn), arg))
+            return self.calls[key][1]
         raise EvalError(f"application of a non-function value: {fn!r}")
 
     def fix(self, fn: Value) -> Value:
-        # call-by-value fix via an eta-expanded self-reference
-        if not isinstance(fn, (VClosure, VBuiltin)):
+        # call-by-value fix: fn receives a self-reference, VFix(fn)
+        if not isinstance(fn, (VClosure, VBuiltin, VFix)):
             raise EvalError("fix of a non-function value")
         self._tick()
-        self_ref = VClosure(
-            "%x", App(Fix(Var("%f")), Var("%x")), (("%f", fn),))
-        return self.apply(fn, self_ref)
+        return self.apply(fn, VFix(fn))
 
     def redseq(self, e: RedSeq, env: Env) -> Value:
         f = self.eval(e.combiner, env)
@@ -419,20 +442,23 @@ class _Machine:
 _EVAL_STACK_LIMIT = 2500
 
 
-def _run(e: Expr, env: Optional[Env], cfg: EvalConfig) -> Union[Value, Diverged]:
+def _guarded(run) -> Union[Value, Diverged]:
     # deep fix unrollings recurse through the host stack; exhausting it
     # counts as divergence (the fuel budget usually bites first)
-    m = _Machine(cfg)
     old = sys.getrecursionlimit()
     if old < _EVAL_STACK_LIMIT:
         sys.setrecursionlimit(_EVAL_STACK_LIMIT)
     try:
-        return m.eval(e, dict(env or {}))
+        return run()
     except (_Diverge, RecursionError):
         return DIVERGED
     finally:
         if old < _EVAL_STACK_LIMIT:
             sys.setrecursionlimit(old)
+
+
+def _run(e: Expr, env: Optional[Env], cfg: EvalConfig) -> Union[Value, Diverged]:
+    return _guarded(lambda: _Machine(cfg).eval(e, dict(env or {})))
 
 
 def eval_exact(e: Expr, env: Optional[Env] = None,
@@ -464,11 +490,4 @@ def bound_of(result: Union[Value, Diverged]) -> VErr:
 
 def apply_value(fn: Value, args, cfg: EvalConfig) -> Union[Value, Diverged]:
     """Apply an evaluated function value to evaluated arguments."""
-    m = _Machine(cfg)
-    try:
-        v = fn
-        for a in args:
-            v = m.apply(v, a)
-        return v
-    except _Diverge:
-        return DIVERGED
+    return _guarded(lambda: reduce(_Machine(cfg).apply, args, fn))

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .enclosure import from_rational
 from .interp import (
-    EvalConfig, Value, VClosure, VErr, VReal, apply_value,
+    EvalConfig, Value, VClosure, VErr, VFix, VReal, apply_value,
     bound_of, err_add, err_of_value,
 )
 from .sampling import (
@@ -254,6 +254,8 @@ def _value_source(v: Value) -> str:
         return f"(err-interval {v.lo} {v.hi})"
     if isinstance(v, VClosure):
         return f"(lam ({v.binder} _) {to_source(v.body)})"
+    if isinstance(v, VFix):
+        return f"(fix {_value_source(v.fn)})"
     from .interp import VBool, VFloat, VNat
     if isinstance(v, VReal):
         return f"[{v.enc.lo}, {v.enc.hi}]"
@@ -295,7 +297,7 @@ def _inhabits(inst: QuantInstance, v: Value) -> bool:
     if inst.carrier == ERRREAL:
         return isinstance(v, VErr)
     if isinstance(inst.carrier, Arrow):
-        return isinstance(v, VClosure)
+        return isinstance(v, (VClosure, VFix))
     return True
 
 

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from approxc.compiler import compile_program
 from approxc.floats import MAXFLOAT, float_bits
 from approxc.interp import (
     DIVERGED, ERR_INF, EvalConfig, VBool, VErr, VFloat, VNat, VReal,
-    bound_of, err_add, eval_approx, eval_error, eval_exact,
+    apply_value, bound_of, err_add, eval_approx, eval_error, eval_exact,
 )
 from approxc.parser import parse
-from approxc.syntax import App, Builtin, ErrLit, FloatLit, NatLit, RealLit
+from approxc.syntax import (
+    FLOAT64, App, Arrow, Builtin, ErrLit, Fix, FloatLit, If, Lam, NatLit,
+    RealLit, Var,
+)
 
 CFG = EvalConfig(fuel=200_000, precision_bits=128)
 
@@ -79,6 +83,45 @@ def test_error_distance_embeds_exact_reals():
     rem = x**9 / 362880
     v = eval_error(parse("(dr 1/10 (sinr 1/10))"), cfg=CFG)
     assert s - rem <= v.lo <= v.hi <= s + rem
+
+
+def test_diverging_fix_applied_as_a_value():
+    # the host recursion limit is divergence here too, not a traceback
+    fn = eval_exact(parse("(fix (lam (f (-> Nat Nat)) f))"))
+    assert apply_value(fn, [VNat(3)], EvalConfig()) is DIVERGED
+
+
+def _fix_sum_bound(corpus_dir, n, n_q, cfg=EvalConfig()):
+    err = compile_program(parse((corpus_dir / "fix_sum.ax").read_text())).err
+    return bound_of(eval_error(App(App(err, NatLit(n)), NatLit(n_q)), cfg=cfg))
+
+
+def test_fix_calls_are_evaluated_once_per_run(corpus_dir):
+    # each level of fix_sum's error recursion calls the exact recursion on
+    # n - 1; answered from the call table the whole bound is linear in n,
+    # and re-evaluating every call exhausts this fuel
+    q = _fix_sum_bound(corpus_dir, 150, 0, EvalConfig(fuel=20_000))
+    assert not q.is_infinite
+    assert q == _fix_sum_bound(corpus_dir, 150, 0)
+
+
+def test_fix_calls_on_signed_zeros_stay_apart():
+    # 0.0 == -0.0, but the call on each is its own: inf - (-inf) = inf,
+    # where one answer shared between them would give inf - inf = nan
+    f, x = Var("f"), Var("x")
+    body = If(Builtin("leqf", (x, FloatLit.of(1.0))),
+              Builtin("/f", (FloatLit.of(1.0), x)),
+              Builtin("-f", (App(f, FloatLit.of(0.0)),
+                             App(f, FloatLit.of(-0.0)))))
+    rec = Fix(Lam("f", Arrow(FLOAT64, FLOAT64), Lam("x", FLOAT64, body)))
+    assert eval_approx(App(rec, FloatLit.of(2.0)), cfg=CFG).value == math.inf
+
+
+def test_fix_sum_self_loop_still_diverges(corpus_dir):
+    # at (n, n_q) = (0, 1) the error recursion calls itself on the same
+    # arguments forever; answering its inner calls from the table makes
+    # each round cheaper, but the run must still diverge
+    assert _fix_sum_bound(corpus_dir, 0, 1).is_infinite
 
 
 def test_diverged_error_is_infinite_bound():
