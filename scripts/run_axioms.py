@@ -9,6 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from approxc.cli import positive_int
 from approxc.families import FL, check_approx_axioms, fn_family
 from approxc.interp import EvalConfig
 from approxc.quant import check_quant_axioms, fn_err_instance, q_nonneg_reals
@@ -16,7 +17,7 @@ from approxc.quant import check_quant_axioms, fn_err_instance, q_nonneg_reals
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=1000)
+    ap.add_argument("--trials", type=positive_int, default=1000)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 

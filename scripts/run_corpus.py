@@ -11,6 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from approxc.checker import check_rule_corpus
+from approxc.cli import positive_int
 from approxc.compiler import CompileOpts
 from approxc.interp import EvalConfig
 
@@ -18,10 +19,10 @@ from approxc.interp import EvalConfig
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--corpus", default=str(Path(__file__).resolve().parents[1] / "corpus"))
-    ap.add_argument("--trials", type=int, default=1000)
+    ap.add_argument("--trials", type=positive_int, default=1000)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--precision-bits", type=int, default=128)
-    ap.add_argument("--fuel", type=int, default=500_000)
+    ap.add_argument("--precision-bits", type=positive_int, default=128)
+    ap.add_argument("--fuel", type=positive_int, default=500_000)
     ap.add_argument("--out", default="corpus_report.json")
     args = ap.parse_args()
 

@@ -23,7 +23,8 @@ from .syntax import to_source
 from .typecheck import TypeError_
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
@@ -37,10 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--trials", type=int, default=1000)
+        sp.add_argument("--trials", type=positive_int, default=1000)
         sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--precision-bits", type=_positive_int, default=128)
-        sp.add_argument("--fuel", type=int, default=10**6)
+        sp.add_argument("--precision-bits", type=positive_int, default=128)
+        sp.add_argument("--fuel", type=positive_int, default=10**6)
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default: next to the input)")
         sp.add_argument("--json", action="store_true",

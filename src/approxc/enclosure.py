@@ -39,12 +39,22 @@ class Tern(enum.Enum):
     UNKNOWN = "unknown"
 
 
+def _on_grid(x: Fraction, p: int) -> bool:
+    """Is x a multiple of 2^-p, so that rounding at p bits keeps it?"""
+    d = x.denominator
+    return d & (d - 1) == 0 and d.bit_length() <= p + 1
+
+
 def rd_down(x: Fraction, p: int) -> Fraction:
+    if _on_grid(x, p):
+        return x
     s = x * (1 << p)
     return Fraction(s.numerator // s.denominator, 1 << p)
 
 
 def rd_up(x: Fraction, p: int) -> Fraction:
+    if _on_grid(x, p):
+        return x
     s = x * (1 << p)
     return Fraction(-((-s.numerator) // s.denominator), 1 << p)
 

@@ -6,6 +6,11 @@ error evaluator (nonnegative rationals with infinity); the builtin
 namespaces of the three worlds are disjoint, so a single dispatch table
 covers all of them.  Error expressions may embed exact-real subterms,
 whose evaluation delegates to the enclosure oracle.
+
+Evaluation is staged: each node is turned once into a closure over its
+children's closures, cached on the node, and runs read the machine (fuel,
+precision, call table) only through the arguments the closure is given.
+Fuel is spent by application, fix, type application and builtin rules.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ from .floats import (
 from .syntax import (
     App, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
     If, Lam, NatLit, RealLit, RedSeq, TyApp, TyLam, Var, builtin_arity,
+    children,
 )
 
 
@@ -168,10 +174,6 @@ class _Diverge(Exception):
 Env = Dict[str, Value]
 
 
-def _env_tuple(env: Env) -> Tuple[Tuple[str, Value], ...]:
-    return tuple(env.items())
-
-
 # ---------------------------------------------------------------------------
 # error-interval arithmetic
 
@@ -227,72 +229,29 @@ class _Machine:
         if self.fuel <= 0:
             raise _Diverge()
 
-    def eval(self, e: Expr, env: Env) -> Value:
-        if isinstance(e, Var):
-            if e.name not in env:
-                raise EvalError(f"unbound variable at runtime: {e.name}")
-            return env[e.name]
-        if isinstance(e, Lam):
-            return VClosure(e.binder, e.body, _env_tuple(env))
-        if isinstance(e, TyLam):
-            return VTyClosure(e.tyvar, e.body, _env_tuple(env))
-        if isinstance(e, App):
-            fn = self.eval(e.fn, env)
-            arg = self.eval(e.arg, env)
-            return self.apply(fn, arg)
-        if isinstance(e, TyApp):
-            fn = self.eval(e.expr, env)
-            if isinstance(fn, VTyClosure):
-                self._tick()
-                return self.eval(fn.body, dict(fn.env))
-            raise EvalError("type application of a non-polymorphic value")
-        if isinstance(e, Fix):
-            fn = self.eval(e.expr, env)
-            return self.fix(fn)
-        if isinstance(e, If):
-            c = self.eval(e.cond, env)
-            if not isinstance(c, VBool):
-                raise EvalError("if condition did not evaluate to a boolean")
-            return self.eval(e.then_e if c.value else e.else_e, env)
-        if isinstance(e, RealLit):
-            return VReal(from_rational(e.value, self.cfg.precision_bits))
-        if isinstance(e, NatLit):
-            return VNat(e.value)
-        if isinstance(e, BoolLit):
-            return VBool(e.value)
-        if isinstance(e, FloatLit):
-            return VFloat(e.value)
-        if isinstance(e, ErrLit):
-            return VErr.point(e.value)
-        if isinstance(e, Builtin):
-            args = tuple(self.eval(a, env) for a in e.args)
-            if len(args) < builtin_arity(e.op):
-                return VBuiltin(e.op, args)
-            return self.delta(e.op, args)
-        if isinstance(e, RedSeq):
-            return self.redseq(e, env)
-        if isinstance(e, Bottom):
-            raise _Diverge()
-        raise EvalError(f"cannot evaluate {e!r}")
-
     def apply(self, fn: Value, arg: Value) -> Value:
         self._tick()
-        if isinstance(fn, VClosure):
+        t = type(fn)
+        if t is VClosure:
             env = dict(fn.env)
             env[fn.binder] = arg
-            return self.eval(fn.body, env)
-        if isinstance(fn, VBuiltin):
+            return _code(fn.body)(self, env)
+        if t is VBuiltin:
             args = fn.args + (arg,)
             if len(args) < builtin_arity(fn.op):
                 return VBuiltin(fn.op, args)
             return self.delta(fn.op, args)
-        if isinstance(fn, VFix):
+        if t is VFix:
             if not isinstance(arg, _KEYED_ARGS):
                 return self.apply(self.fix(fn.fn), arg)
             key = (id(fn.fn), arg)
-            if key not in self.calls:
-                self.calls[key] = (fn.fn, self.apply(self.fix(fn.fn), arg))
-            return self.calls[key][1]
+            hit = self.calls.get(key)
+            if hit is not None:
+                return hit[1]
+            v = self.apply(self.fix(fn.fn), arg)
+            if len(self.calls) < _CALL_TABLE_MAX:
+                self.calls[key] = (fn.fn, v)
+            return v
         raise EvalError(f"application of a non-function value: {fn!r}")
 
     def fix(self, fn: Value) -> Value:
@@ -302,10 +261,10 @@ class _Machine:
         self._tick()
         return self.apply(fn, VFix(fn))
 
-    def redseq(self, e: RedSeq, env: Env) -> Value:
-        f = self.eval(e.combiner, env)
-        n = self.eval(e.count, env)
-        g = self.eval(e.generator, env)
+    def redseq(self, f, n, g, env: Env) -> Value:
+        # the operands are evaluated here rather than by the caller, so a
+        # nested operand costs two host frames, like any other call nesting
+        f, n, g = f(self, env), n(self, env), g(self, env)
         if not isinstance(n, VNat):
             raise EvalError("redseq count did not evaluate to a natural")
         # fold from the zero of the element carrier; the carrier is read
@@ -435,11 +394,157 @@ class _Machine:
 
 
 # ---------------------------------------------------------------------------
+# staged evaluation: each node is compiled once into a closure run(m, env)
+# that evaluates it on machine m; the closure is built from its children's
+# closures and cached on the node, so it captures neither a machine nor a
+# precision and serves every later run over the same tree
+
+_CODE = "_code"  # the instance-dict key of a node's closure
+
+
+def _code(e: Expr):
+    """The closure evaluating e, staged on first use and cached on e."""
+    try:
+        return e.__dict__[_CODE]
+    except (KeyError, AttributeError):
+        pass
+    # stage in post-order with an explicit stack, so a deep tree costs no
+    # host recursion and a shared subtree is staged once; every stager
+    # finds its children's closures cached
+    stack = [(e, False)]
+    while stack:
+        n, expanded = stack.pop()
+        stage = _STAGERS.get(type(n))
+        if stage is None:
+            raise EvalError(f"cannot evaluate {n!r}")
+        if _CODE in n.__dict__:
+            continue
+        if not expanded:
+            stack.append((n, True))
+            stack.extend((c, False) for c in children(n))
+            continue
+        # a node is immutable, so its closure never goes stale; the
+        # instance dict is written directly, as functools.cached_property
+        # does, since frozen dataclasses refuse setattr
+        n.__dict__[_CODE] = stage(n)
+    return e.__dict__[_CODE]
+
+
+def _stage_var(e: Var):
+    name = e.name
+
+    def run(m, env):
+        try:
+            return env[name]
+        except KeyError:
+            raise EvalError(f"unbound variable at runtime: {name}") from None
+    return run
+
+
+def _stage_lam(e: Lam):
+    binder, body = e.binder, e.body
+    return lambda m, env: VClosure(binder, body, tuple(env.items()))
+
+
+def _stage_tylam(e: TyLam):
+    tyvar, body = e.tyvar, e.body
+    return lambda m, env: VTyClosure(tyvar, body, tuple(env.items()))
+
+
+def _stage_app(e: App):
+    fn, arg = _code(e.fn), _code(e.arg)
+    return lambda m, env: m.apply(fn(m, env), arg(m, env))
+
+
+def _stage_tyapp(e: TyApp):
+    expr = _code(e.expr)
+
+    def run(m, env):
+        fn = expr(m, env)
+        if type(fn) is not VTyClosure:
+            raise EvalError("type application of a non-polymorphic value")
+        m._tick()
+        return _code(fn.body)(m, dict(fn.env))
+    return run
+
+
+def _stage_fix(e: Fix):
+    expr = _code(e.expr)
+    return lambda m, env: m.fix(expr(m, env))
+
+
+def _stage_if(e: If):
+    cond, then_e, else_e = _code(e.cond), _code(e.then_e), _code(e.else_e)
+
+    def run(m, env):
+        c = cond(m, env)
+        if type(c) is not VBool:
+            raise EvalError("if condition did not evaluate to a boolean")
+        return (then_e if c.value else else_e)(m, env)
+    return run
+
+
+def _stage_real(e: RealLit):
+    # the precision is read at run time: escalation evaluates one node at
+    # several precisions
+    q = e.value
+    return lambda m, env: VReal(from_rational(q, m.cfg.precision_bits))
+
+
+def _constant(v: Value):
+    return lambda m, env: v
+
+
+def _stage_builtin(e: Builtin):
+    op = e.op
+    args = tuple(_code(a) for a in e.args)
+    # one path with its generator frame: a nested builtin costs the host
+    # stack two frames, as every nesting through a call does, which fixes
+    # the depth at which a deep chain counts as divergence
+    if len(args) < builtin_arity(op):
+        return lambda m, env: VBuiltin(op, tuple(a(m, env) for a in args))
+    return lambda m, env: m.delta(op, tuple(a(m, env) for a in args))
+
+
+def _stage_redseq(e: RedSeq):
+    f, n, g = _code(e.combiner), _code(e.count), _code(e.generator)
+    return lambda m, env: m.redseq(f, n, g, env)
+
+
+def _stage_bottom(e: Bottom):
+    def run(m, env):
+        raise _Diverge()
+    return run
+
+
+_STAGERS = {
+    Var: _stage_var,
+    Lam: _stage_lam,
+    TyLam: _stage_tylam,
+    App: _stage_app,
+    TyApp: _stage_tyapp,
+    Fix: _stage_fix,
+    If: _stage_if,
+    RealLit: _stage_real,
+    NatLit: lambda e: _constant(VNat(e.value)),
+    BoolLit: lambda e: _constant(VBool(e.value)),
+    FloatLit: lambda e: _constant(VFloat(e.value)),
+    ErrLit: lambda e: _constant(VErr.point(e.value)),
+    Builtin: _stage_builtin,
+    RedSeq: _stage_redseq,
+    Bottom: _stage_bottom,
+}
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 # kept modest: each interpreter level spans several host frames, and the
 # limit must trip before the C stack is exhausted
 _EVAL_STACK_LIMIT = 2500
+# completed fix calls a run remembers; past it, calls are evaluated afresh
+# and existing entries keep answering, so memory stays bounded
+_CALL_TABLE_MAX = 1 << 14
 
 
 def _guarded(run) -> Union[Value, Diverged]:
@@ -458,7 +563,7 @@ def _guarded(run) -> Union[Value, Diverged]:
 
 
 def _run(e: Expr, env: Optional[Env], cfg: EvalConfig) -> Union[Value, Diverged]:
-    return _guarded(lambda: _Machine(cfg).eval(e, dict(env or {})))
+    return _guarded(lambda: _code(e)(_Machine(cfg), dict(env or {})))
 
 
 def eval_exact(e: Expr, env: Optional[Env] = None,

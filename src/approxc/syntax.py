@@ -4,6 +4,14 @@ A single expression type serves all three worlds: binders, application,
 fix, conditionals and reductions are common, and the worlds differ only
 in which literals and builtin operators they use.  Everything here is
 immutable and safe to share across threads.
+
+An expression node that has been evaluated also carries, in its instance
+dict, the closure the evaluator staged for it (``interp._code``).  The
+cache is outside the dataclass fields, so equality, hashing, repr and
+printing ignore it; it never goes stale because the node cannot change.
+Two threads staging one node at once build equal closures, and either may
+win.  A closure is a local function, so a node that carries one does not
+pickle.
 """
 from __future__ import annotations
 

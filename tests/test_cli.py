@@ -125,3 +125,32 @@ def test_unknown_perforation_site_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "L3" in err and "L0" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "corpus/third.ax", "--trials", "0"],
+    ["check", "corpus/third.ax", "--trials", "-3"],
+    ["compile", "corpus/third.ax", "--fuel", "0"],
+    ["check", "corpus/third.ax", "--fuel", "-1"],
+    ["axioms", "--trials", "0"],
+    ["axioms", "--fuel", "0"],
+])
+def test_nonpositive_counts_exit_two(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv + ["--out", str(tmp_path)])
+    assert ex.value.code == 2
+    flag = next(a for a in argv if a.startswith("--"))
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script,flag", [
+    ("run_corpus.py", "--trials"), ("run_corpus.py", "--precision-bits"),
+    ("run_corpus.py", "--fuel"), ("run_axioms.py", "--trials")])
+def test_script_nonpositive_counts_exit_two(script, flag, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), flag, "0"],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=60)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert not list(tmp_path.iterdir())

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,20 @@ def test_outward_rounding():
     assert rd_down(q, 8) <= q <= rd_up(q, 8)
     assert rd_up(q, 8) - rd_down(q, 8) <= Fraction(1, 256)
     assert rd_down(Fraction(1, 4), 8) == rd_up(Fraction(1, 4), 8) == Fraction(1, 4)
+
+
+@given(st.sampled_from([1, 53, 128, 4096]), st.booleans(),
+       st.integers(-2**300, 2**300),
+       st.integers(-2, 2) | st.integers(-4096, 100), st.integers(1, 2**80))
+def test_rounding_matches_floor_and_ceil(p, dyadic, n, shift, den):
+    # a dyadic with denominator 2^(p + shift), or any rational; values
+    # already on the 2^-p grid come back unchanged, the value the floor and
+    # ceiling formula gives
+    q = (Fraction(2 * n + 1, 1 << max(0, p + shift)) if dyadic
+         else Fraction(n, den))
+    scale = 1 << p
+    assert rd_down(q, p) == Fraction(math.floor(q * scale), scale)
+    assert rd_up(q, p) == Fraction(math.ceil(q * scale), scale)
 
 
 def test_exact_integer_addition():

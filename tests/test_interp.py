@@ -1,19 +1,25 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
+from approxc import interp
 from approxc.compiler import compile_program
+from approxc.enclosure import from_rational
 from approxc.floats import MAXFLOAT, float_bits
 from approxc.interp import (
-    DIVERGED, ERR_INF, EvalConfig, VBool, VErr, VFloat, VNat, VReal,
-    apply_value, bound_of, err_add, eval_approx, eval_error, eval_exact,
+    DIVERGED, ERR_INF, EvalConfig, OracleInconclusive, VBool, VErr, VFloat,
+    VNat, VReal, apply_value, bound_of, err_add, eval_approx, eval_error,
+    eval_exact,
 )
 from approxc.parser import parse
 from approxc.syntax import (
-    FLOAT64, App, Arrow, Builtin, ErrLit, Fix, FloatLit, If, Lam, NatLit,
-    RealLit, Var,
+    FLOAT64, NAT, App, Arrow, BoolLit, Builtin, ErrLit, Fix, FloatLit, If,
+    Lam, NatLit, RealLit, RedSeq, Var, to_source,
 )
+from test_random_programs import programs
 
 CFG = EvalConfig(fuel=200_000, precision_bits=128)
 
@@ -181,3 +187,117 @@ def test_n2rerr_examples():
     # with slack k the bound is at least k
     v = eval_error(parse("(n2rerr 6 2)"), cfg=CFG)
     assert v.lo >= 2
+
+
+def test_call_table_stops_growing_at_its_cap(corpus_dir, monkeypatch):
+    # past the cap calls are evaluated afresh: the bound is unchanged and
+    # the table never holds more than the cap
+    want = _fix_sum_bound(corpus_dir, 40, 0)
+    monkeypatch.setattr(interp, "_CALL_TABLE_MAX", 8)
+    sizes = []
+    apply = interp._Machine.apply
+
+    def spy(m, fn, arg):
+        out = apply(m, fn, arg)
+        sizes.append(len(m.calls))
+        return out
+    monkeypatch.setattr(interp._Machine, "apply", spy)
+    assert _fix_sum_bound(corpus_dir, 40, 0) == want
+    assert max(sizes) == 8
+
+
+# -- code staged on the nodes ---------------------------------------------
+
+def test_staged_code_leaves_nodes_unchanged(corpus_dir):
+    src = (corpus_dir / "fix_sum.ax").read_text()
+    e, fresh = parse(src), parse(src)
+    assert eval_exact(App(e, NatLit(5)), cfg=CFG).enc.contains(Fraction(15))
+    assert interp._CODE in e.__dict__
+    assert e == fresh and hash(e) == hash(fresh)
+    assert repr(e) == repr(fresh) and to_source(e) == to_source(fresh)
+
+
+def test_real_literal_reads_the_precision_of_each_run():
+    lit = RealLit(Fraction(1, 3))
+    at_128 = eval_exact(lit, cfg=EvalConfig(precision_bits=128))
+    at_256 = eval_exact(lit, cfg=EvalConfig(precision_bits=256))
+    assert at_256 == VReal(from_rational(Fraction(1, 3), 256))
+    assert at_256.enc.width < at_128.enc.width
+
+
+def _outcome(e):
+    try:
+        return eval_exact(e, cfg=CFG)
+    except OracleInconclusive as ex:
+        return str(ex)
+
+
+@given(programs())
+def test_staged_code_is_reused_faithfully(case):
+    e, _ = case
+    if isinstance(e, Lam):
+        e = App(e, RealLit(Fraction(2, 3)))
+    first = _outcome(e)
+    assert interp._CODE in e.__dict__
+    assert _outcome(e) == first == _outcome(parse(to_source(e)))
+
+
+def test_shared_subtrees_are_staged_once():
+    # 2^60 paths through 61 distinct nodes: staging is linear in the
+    # nodes, and evaluation runs out of fuel as it always did
+    e = RealLit(Fraction(1, 3))
+    for _ in range(60):
+        e = Builtin("+r", (e, e))
+    assert eval_exact(e, cfg=EvalConfig(fuel=1000)) is DIVERGED
+
+
+# -- host stack depth -----------------------------------------------------
+
+def _chain(wrap, leaf):
+    def nest(depth):
+        e = leaf
+        for _ in range(depth):
+            e = wrap(e)
+        return e
+    return nest
+
+
+def _deepest(nest):
+    """The deepest nesting that evaluates before the host stack counts as
+    divergence, by bisection."""
+    lo, hi = 1, 3000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if eval_exact(nest(mid), cfg=CFG) is DIVERGED:
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
+
+
+def test_host_stack_frames_per_nesting_level():
+    # a level of an if chain or of nested arguments is one host frame; a
+    # level that nests through a call (builtin operand, let body, redseq
+    # operand) is two, so those chains count as divergence at half the
+    # depth
+    one = NatLit(1)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # below the evaluator's own limit
+    try:
+        depth_if = _deepest(_chain(lambda e: If(BoolLit(False), one, e), one))
+        depth_arg = _deepest(_chain(lambda e: App(Lam("x", NAT, Var("x")), e),
+                                    one))
+        two_frames = {
+            "builtin": _chain(lambda e: Builtin("+n", (e, one)), one),
+            "unary builtin": _chain(lambda e: Builtin("absr", (e,)),
+                                    Builtin("nat2real", (one,))),
+            "let": _chain(lambda e: App(Lam("x", NAT, e), one), Var("x")),
+            "redseq": _chain(
+                lambda e: RedSeq(Builtin("+n"), e, Lam("i", NAT, one)), one),
+        }
+        depths = {k: _deepest(nest) for k, nest in two_frames.items()}
+    finally:
+        sys.setrecursionlimit(old)
+    assert abs(depth_arg - depth_if) <= 32
+    for kind, depth in depths.items():
+        assert abs(2 * depth - depth_if) <= 32, (kind, depth, depth_if)
