@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple
 from .compiler import CompileError, CompileOpts, CompileResult, compile_program
 from .families import (
     FL, NAT_A, ApproxTy, PiTy, TrialOutcome,
-    family_source, member_trials, monomorphize, weaken_err_expr,
+    family_source, member_trial, member_trials, monomorphize,
+    weaken_err_expr,
 )
 from .interp import EvalConfig
 from .parser import ParseError, parse
@@ -103,15 +104,12 @@ def check_soundness(e: Expr, result: CompileResult, trials: int = 1000,
 
 def replay_failure(e: Expr, result: CompileResult, record: dict,
                    cfg: EvalConfig = EvalConfig()) -> TrialOutcome:
-    """Re-run the single trial a failure record came from."""
-    seed = record["seed"]
-    trial = record["trial"]
-    insts = _instantiations(result, e)
+    """Re-run the single trial a failure record came from, and only it."""
     tag = record.get("instantiation", "")
-    for t, me, ma, mq, mfam in insts:
+    for t, me, ma, mq, mfam in _instantiations(result, e):
         if t == tag:
-            outcomes = member_trials(mfam, mq, ma, me, trial + 1, seed, cfg)
-            return outcomes[trial]
+            return member_trial(mfam, mq, ma, me, record["trial"],
+                                record["seed"], cfg)
     raise ValueError("record does not match this compilation result")
 
 

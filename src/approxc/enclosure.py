@@ -5,10 +5,14 @@ returns an enclosure guaranteed to contain the mathematical result for
 any point selection from its argument enclosures.  Endpoints are dyadic
 rationals, rounded outward at the requested precision.
 
-Sine is computed by an interval Taylor expansion with a full-tail
-remainder bound after range reduction against a fixed high-precision
-pi; the construction is inclusion-monotone in the precision so that
-refining an enclosure always nests inside the coarser one.
+Sine reduces its argument against a fixed 5376-bit enclosure of pi to
+|m| <= 3.3, sums the Taylor series in fixed point (integers scaled by
+2^(p+16), each term rounded outward) and adds a full-tail remainder
+bound.  Before it is rounded to p bits, each endpoint is either +-1 or
+at least 2^-(p+16) outside the sine it encloses, since the first term
+left out is rounded outward to a nonzero grid value and the remainder
+counts it twice; so an enclosure at a higher precision that is narrower
+than this margin nests inside the coarser one.
 """
 from __future__ import annotations
 
@@ -147,39 +151,44 @@ _SIN_ARG_CAP = Fraction(33, 10)  # reduce whenever |arg| exceeds this
 def _sin_taylor_interval(mlo: Fraction, mhi: Fraction, p: int) -> Tuple[Fraction, Fraction]:
     """Taylor sum of sin over a narrow interval with |m| <= 3.3.
 
-    Rounds every intermediate to p+16 bits and finishes with a
-    geometric full-tail remainder, which keeps results at higher
-    precision nested inside lower-precision ones.
+    Rounds every intermediate outward to the 2^-w grid, w = p+16, and
+    finishes with a geometric full-tail remainder, which keeps results
+    at higher precision nested inside lower-precision ones.  The series
+    runs on integers scaled by 2^w: sums of grid values are exact and a
+    product of two lies on the 2^-2w grid, so each rounding is an
+    integer floor or ceiling division.
     """
     w = p + 16
-    mlo, mhi = rd_down(mlo, w), rd_up(mhi, w)
-    cands = (mlo * mlo, mlo * mhi, mhi * mhi)
-    m2lo = rd_down(max(Fraction(0), min(cands)), w)
-    m2hi = rd_up(max(cands), w)
-    t_lo, t_hi = mlo, mhi
-    s_lo = s_hi = Fraction(0)
-    thresh = Fraction(1, 1 << (p + 8))
+    # M = m * 2^w, rounded outward
+    m_lo = (mlo.numerator << w) // mlo.denominator
+    m_hi = -((-mhi.numerator << w) // mhi.denominator)
+    cands = (m_lo * m_lo, m_lo * m_hi, m_hi * m_hi)
+    m2_lo = max(0, min(cands)) >> w
+    m2_hi = -(-max(cands) >> w)
+    t_lo, t_hi = m_lo, m_hi
+    s_lo = s_hi = 0
     j = 0
     while True:
-        s_lo = rd_down(s_lo + t_lo, w)
-        s_hi = rd_up(s_hi + t_hi, w)
-        c = (2 * j + 2) * (2 * j + 3)
-        prods = (t_lo * m2lo, t_lo * m2hi, t_hi * m2lo, t_hi * m2hi)
-        n_lo, n_hi = min(prods), max(prods)
-        # next term is -T_j * M2 / c
-        t_lo = rd_down(-n_hi / c, w)
-        t_hi = rd_up(-n_lo / c, w)
+        s_lo += t_lo
+        s_hi += t_hi
+        prods = (t_lo * m2_lo, t_lo * m2_hi, t_hi * m2_lo, t_hi * m2_hi)
+        # next term is -T_j * M2 / c, rounded outward to the 2^-w grid
+        d = (2 * j + 2) * (2 * j + 3) << w
+        t_lo = -max(prods) // d
+        t_hi = -(min(prods) // d)
         j += 1
-        if max(abs(t_lo), abs(t_hi)) <= thresh:
+        # stop once the term is at most 2^-(p+8), that is 2^8 grid units
+        if max(abs(t_lo), abs(t_hi)) <= 256:
             break
         if j > 10000:
             raise PrecisionOverflow("sine series failed to converge")
-    rho = m2hi / Fraction((2 * j + 2) * (2 * j + 3))
+    one = 1 << w
+    rho = Fraction(m2_hi, one) / Fraction((2 * j + 2) * (2 * j + 3))
     if rho >= 1:
         raise PrecisionOverflow("sine argument too large after reduction")
-    tail = 2 * max(abs(t_lo), abs(t_hi)) / (1 - rho)
-    lo = max(Fraction(-1), s_lo - tail)
-    hi = min(Fraction(1), s_hi + tail)
+    tail = 2 * Fraction(max(abs(t_lo), abs(t_hi)), one) / (1 - rho)
+    lo = max(Fraction(-1), Fraction(s_lo, one) - tail)
+    hi = min(Fraction(1), Fraction(s_hi, one) + tail)
     return rd_down(lo, p), rd_up(hi, p)
 
 

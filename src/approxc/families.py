@@ -542,25 +542,31 @@ def _check_once(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     return ("inconclusive", {"note": "free family variable"})
 
 
+def _trial(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
+           t: int, seed: int, cfg: EvalConfig) -> TrialOutcome:
+    """Trial t, checked on its own generator trial_rng(seed, t)."""
+    inputs: List[str] = []
+    status, rec = _check_once(fam, q, e, other, approx, trial_rng(seed, t),
+                              cfg, inputs)
+    return TrialOutcome(t, status, {"seed": seed, "trial": t,
+                                    "inputs": inputs, **rec})
+
+
+def _relabel(o: TrialOutcome, t: int) -> TrialOutcome:
+    """A base family's trial 0 reported as its trial t."""
+    return TrialOutcome(t, o.status, {**o.record, "trial": t, "inputs": []})
+
+
 def _outcomes(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
               trials: int, seed: int, cfg: EvalConfig) -> List[TrialOutcome]:
     """Per-trial outcomes.  Base families take no samples: one check runs,
     and membership copies it into every requested trial."""
     n = max(1, trials)
-    base = isinstance(fam, _BASES)
-    out = []
-    for t in range(1 if base else n):
-        inputs: List[str] = []
-        status, rec = _check_once(fam, q, e, other, approx, trial_rng(seed, t),
-                                  cfg, inputs)
-        out.append(TrialOutcome(t, status, {"seed": seed, "trial": t,
-                                            "inputs": inputs, **rec}))
-    if base and approx:
-        first = out[0]
-        out += [TrialOutcome(t, first.status,
-                             {**first.record, "trial": t, "inputs": []})
-                for t in range(1, n)]
-    return out
+    if not isinstance(fam, _BASES):
+        return [_trial(fam, q, e, other, approx, t, seed, cfg)
+                for t in range(n)]
+    first = _trial(fam, q, e, other, approx, 0, seed, cfg)
+    return [first] + [_relabel(first, t) for t in range(1, n) if approx]
 
 
 def _verdict(fam: ApproxTy, outcomes: List[TrialOutcome]) -> Verdict:
@@ -582,6 +588,14 @@ def member_trials(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
                   trials: int, seed: int, cfg: EvalConfig) -> List[TrialOutcome]:
     """Per-trial membership outcomes of "a approximates e within q"."""
     return _outcomes(fam, q, e, a, True, trials, seed, cfg)
+
+
+def member_trial(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
+                 trial: int, seed: int, cfg: EvalConfig) -> TrialOutcome:
+    """The outcome member_trials reports for one trial, from one check."""
+    if isinstance(fam, _BASES):
+        return _relabel(_trial(fam, q, e, a, True, 0, seed, cfg), trial)
+    return _trial(fam, q, e, a, True, trial, seed, cfg)
 
 
 def appr_member(fam: ApproxTy, q: Expr, a: Expr, e: Expr,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from approxc import families
 from approxc.checker import (
     CheckReport, check_rule_corpus, check_soundness, load_sidecar_opts,
     replay_failure,
@@ -72,6 +73,41 @@ def test_function_failure_replay_fidelity():
     assert out.status == "fail"
     assert out.record["inputs"] == rec["inputs"]
     assert out.record["measured"] == rec["measured"]
+
+
+def test_replay_runs_only_the_recorded_trial(monkeypatch):
+    e = parse("(lam (x Real) (+r x x))")
+    r = compile_program(e, OPTS)
+    bad = replace(r, err=parse("(lam (x Real) (lam (k ErrReal) (err 0/1)))"))
+    rep = check_soundness(e, bad, trials=1000, seed=42, cfg=CFG)
+    rec = rep.failures[-1]
+    assert rec["trial"] > 900
+    # count top-level checks: _check_once recurses down the Pi spine
+    inner = families._check_once
+    depth, checks = [0], [0]
+
+    def counting(*args):
+        checks[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(families, "_check_once", counting)
+    out = replay_failure(e, bad, rec, cfg=CFG)
+    assert checks[0] == 1
+    assert out.status == "fail" and out.record == rec
+
+
+def test_replay_of_base_family_copies_trial_zero():
+    e = parse("1/3")
+    r = compile_program(e, OPTS)
+    bad = replace(r, err=ErrLit(r.err.value / 2))
+    rep = check_soundness(e, bad, trials=50, seed=42, cfg=CFG)
+    rec = rep.failures[-1]
+    assert rec["trial"] == 49
+    assert replay_failure(e, bad, rec, cfg=CFG).record == rec
 
 
 def test_weakening_preserves_passes():

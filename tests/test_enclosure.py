@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from approxc.enclosure import (
     DivisorStraddlesZero, PrecisionOverflow, RealEnclosure, Tern,
-    compare_leq, enclose_op, from_rational, pi_bounds, rd_down, rd_up,
-    sin_point,
+    _reduce_arg, _sin_taylor_interval, compare_leq, enclose_op,
+    from_rational, pi_bounds, rd_down, rd_up, sin_point,
 )
 from approxc.sampling import sample_real_fraction, trial_rng
 
@@ -97,14 +97,14 @@ def test_rational_brute_force_soundness():
 def test_sin_against_reference_on_samples():
     """1000 sampled points against an independent 200-bit evaluation."""
     rng = trial_rng(7, 0)
-    mpmath.mp.prec = 200
-    for i in range(1000):
-        x = sample_real_fraction(rng)
-        out = sin_point(x, 96)
-        ref = mpmath.sin(mpmath.mpf(x.numerator) / x.denominator)
-        lo = mpmath.mpf(out.lo.numerator) / out.lo.denominator
-        hi = mpmath.mpf(out.hi.numerator) / out.hi.denominator
-        assert lo <= ref <= hi, x
+    with mpmath.workprec(200):
+        for i in range(1000):
+            x = sample_real_fraction(rng)
+            out = sin_point(x, 96)
+            ref = mpmath.sin(mpmath.mpf(x.numerator) / x.denominator)
+            lo = mpmath.mpf(out.lo.numerator) / out.lo.denominator
+            hi = mpmath.mpf(out.hi.numerator) / out.hi.denominator
+            assert lo <= ref <= hi, x
 
 
 def test_nesting_property():
@@ -148,3 +148,87 @@ def test_monotone_width_shrink():
         if w_prev is not None:
             assert out.width <= w_prev
         w_prev = out.width
+
+
+# ---------------------------------------------------------------------------
+# the integer Taylor kernel against the Fraction kernel it replaced
+
+def _fraction_sin_taylor_interval(mlo, mhi, p):
+    """The Fraction implementation of _sin_taylor_interval, kept verbatim
+    as the reference the integer kernel must reproduce bit for bit."""
+    w = p + 16
+    mlo, mhi = rd_down(mlo, w), rd_up(mhi, w)
+    cands = (mlo * mlo, mlo * mhi, mhi * mhi)
+    m2lo = rd_down(max(Fraction(0), min(cands)), w)
+    m2hi = rd_up(max(cands), w)
+    t_lo, t_hi = mlo, mhi
+    s_lo = s_hi = Fraction(0)
+    thresh = Fraction(1, 1 << (p + 8))
+    j = 0
+    while True:
+        s_lo = rd_down(s_lo + t_lo, w)
+        s_hi = rd_up(s_hi + t_hi, w)
+        c = (2 * j + 2) * (2 * j + 3)
+        prods = (t_lo * m2lo, t_lo * m2hi, t_hi * m2lo, t_hi * m2hi)
+        n_lo, n_hi = min(prods), max(prods)
+        # next term is -T_j * M2 / c
+        t_lo = rd_down(-n_hi / c, w)
+        t_hi = rd_up(-n_lo / c, w)
+        j += 1
+        if max(abs(t_lo), abs(t_hi)) <= thresh:
+            break
+        if j > 10000:
+            raise PrecisionOverflow("sine series failed to converge")
+    rho = m2hi / Fraction((2 * j + 2) * (2 * j + 3))
+    if rho >= 1:
+        raise PrecisionOverflow("sine argument too large after reduction")
+    tail = 2 * max(abs(t_lo), abs(t_hi)) / (1 - rho)
+    lo = max(Fraction(-1), s_lo - tail)
+    hi = min(Fraction(1), s_hi + tail)
+    return rd_down(lo, p), rd_up(hi, p)
+
+
+_CAP = Fraction(33, 10)
+_in_cap = (st.fractions(-_CAP, _CAP, max_denominator=10**40)
+           | st.integers(0, 4200).flatmap(
+               lambda k: st.integers(-(33 << k) // 10, (33 << k) // 10).map(
+                   lambda n: Fraction(n, 1 << k))))
+_widths = (st.integers(1, 4200).map(lambda k: Fraction(1, 1 << k))
+           | st.fractions(Fraction(0), Fraction(1, 100), max_denominator=10**12))
+
+
+@st.composite
+def _kernel_args(draw):
+    """(mlo, mhi, p), where (mlo, mhi) is what sin_point hands the kernel:
+    a point, a narrow interval, or the reduction of a binary64-sized
+    argument."""
+    kind = draw(st.sampled_from(["point", "interval", "reduced"]))
+    p = draw(st.sampled_from([1, 2, 53, 80, 96, 128, 130, 256, 1024, 4096]))
+    if kind == "point":
+        m = draw(_in_cap)
+        return m, m, p
+    if kind == "interval":
+        w = draw(_widths)
+        lo = min(draw(_in_cap), _CAP - w)
+        return lo, lo + w, p
+    x = Fraction(draw(st.integers(1, 1 << 53))) * Fraction(2) ** draw(
+        st.integers(-50, 970))
+    x = x if draw(st.booleans()) else -x
+    assume(abs(x) > _CAP)
+    a, b = _reduce_arg(x, p)
+    return a, b, p
+
+
+def _outcome(kernel, mlo, mhi, p):
+    try:
+        return kernel(mlo, mhi, p)
+    except PrecisionOverflow as ex:
+        return str(ex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_args())
+def test_integer_kernel_matches_fraction_kernel(args):
+    mlo, mhi, p = args
+    assert (_outcome(_sin_taylor_interval, mlo, mhi, p)
+            == _outcome(_fraction_sin_taylor_interval, mlo, mhi, p))
