@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .checker import check_soundness
 from .compiler import (
-    CompileError, CompileOpts, compile_program, label_sites,
+    CompileError, CompileOpts, compile_program, label_sites, nesting_guarded,
 )
 from .families import FL, check_approx_axioms, fn_family
 from .interp import EvalConfig
@@ -95,6 +95,22 @@ def _emit(args, path: Path, name: str, text: str):
     return target
 
 
+def _texts(emit: str, stem: str, result) -> dict:
+    """File name and text of each emitted output, by kind.  Printing
+    recurses as deep as compiling, so it runs under the same guard."""
+    def render() -> dict:
+        out = {}
+        if emit in ("approx", "all"):
+            out["approx"] = (f"{stem}.approx.ax", to_source(result.approx))
+        if emit in ("err", "all"):
+            out["err"] = (f"{stem}.err.ax", to_source(result.err))
+        if emit in ("derivation", "all"):
+            out["derivation"] = (f"{stem}.derivation.json",
+                                 result.derivation_json())
+        return out
+    return nesting_guarded(render)
+
+
 def _jsonl(args, doc: dict):
     if args.json:
         print(json.dumps(doc, sort_keys=True))
@@ -114,21 +130,13 @@ def _run_compile(args, do_check: bool) -> int:
         try:
             e = parse(src)
             result = compile_program(e, opts)
+            texts = _texts(args.emit, path.stem, result)
         except (ParseError, CompileError, TypeError_) as ex:
             print(f"approxc: {inp}: {type(ex).__name__}: {ex}", file=sys.stderr)
             return 2
         stem = path.stem
-        emitted = {}
-        if args.emit in ("approx", "all"):
-            t = _emit(args, path, f"{stem}.approx.ax", to_source(result.approx))
-            emitted["approx"] = str(t)
-        if args.emit in ("err", "all"):
-            t = _emit(args, path, f"{stem}.err.ax", to_source(result.err))
-            emitted["err"] = str(t)
-        if args.emit in ("derivation", "all"):
-            t = _emit(args, path, f"{stem}.derivation.json",
-                      result.derivation_json())
-            emitted["derivation"] = str(t)
+        emitted = {kind: str(_emit(args, path, name, text))
+                   for kind, (name, text) in texts.items()}
         sites = label_sites(e)
         _jsonl(args, {"schema": "compile/v1", "input": str(path),
                       "emitted": emitted,

@@ -16,11 +16,12 @@ function families.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from .families import (
     BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
@@ -37,12 +38,15 @@ from .interp import (
 from .quant import LeqVerdict, scalar_err_leq
 from .sampling import trial_rng
 from .syntax import (
-    ERRREAL, FLOAT64, NAT, REAL,
+    ERRREAL, FLOAT64, NAT, NESTING_STACK_LIMIT, REAL,
     App, Arrow, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
     Var, children, free_vars, fresh_name, map_children, to_source,
+    with_stack_limit,
 )
 from .typecheck import TyCtx, TypeMismatch, infer_type
+
+T = TypeVar("T")
 
 
 class CompileError(Exception):
@@ -63,6 +67,22 @@ class SideConditionFailed(CompileError):
 
 class Unsupported(CompileError):
     pass
+
+
+class NestingTooDeep(CompileError):
+    def __init__(self):
+        super().__init__(f"program nests too deeply to compile within "
+                         f"{NESTING_STACK_LIMIT} stack frames")
+
+
+def nesting_guarded(run: Callable[[], T]) -> T:
+    """run(), a walk over a program that recurses a few host frames per
+    level of nesting, under the nesting stack limit; a program nested
+    deeper than that allows raises NestingTooDeep."""
+    try:
+        return with_stack_limit(NESTING_STACK_LIMIT, run)
+    except RecursionError:
+        raise NestingTooDeep() from None
 
 
 @dataclass(frozen=True)
@@ -137,9 +157,34 @@ class CompileResult:
 
 # ---------------------------------------------------------------------------
 # small constant folder for error expressions
+#
+# Each node is folded once: its folded form is cached in its instance dict,
+# beside interp._code's closure, and a fold result is marked as folded too.
+# A rule's error is built from its premises' folded errors and the exact
+# subterms, both already folded, so folding it walks only its new nodes, and
+# a subterm shared by several errors is walked once.
+
+_FOLD = "_fold"  # the instance-dict key of a node's folded form; None: itself
+
 
 def fold_err(e: Expr) -> Expr:
-    e = map_children(e, fold_err)
+    memo = e.__dict__
+    try:
+        done = memo[_FOLD]
+    except KeyError:
+        pass
+    else:
+        return e if done is None else done
+    out = _fold_node(map_children(e, fold_err))
+    # a node is immutable, so its folded form never goes stale; the marker
+    # None rather than a self-reference keeps the node free of cycles
+    memo[_FOLD] = None if out is e else out
+    out.__dict__[_FOLD] = None  # a fold result folds to itself
+    return out
+
+
+def _fold_node(e: Expr) -> Expr:
+    """One folding step at the root of e, whose children are folded."""
     if type(e) is If and isinstance(e.cond, BoolLit):
         return e.then_e if e.cond.value else e.else_e
     if type(e) is Builtin and len(e.args) == 2:
@@ -190,7 +235,11 @@ def _is_zero_err(e: Expr) -> bool:
 _OP_LOWER = {"+r": "+f", "-r": "-f", "*r": "*f", "/r": "/f"}
 _OP_ERR = {"+r": "+err", "-r": "-err", "*r": "*err", "/r": "/err"}
 
+# each op's leaf is built once and shared by every compile, so its error is
+# folded, and its closures staged, once per process
 
+
+@functools.cache
 def _binary_real_leaf(op: str) -> Tuple[ApproxTy, Expr, Expr]:
     fam = Pi("xe", "xa", "xq", FL, Pi("ye", "ya", "yq", FL, FL))
     approx = Builtin(_OP_LOWER[op], ())
@@ -200,6 +249,7 @@ def _binary_real_leaf(op: str) -> Tuple[ApproxTy, Expr, Expr]:
     return fam, approx, err
 
 
+@functools.cache
 def _sin_leaf(subst: bool) -> Tuple[ApproxTy, Expr, Expr, str]:
     fam = Pi("xe", "xa", "xq", FL, FL)
     if subst:
@@ -213,6 +263,7 @@ def _sin_leaf(subst: bool) -> Tuple[ApproxTy, Expr, Expr, str]:
     return fam, approx, err, "R-Op"
 
 
+@functools.cache
 def _nat2real_leaf() -> Tuple[ApproxTy, Expr, Expr]:
     fam = Pi("ne", "na", "nq", NAT_A, FL)
     approx = Builtin("nat2float", ())
@@ -221,6 +272,7 @@ def _nat2real_leaf() -> Tuple[ApproxTy, Expr, Expr]:
     return fam, approx, err
 
 
+@functools.cache
 def _nat_op_leaf(op: str) -> Tuple[ApproxTy, Expr, Expr]:
     fam = Pi("ne", "na", "nq", NAT_A, Pi("me", "ma", "mq", NAT_A, NAT_A))
     if op in ("+n", "-n"):
@@ -267,35 +319,10 @@ class Compiler:
     # -- entry point ---------------------------------------------------------
 
     def compile(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> CompileResult:
-        if isinstance(e, Var):
-            return self._var(ctx, e, target)
-        if isinstance(e, Lam):
-            return self._lam(ctx, e, target)
-        if isinstance(e, App):
-            return self._app(ctx, e, target)
-        if isinstance(e, TyLam):
-            return self._tylam(ctx, e, target)
-        if isinstance(e, TyApp):
-            return self._tyapp(ctx, e, target)
-        if isinstance(e, Fix):
-            return self._fix(ctx, e, target)
-        if isinstance(e, If):
-            return self._if(ctx, e, target)
-        if isinstance(e, RealLit):
-            return self._real_lit(ctx, e, target)
-        if isinstance(e, NatLit):
-            return self._scalar_lit(ctx, e, target, NAT_A)
-        if isinstance(e, BoolLit):
-            return self._scalar_lit(ctx, e, target, BOOL_A)
-        if isinstance(e, Builtin):
-            return self._builtin(ctx, e, target)
-        if isinstance(e, RedSeq):
-            return self._redseq(ctx, e, target)
-        if isinstance(e, Bottom):
-            d = Derivation("R-Lit", e, Bottom(approx_ty(target)),
-                           zero_expr(target), target)
-            return CompileResult(d.approx, d.err, target, d)
-        raise NoRuleApplies(f"no rule for {type(e).__name__}", _src(e))
+        rule = _RULES.get(type(e))
+        if rule is None:
+            raise NoRuleApplies(f"no rule for {type(e).__name__}", _src(e))
+        return rule(self, ctx, e, target)
 
     # -- structural rules -----------------------------------------------------
 
@@ -445,6 +472,11 @@ class Compiler:
             raise Unsupported(f"real literal {e.value} overflows binary64")
         q = ErrLit(abs(e.value - to_fraction(a)))
         d = Derivation("R-Lit", e, FloatLit.of(a), q, target)
+        return CompileResult(d.approx, d.err, target, d)
+
+    def _bottom(self, ctx: ApproxCtx, e: Bottom, target: ApproxTy) -> CompileResult:
+        d = Derivation("R-Lit", e, Bottom(approx_ty(target)),
+                       zero_expr(target), target)
         return CompileResult(d.approx, d.err, target, d)
 
     def _scalar_lit(self, ctx: ApproxCtx, e: Expr, target: ApproxTy,
@@ -598,6 +630,25 @@ class Compiler:
         return RedSeq(comb, NatLit(m), gen)
 
 
+# the rule for each node type; FloatLit and ErrLit have none, since exact
+# programs do not contain them
+_RULES = {
+    Var: Compiler._var,
+    Lam: Compiler._lam,
+    App: Compiler._app,
+    TyLam: Compiler._tylam,
+    TyApp: Compiler._tyapp,
+    Fix: Compiler._fix,
+    If: Compiler._if,
+    RealLit: Compiler._real_lit,
+    NatLit: lambda c, ctx, e, t: c._scalar_lit(ctx, e, t, NAT_A),
+    BoolLit: lambda c, ctx, e, t: c._scalar_lit(ctx, e, t, BOOL_A),
+    Builtin: Compiler._builtin,
+    RedSeq: Compiler._redseq,
+    Bottom: Compiler._bottom,
+}
+
+
 # ---------------------------------------------------------------------------
 # site labeling (for perforation targeting from the command line)
 
@@ -618,15 +669,17 @@ def label_sites(e: Expr) -> List[Tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # entry points
 
-def perforate(ctx: ApproxCtx, e: RedSeq, k: int,
-              opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Perforated lowering of a reduction outside the main compile flow."""
-    return Compiler(opts).perforate(ctx, e, k, FL)
-
-
 def compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
                  opts: CompileOpts = CompileOpts()) -> CompileResult:
     """Compile under an approximation context toward a target family."""
+    result = nesting_guarded(lambda: _compile_expr(ctx, e, target, opts))
+    if opts.weaken_to is not None:
+        result = weaken(result, opts.weaken_to, opts)
+    return result
+
+
+def _compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
+                  opts: CompileOpts) -> CompileResult:
     got = infer_type(ctx_exact(ctx), e)
     want = exact_ty(target)
     if got != want:
@@ -637,17 +690,13 @@ def compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
         raise CompileError(
             f"unknown perforation site {', '.join(unknown)}; the program's "
             f"reduction sites are: {', '.join(sites) or 'none'}")
-    result = Compiler(opts).compile(ctx, e, target)
-    if opts.weaken_to is not None:
-        result = weaken(result, opts.weaken_to, opts)
-    return result
+    return Compiler(opts).compile(ctx, e, target)
 
 
 def compile_program(e: Expr, opts: CompileOpts = CompileOpts()) -> CompileResult:
     """Compile a closed program; the target family is derived from its
     exact type."""
-    ty = infer_type(TyCtx(), e)
-    target = _target_from_type(ty)
+    target = nesting_guarded(lambda: _target_from_type(infer_type(TyCtx(), e)))
     return compile_expr(ApproxCtx(), e, target, opts)
 
 

@@ -15,7 +15,6 @@ Fuel is spent by application, fix, type application and builtin rules.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -29,7 +28,7 @@ from .floats import (
 from .syntax import (
     App, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
     If, Lam, NatLit, RealLit, RedSeq, TyApp, TyLam, Var, builtin_arity,
-    children,
+    children, with_stack_limit,
 )
 
 
@@ -550,16 +549,10 @@ _CALL_TABLE_MAX = 1 << 14
 def _guarded(run) -> Union[Value, Diverged]:
     # deep fix unrollings recurse through the host stack; exhausting it
     # counts as divergence (the fuel budget usually bites first)
-    old = sys.getrecursionlimit()
-    if old < _EVAL_STACK_LIMIT:
-        sys.setrecursionlimit(_EVAL_STACK_LIMIT)
     try:
-        return run()
+        return with_stack_limit(_EVAL_STACK_LIMIT, run)
     except (_Diverge, RecursionError):
         return DIVERGED
-    finally:
-        if old < _EVAL_STACK_LIMIT:
-            sys.setrecursionlimit(old)
 
 
 def _run(e: Expr, env: Optional[Env], cfg: EvalConfig) -> Union[Value, Diverged]:

@@ -11,9 +11,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .syntax import (
-    BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, REAL, UNIT,
+    BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, NESTING_STACK_LIMIT, REAL, UNIT,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, Fix, Forall, If, Lam,
-    NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar, Var,
+    NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar, Var, with_stack_limit,
 )
 
 
@@ -241,24 +241,27 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse one top-level expression; raises ParseError with position."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty input", 1, 1)
-    p = _Parser(toks)
-    e = p.parse_expr()
-    rest = p._peek()
-    if rest is not None:
-        raise ParseError(f"trailing input {rest.text!r}", rest.line, rest.col)
-    return e
+    return _parse_all(text, _Parser.parse_expr)
 
 
 def parse_ty(text: str) -> Ty:
+    return _parse_all(text, _Parser.parse_ty)
+
+
+def _parse_all(text: str, parse_one):
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty input", 1, 1)
     p = _Parser(toks)
-    t = p.parse_ty()
+    try:
+        out = with_stack_limit(NESTING_STACK_LIMIT, lambda: parse_one(p))
+    except RecursionError:
+        # the parser recurses once per nested form
+        t = p.toks[p.pos - 1]
+        raise ParseError(f"nesting too deep to parse within "
+                         f"{NESTING_STACK_LIMIT} stack frames",
+                         t.line, t.col) from None
     rest = p._peek()
     if rest is not None:
         raise ParseError(f"trailing input {rest.text!r}", rest.line, rest.col)
-    return t
+    return out

@@ -11,14 +11,19 @@ cache is outside the dataclass fields, so equality, hashing, repr and
 printing ignore it; it never goes stale because the node cannot change.
 Two threads staging one node at once build equal closures, and either may
 win.  A closure is a local function, so a node that carries one does not
-pickle.
+pickle.  Beside it, the compiler's constant folder caches the node's folded
+error form (``compiler.fold_err``, key ``_fold``; None when the node folds
+to itself), so each error node is folded once however many errors share it.
 """
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, TypeVar, Union
+
+T = TypeVar("T")
 
 # ---------------------------------------------------------------------------
 # Types
@@ -323,25 +328,64 @@ def children(e: Expr) -> Tuple[Expr, ...]:
 
 
 def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """The node rebuilt with f applied to each direct subexpression."""
+    """The node rebuilt with f applied to each direct subexpression, or e
+    itself when f returns every child unchanged, so sharing survives."""
     t = type(e)
     if t is App:
-        return App(f(e.fn), f(e.arg))
+        fn, arg = f(e.fn), f(e.arg)
+        return e if fn is e.fn and arg is e.arg else App(fn, arg)
     if t is Lam:
-        return Lam(e.binder, e.annot, f(e.body))
+        body = f(e.body)
+        return e if body is e.body else Lam(e.binder, e.annot, body)
     if t is TyLam:
-        return TyLam(e.tyvar, f(e.body))
+        body = f(e.body)
+        return e if body is e.body else TyLam(e.tyvar, body)
     if t is TyApp:
-        return TyApp(f(e.expr), e.ty)
+        inner = f(e.expr)
+        return e if inner is e.expr else TyApp(inner, e.ty)
     if t is Fix:
-        return Fix(f(e.expr))
+        inner = f(e.expr)
+        return e if inner is e.expr else Fix(inner)
     if t is If:
-        return If(f(e.cond), f(e.then_e), f(e.else_e))
+        c, a, b = f(e.cond), f(e.then_e), f(e.else_e)
+        if c is e.cond and a is e.then_e and b is e.else_e:
+            return e
+        return If(c, a, b)
     if t is Builtin:
-        return Builtin(e.op, tuple(f(a) for a in e.args))
+        args = tuple([f(a) for a in e.args])
+        if all(a is b for a, b in zip(args, e.args)):
+            return e
+        return Builtin(e.op, args)
     if t is RedSeq:
-        return RedSeq(f(e.combiner), f(e.count), f(e.generator))
+        c, n, g = f(e.combiner), f(e.count), f(e.generator)
+        if c is e.combiner and n is e.count and g is e.generator:
+            return e
+        return RedSeq(c, n, g)
     return e
+
+
+# ---------------------------------------------------------------------------
+# Host stack for the recursive walks over a program
+
+#: host frames that parsing, compiling and printing a program may use; they
+#: recurse one to a few frames per level of nesting, so a right-nested
+#: chain of +r compiles to about 700 levels and parses to about 1,500
+NESTING_STACK_LIMIT = 1500
+
+
+def with_stack_limit(frames: int, run: Callable[[], T]) -> T:
+    """run() with the host recursion limit raised to at least `frames`.
+
+    The caller turns the RecursionError of a walk that still runs out
+    into its own typed outcome."""
+    old = sys.getrecursionlimit()
+    if old >= frames:
+        return run()
+    sys.setrecursionlimit(frames)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,24 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("depth,error", [(2000, "ParseError"),
+                                         (1000, "NestingTooDeep")])
+def test_deep_nesting_is_a_typed_error(tmp_path, capsys, depth, error):
+    # a right-nested +r chain: the parser recurses once per level, the
+    # compiler twice, so the deeper chain stops in the parser and the
+    # shallower one in the compiler
+    s = "x"
+    for _ in range(depth):
+        s = f"(+r x {s})"
+    p = tmp_path / "deep.ax"
+    p.write_text(f"(lam (x Real) {s})")
+    rc = main(["compile", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{error}: " in err and "1500 stack frames" in err, err
+    assert not list(tmp_path.glob("deep.*.*"))
+
+
 def test_bad_perforate_value_exit_two(tmp_path):
     p = _write_pi(tmp_path)
     rc = main(["check", str(p), "--perforate", "L0"])

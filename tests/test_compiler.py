@@ -1,9 +1,15 @@
+import dataclasses
+import functools
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
+
+import approxc.compiler
 
 from approxc.compiler import (
     CompileError, CompileOpts, NoRuleApplies, SideConditionFailed, Unsupported,
@@ -24,9 +30,11 @@ from approxc.interp import (
 from approxc.checker import load_sidecar_opts
 from approxc.parser import parse
 from approxc.syntax import (
-    App, ErrLit, FloatLit, NatLit, RealLit, to_source,
+    App, BoolLit, Builtin, ErrLit, FloatLit, If, NatLit, RealLit,
+    map_children, to_source,
 )
 from approxc.typecheck import TyCtx, TypeMismatch, infer_type
+from test_random_programs import programs
 
 CFG = EvalConfig(fuel=500_000, precision_bits=128)
 OPTS = CompileOpts(cfg=CFG)
@@ -391,12 +399,11 @@ def test_compile_open_term_under_context():
     assert "y_q" in to_source(r.err) and "y_a" not in to_source(r.err)
 
 
-def test_module_level_perforate():
-    from approxc.compiler import perforate
+def test_perforate_outside_compile_flow():
     from approxc.syntax import RedSeq
     e = parse("(redseq +r 8 (lam (i Nat) (nat2real i)))")
     assert isinstance(e, RedSeq)
-    r = perforate(ApproxCtx(), e, 2, OPTS)
+    r = Compiler(OPTS).perforate(ApproxCtx(), e, 2, FL)
     assert eval_approx(r.approx, cfg=CFG).value == 24.0
 
 
@@ -407,3 +414,138 @@ def test_site_labels_preorder():
     assert [s[0] for s in sites] == ["L0", "L1"]
     # the function body site precedes the argument site in pre-order
     assert "4" in sites[0][1] and "2" in sites[1][1]
+
+
+# -- the fold cache ---------------------------------------------------------------
+
+def _fold_err_reference(e):
+    """The constant folder before each node's folded form was cached on it:
+    a plain rebuilding walk, kept as the reference."""
+    e = map_children(e, _fold_err_reference)
+    if type(e) is If and isinstance(e.cond, BoolLit):
+        return e.then_e if e.cond.value else e.else_e
+    if type(e) is Builtin and len(e.args) == 2:
+        a, b = e.args
+        if e.op == "leqn" and isinstance(a, NatLit) and isinstance(b, NatLit):
+            return BoolLit(a.value <= b.value)
+        if e.op == "+n":
+            if isinstance(a, NatLit) and isinstance(b, NatLit):
+                return NatLit(a.value + b.value)
+            if isinstance(a, NatLit) and a.value == 0:
+                return b
+            if isinstance(b, NatLit) and b.value == 0:
+                return a
+        if e.op == "*n":
+            if isinstance(a, NatLit) and isinstance(b, NatLit):
+                return NatLit(a.value * b.value)
+            if (isinstance(a, NatLit) and a.value == 0) or \
+               (isinstance(b, NatLit) and b.value == 0):
+                return NatLit(0)
+            if isinstance(a, NatLit) and a.value == 1:
+                return b
+            if isinstance(b, NatLit) and b.value == 1:
+                return a
+        if e.op == "+q":
+            if isinstance(a, ErrLit) and isinstance(b, ErrLit):
+                if a.value is None or b.value is None:
+                    return ErrLit(None)
+                return ErrLit(a.value + b.value)
+            if isinstance(a, ErrLit) and a.value == 0:
+                return b
+            if isinstance(b, ErrLit) and b.value == 0:
+                return a
+        if e.op == "*q":
+            if isinstance(a, ErrLit) and a.value == 1:
+                return b
+    return e
+
+
+@functools.cache
+def _corpus_terms():
+    """Every corpus program and the error it compiles to."""
+    out = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "corpus")
+                       .glob("*.ax")):
+        e = parse(path.read_text())
+        out.append(e)
+        try:
+            out.append(compile_program(e, load_sidecar_opts(path, OPTS)).err)
+        except CompileError:
+            pass
+    return out
+
+
+def _compiled_err(case):
+    e, opts = case
+    try:
+        return compile_program(e, opts).err
+    except CompileError:
+        return e
+
+
+def _unfolded(e, rng):
+    """A fresh copy of e, with no folded form cached on any node, in which
+    some nodes are wrapped in forms the folder removes or keeps, and some
+    subtrees are shared."""
+    c = map_children(e, lambda s: _unfolded(s, rng))
+    if c is e:
+        c = dataclasses.replace(e)
+    n = NatLit(rng.randrange(3))
+    q = ErrLit(None if rng.random() < 0.2 else Fraction(rng.randrange(3), 2))
+    return rng.choice([
+        c, c, c, c, c, c,
+        Builtin("+q", (ErrLit(Fraction(0)), c)),
+        Builtin("+q", (c, Builtin("+q", (q, ErrLit(Fraction(1)))))),
+        Builtin("*q", (ErrLit(Fraction(1)), c)),
+        Builtin("*q", (q, c)),
+        Builtin("+n", (c, Builtin("+n", (n, NatLit(0))))),
+        Builtin("*n", (Builtin("*n", (NatLit(1), n)), c)),
+        If(BoolLit(rng.random() < 0.5), c, n),
+        If(Builtin("leqn", (n, NatLit(1))), c, c),  # c is shared
+    ])
+
+
+@given(st.one_of(st.deferred(lambda: st.sampled_from(_corpus_terms())),
+                 programs().map(lambda case: case[0]),
+                 programs().map(_compiled_err)),
+       st.randoms(use_true_random=False))
+def test_cached_fold_matches_the_uncached_reference(src, rng):
+    e = _unfolded(src, rng)
+    want = _fold_err_reference(e)
+    got = fold_err(e)
+    assert got == want, to_source(e)
+    assert fold_err(e) is got and fold_err(got) is got
+    # a node that folds to itself is kept, not rebuilt
+    assert fold_err(want) is want
+
+
+def _plus_chain(depth):
+    s = "x"
+    for _ in range(depth):
+        s = f"(+r x {s})"
+    return parse(f"(lam (x Real) {s})")
+
+
+def test_fold_work_grows_linearly_with_nesting(monkeypatch):
+    walked = []
+
+    def counting(e, f):
+        walked.append(e)
+        return map_children(e, f)
+
+    monkeypatch.setattr(approxc.compiler, "map_children", counting)
+    counts = []
+    for depth in (100, 200, 400):
+        walked.clear()
+        compile_program(_plus_chain(depth), OPTS)
+        counts.append(len(walked))
+    # folding each error node once is linear in the depth; refolding every
+    # premise's error, as a rebuilding walk does, grows at least fourfold
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
+
+
+def test_deep_chain_compiles_quickly():
+    e = _plus_chain(300)
+    t0 = time.perf_counter()
+    compile_program(e, OPTS)
+    assert time.perf_counter() - t0 < 1.0
