@@ -8,7 +8,12 @@ rationals, rounded outward at the requested precision.
 Sine reduces its argument against a fixed 5376-bit enclosure of pi to
 |m| <= 3.3, sums the Taylor series in fixed point (integers scaled by
 2^(p+16), each term rounded outward) and adds a full-tail remainder
-bound.  Before it is rounded to p bits, each endpoint is either +-1 or
+bound.  The whole path runs on integers: pi is held as numerators over
+2^5376, the reduced interval as numerators over one common denominator,
+the remainder, clamp and final rounding as one floor or ceiling division
+each, and the scan for extrema at (2k+1)*pi/2 as cross-multiplied
+comparisons; every endpoint equals what the same steps on Fractions give.
+Before it is rounded to p bits, each endpoint is either +-1 or
 at least 2^-(p+16) outside the sine it encloses, since the first term
 left out is rounded outward to a nonzero grid value and the remainder
 counts it twice; so an enclosure at a higher precision that is narrower
@@ -17,7 +22,6 @@ than this margin nests inside the coarser one.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -77,10 +81,6 @@ class RealEnclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi
 
@@ -101,7 +101,7 @@ def compare_leq(a: RealEnclosure, b: RealEnclosure) -> Tern:
 # ---------------------------------------------------------------------------
 # pi via Machin's formula, computed once with integer arithmetic
 
-_pi_cache: Optional[Tuple[Fraction, Fraction]] = None
+_pi_cache: Optional[Tuple[int, int]] = None
 
 
 def _atan_inv_scaled(m: int, bits: int) -> Tuple[int, int]:
@@ -129,27 +129,32 @@ def _atan_inv_scaled(m: int, bits: int) -> Tuple[int, int]:
         mpow *= m2
 
 
-def pi_bounds() -> Tuple[Fraction, Fraction]:
-    """A fixed enclosure of pi, independent of the working precision."""
+def _pi_scaled() -> Tuple[int, int]:
+    """Integer bounds on 2^5376 * pi, computed once."""
     global _pi_cache
     if _pi_cache is None:
         a5_lo, a5_hi = _atan_inv_scaled(5, _PI_BITS)
         a239_lo, a239_hi = _atan_inv_scaled(239, _PI_BITS)
-        lo = 16 * a5_lo - 4 * a239_hi
-        hi = 16 * a5_hi - 4 * a239_lo
-        d = 1 << _PI_BITS
-        _pi_cache = (Fraction(lo, d), Fraction(hi, d))
+        _pi_cache = (16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo)
     return _pi_cache
+
+
+def pi_bounds() -> Tuple[Fraction, Fraction]:
+    """A fixed enclosure of pi, independent of the working precision."""
+    lo, hi = _pi_scaled()
+    return Fraction(lo, 1 << _PI_BITS), Fraction(hi, 1 << _PI_BITS)
 
 
 # ---------------------------------------------------------------------------
 # sine
 
-_SIN_ARG_CAP = Fraction(33, 10)  # reduce whenever |arg| exceeds this
+# reduce whenever |arg| exceeds 33/10
+_CAP_NUM, _CAP_DEN = 33, 10
 
 
-def _sin_taylor_interval(mlo: Fraction, mhi: Fraction, p: int) -> Tuple[Fraction, Fraction]:
-    """Taylor sum of sin over a narrow interval with |m| <= 3.3.
+def _sin_taylor_interval(lo: int, hi: int, den: int, p: int) -> Tuple[Fraction, Fraction]:
+    """Taylor sum of sin over [lo/den, hi/den], a narrow interval within
+    +-3.3, for integers lo <= hi and den > 0 (not necessarily reduced).
 
     Rounds every intermediate outward to the 2^-w grid, w = p+16, and
     finishes with a geometric full-tail remainder, which keeps results
@@ -160,8 +165,8 @@ def _sin_taylor_interval(mlo: Fraction, mhi: Fraction, p: int) -> Tuple[Fraction
     """
     w = p + 16
     # M = m * 2^w, rounded outward
-    m_lo = (mlo.numerator << w) // mlo.denominator
-    m_hi = -((-mhi.numerator << w) // mhi.denominator)
+    m_lo = (lo << w) // den
+    m_hi = -((-hi << w) // den)
     cands = (m_lo * m_lo, m_lo * m_hi, m_hi * m_hi)
     m2_lo = max(0, min(cands)) >> w
     m2_hi = -(-max(cands) >> w)
@@ -182,37 +187,48 @@ def _sin_taylor_interval(mlo: Fraction, mhi: Fraction, p: int) -> Tuple[Fraction
             break
         if j > 10000:
             raise PrecisionOverflow("sine series failed to converge")
-    one = 1 << w
-    rho = Fraction(m2_hi, one) / Fraction((2 * j + 2) * (2 * j + 3))
-    if rho >= 1:
+    # later terms shrink by at most rho = M2 / (c * 2^w); e = (1-rho) c 2^w
+    c = (2 * j + 2) * (2 * j + 3)
+    e = (c << w) - m2_hi
+    if e <= 0:
         raise PrecisionOverflow("sine argument too large after reduction")
-    tail = 2 * Fraction(max(abs(t_lo), abs(t_hi)), one) / (1 - rho)
-    lo = max(Fraction(-1), Fraction(s_lo, one) - tail)
-    hi = min(Fraction(1), Fraction(s_hi, one) + tail)
-    return rd_down(lo, p), rd_up(hi, p)
+    # the remainder 2|T_J| / (1-rho) is tail / (e * 2^w); the sums move by
+    # it and are clamped to [-1, 1] on the 2^-p grid, one division each
+    tail = 2 * c * max(abs(t_lo), abs(t_hi)) << w
+    q = e << (w - p)
+    one = 1 << p
+    lo_p = max(-one, (s_lo * e - tail) // q)
+    hi_p = min(one, -((-s_hi * e - tail) // q))
+    return Fraction(lo_p, one), Fraction(hi_p, one)
 
 
-def _reduce_arg(r: Fraction, p: int) -> Tuple[Fraction, Fraction]:
-    """Exact interval for r - n*2pi with n chosen so |result| <= 3.3."""
-    pi_lo, pi_hi = pi_bounds()
-    tpi_lo, tpi_hi = 2 * pi_lo, 2 * pi_hi
-    # nearest integer to r / 2pi, using the midpoint of the pi bounds
-    q = r / ((tpi_lo + tpi_hi) / 2)
-    n = (q.numerator * 2 + q.denominator) // (2 * q.denominator)
+def _reduce_arg(r: Fraction, p: int) -> Tuple[int, int, int]:
+    """Exact interval for r - n*2pi with n chosen so |result| <= 3.3, as
+    numerators lo, hi over the common denominator b * 2^5376, r = a/b."""
+    pi_lo, pi_hi = _pi_scaled()
+    a, b = r.numerator, r.denominator
+    x = a << _PI_BITS
+    # nearest integer to r / 2pi, using the midpoint of the pi bounds:
+    # floor(q + 1/2) for q = x / m
+    m = b * (pi_lo + pi_hi)
+    n = (2 * x + m) // (2 * m)
     if n.bit_length() + p + 16 > _PI_BITS:
         raise PrecisionOverflow(
             f"argument too large for sine reduction at {p} bits")
+    den = b << _PI_BITS
+    tpi_lo, tpi_hi = 2 * b * pi_lo, 2 * b * pi_hi
+    cap = _CAP_NUM * den
     for _ in range(8):
         if n >= 0:
-            lo, hi = r - n * tpi_hi, r - n * tpi_lo
+            lo, hi = x - n * tpi_hi, x - n * tpi_lo
         else:
-            lo, hi = r - n * tpi_lo, r - n * tpi_hi
-        if hi > _SIN_ARG_CAP:
+            lo, hi = x - n * tpi_lo, x - n * tpi_hi
+        if _CAP_DEN * hi > cap:
             n += 1
-        elif lo < -_SIN_ARG_CAP:
+        elif _CAP_DEN * lo < -cap:
             n -= 1
         else:
-            return lo, hi
+            return lo, hi, den
     raise PrecisionOverflow("sine argument reduction failed")
 
 
@@ -220,11 +236,11 @@ def sin_point(r: Fraction, p: int) -> RealEnclosure:
     """Rigorous enclosure of sin(r) for an exact rational r."""
     if r == 0:
         return RealEnclosure(Fraction(0), Fraction(0), p)
-    if abs(r) <= _SIN_ARG_CAP:
-        lo, hi = _sin_taylor_interval(r, r, p)
+    a, b = r.numerator, r.denominator
+    if _CAP_DEN * abs(a) <= _CAP_NUM * b:
+        lo, hi = _sin_taylor_interval(a, a, b, p)
     else:
-        a, b = _reduce_arg(r, p)
-        lo, hi = _sin_taylor_interval(a, b, p)
+        lo, hi = _sin_taylor_interval(*_reduce_arg(r, p), p)
     return RealEnclosure(lo, hi, p)
 
 
@@ -235,17 +251,23 @@ def _sin_enclosure(x: RealEnclosure, p: int) -> RealEnclosure:
     s2 = s1 if x.lo == x.hi else sin_point(x.hi, p + 2)
     lo = min(s1.lo, s2.lo)
     hi = max(s1.hi, s2.hi)
-    # account for interior extrema at (2k+1) * pi/2
-    pi_lo, pi_hi = pi_bounds()
-    k_min = math.floor((2 * x.lo / pi_hi - 1) / 2) - 1
-    k_max = math.floor((2 * x.hi / pi_lo - 1) / 2) + 1
+    # account for interior extrema at (2k+1) * pi/2, comparing every value
+    # scaled by 2^5377 * b (x.lo = a/b) or 2^5377 * d (x.hi = c/d)
+    pi_lo, pi_hi = _pi_scaled()
+    a, b = x.lo.numerator, x.lo.denominator
+    c, d = x.hi.numerator, x.hi.denominator
+    xa, xc = a << (_PI_BITS + 1), c << (_PI_BITS + 1)
+    # floor((2x/pi - 1) / 2) at each end, pi_hi at x.lo and pi_lo at x.hi,
+    # widened by one candidate on each side
+    k_min = (xa - b * pi_hi) // (2 * b * pi_hi) - 1
+    k_max = (xc - d * pi_lo) // (2 * d * pi_lo) + 1
     for k in range(k_min, k_max + 1):
         m = 2 * k + 1
         if m >= 0:
-            c_lo, c_hi = m * pi_lo / 2, m * pi_hi / 2
+            c_lo, c_hi = m * pi_lo, m * pi_hi
         else:
-            c_lo, c_hi = m * pi_hi / 2, m * pi_lo / 2
-        if c_hi >= x.lo and c_lo <= x.hi:  # extremum possibly inside
+            c_lo, c_hi = m * pi_hi, m * pi_lo
+        if c_hi * b >= xa and c_lo * d <= xc:  # extremum possibly inside
             if k % 2 == 0:
                 hi = Fraction(1)
             else:

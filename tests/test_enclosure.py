@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from approxc.enclosure import (
-    DivisorStraddlesZero, PrecisionOverflow, RealEnclosure, Tern,
+    _PI_BITS, DivisorStraddlesZero, PrecisionOverflow, RealEnclosure, Tern,
     _reduce_arg, _sin_taylor_interval, compare_leq, enclose_op,
     from_rational, pi_bounds, rd_down, rd_up, sin_point,
 )
@@ -199,29 +199,30 @@ _widths = (st.integers(1, 4200).map(lambda k: Fraction(1, 1 << k))
 
 @st.composite
 def _kernel_args(draw):
-    """(mlo, mhi, p), where (mlo, mhi) is what sin_point hands the kernel:
-    a point, a narrow interval, or the reduction of a binary64-sized
-    argument."""
+    """(lo, hi, den, p), where [lo/den, hi/den] is what sin_point hands
+    the kernel: a point, a narrow interval, or the reduction of a
+    binary64-sized argument; the numerators need not be reduced."""
     kind = draw(st.sampled_from(["point", "interval", "reduced"]))
     p = draw(st.sampled_from([1, 2, 53, 80, 96, 128, 130, 256, 1024, 4096]))
     if kind == "point":
         m = draw(_in_cap)
-        return m, m, p
+        return m.numerator, m.numerator, m.denominator, p
     if kind == "interval":
         w = draw(_widths)
         lo = min(draw(_in_cap), _CAP - w)
-        return lo, lo + w, p
+        hi = lo + w
+        return (lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                lo.denominator * hi.denominator, p)
     x = Fraction(draw(st.integers(1, 1 << 53))) * Fraction(2) ** draw(
         st.integers(-50, 970))
     x = x if draw(st.booleans()) else -x
     assume(abs(x) > _CAP)
-    a, b = _reduce_arg(x, p)
-    return a, b, p
+    return (*_reduce_arg(x, p), p)
 
 
-def _outcome(kernel, mlo, mhi, p):
+def _outcome(fn, *args):
     try:
-        return kernel(mlo, mhi, p)
+        return fn(*args)
     except PrecisionOverflow as ex:
         return str(ex)
 
@@ -229,6 +230,155 @@ def _outcome(kernel, mlo, mhi, p):
 @settings(max_examples=200, deadline=None)
 @given(_kernel_args())
 def test_integer_kernel_matches_fraction_kernel(args):
-    mlo, mhi, p = args
-    assert (_outcome(_sin_taylor_interval, mlo, mhi, p)
-            == _outcome(_fraction_sin_taylor_interval, mlo, mhi, p))
+    lo, hi, den, p = args
+    assert (_outcome(_sin_taylor_interval, lo, hi, den, p)
+            == _outcome(_fraction_sin_taylor_interval,
+                        Fraction(lo, den), Fraction(hi, den), p))
+
+
+# ---------------------------------------------------------------------------
+# the integer reduction, finish and extremum scan against the Fraction
+# code they replaced
+
+def _fraction_reduce_arg(r, p):
+    """The Fraction implementation of _reduce_arg, kept verbatim."""
+    pi_lo, pi_hi = pi_bounds()
+    tpi_lo, tpi_hi = 2 * pi_lo, 2 * pi_hi
+    # nearest integer to r / 2pi, using the midpoint of the pi bounds
+    q = r / ((tpi_lo + tpi_hi) / 2)
+    n = (q.numerator * 2 + q.denominator) // (2 * q.denominator)
+    if n.bit_length() + p + 16 > _PI_BITS:
+        raise PrecisionOverflow(
+            f"argument too large for sine reduction at {p} bits")
+    for _ in range(8):
+        if n >= 0:
+            lo, hi = r - n * tpi_hi, r - n * tpi_lo
+        else:
+            lo, hi = r - n * tpi_lo, r - n * tpi_hi
+        if hi > _CAP:
+            n += 1
+        elif lo < -_CAP:
+            n -= 1
+        else:
+            return lo, hi
+    raise PrecisionOverflow("sine argument reduction failed")
+
+
+def _fraction_finish_sin_taylor_interval(mlo, mhi, p):
+    """_sin_taylor_interval as it was with its remainder, clamp and final
+    rounding on Fractions, kept verbatim.  It runs the same integer series
+    as the kernel, so unlike _fraction_sin_taylor_interval it is fast
+    enough at 4096 bits for an end-to-end reference."""
+    w = p + 16
+    # M = m * 2^w, rounded outward
+    m_lo = (mlo.numerator << w) // mlo.denominator
+    m_hi = -((-mhi.numerator << w) // mhi.denominator)
+    cands = (m_lo * m_lo, m_lo * m_hi, m_hi * m_hi)
+    m2_lo = max(0, min(cands)) >> w
+    m2_hi = -(-max(cands) >> w)
+    t_lo, t_hi = m_lo, m_hi
+    s_lo = s_hi = 0
+    j = 0
+    while True:
+        s_lo += t_lo
+        s_hi += t_hi
+        prods = (t_lo * m2_lo, t_lo * m2_hi, t_hi * m2_lo, t_hi * m2_hi)
+        # next term is -T_j * M2 / c, rounded outward to the 2^-w grid
+        d = (2 * j + 2) * (2 * j + 3) << w
+        t_lo = -max(prods) // d
+        t_hi = -(min(prods) // d)
+        j += 1
+        # stop once the term is at most 2^-(p+8), that is 2^8 grid units
+        if max(abs(t_lo), abs(t_hi)) <= 256:
+            break
+        if j > 10000:
+            raise PrecisionOverflow("sine series failed to converge")
+    one = 1 << w
+    rho = Fraction(m2_hi, one) / Fraction((2 * j + 2) * (2 * j + 3))
+    if rho >= 1:
+        raise PrecisionOverflow("sine argument too large after reduction")
+    tail = 2 * Fraction(max(abs(t_lo), abs(t_hi)), one) / (1 - rho)
+    lo = max(Fraction(-1), Fraction(s_lo, one) - tail)
+    hi = min(Fraction(1), Fraction(s_hi, one) + tail)
+    return rd_down(lo, p), rd_up(hi, p)
+
+
+def _fraction_sin_point(r, p):
+    """sin_point as it was on the Fraction reduction and finish."""
+    if r == 0:
+        return RealEnclosure(Fraction(0), Fraction(0), p)
+    if abs(r) <= _CAP:
+        lo, hi = _fraction_finish_sin_taylor_interval(r, r, p)
+    else:
+        a, b = _fraction_reduce_arg(r, p)
+        lo, hi = _fraction_finish_sin_taylor_interval(a, b, p)
+    return RealEnclosure(lo, hi, p)
+
+
+def _fraction_sin_enclosure(x, p):
+    """The Fraction implementation of _sin_enclosure, kept verbatim."""
+    if x.width >= 7:  # wider than a full period
+        return RealEnclosure(Fraction(-1), Fraction(1), p)
+    s1 = _fraction_sin_point(x.lo, p + 2)
+    s2 = s1 if x.lo == x.hi else _fraction_sin_point(x.hi, p + 2)
+    lo = min(s1.lo, s2.lo)
+    hi = max(s1.hi, s2.hi)
+    # account for interior extrema at (2k+1) * pi/2
+    pi_lo, pi_hi = pi_bounds()
+    k_min = math.floor((2 * x.lo / pi_hi - 1) / 2) - 1
+    k_max = math.floor((2 * x.hi / pi_lo - 1) / 2) + 1
+    for k in range(k_min, k_max + 1):
+        m = 2 * k + 1
+        if m >= 0:
+            c_lo, c_hi = m * pi_lo / 2, m * pi_hi / 2
+        else:
+            c_lo, c_hi = m * pi_hi / 2, m * pi_lo / 2
+        if c_hi >= x.lo and c_lo <= x.hi:  # extremum possibly inside
+            if k % 2 == 0:
+                hi = Fraction(1)
+            else:
+                lo = Fraction(-1)
+    lo = max(lo, Fraction(-1))
+    hi = min(hi, Fraction(1))
+    return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+
+
+@st.composite
+def _sine_args(draw):
+    """(lo, hi, p): a point or an interval within +-3.3, a non-dyadic
+    rational, a binary64-sized value up to 2^1023 or one too large to
+    reduce at 4096 bits, or an interval with an end at, or within 2^-60
+    or 2^-5300 of, an enclosure end of (2k+1)*pi/2; the interval may span
+    more than a period."""
+    kind = draw(st.sampled_from(
+        ["cap", "rational", "binary64", "huge", "extremum"]))
+    p = draw(st.sampled_from([1, 2, 53, 128, 130, 256, 4096]))
+    w = draw(st.just(Fraction(0)) | _widths
+             | st.fractions(Fraction(0), Fraction(8), max_denominator=1000))
+    if kind == "cap":
+        x = draw(_in_cap)
+    elif kind == "rational":
+        x = draw(st.fractions(-10**6, 10**6, max_denominator=10**30))
+    elif kind in ("binary64", "huge"):
+        e = (st.integers(-50, 970) if kind == "binary64"
+             else st.integers(1270, 1400))
+        x = draw(st.sampled_from([-1, 1])) * Fraction(
+            draw(st.integers(1, 1 << 53))) * Fraction(2) ** draw(e)
+    else:
+        m = 2 * draw(st.integers(-40, 40)) + 1
+        x = m * draw(st.sampled_from(pi_bounds())) / 2 + draw(
+            st.sampled_from([0, 1, -1])) * draw(
+                st.sampled_from([Fraction(1, 1 << 60), Fraction(1, 1 << 5300)]))
+        if draw(st.booleans()):  # the upper end lies there instead
+            x -= w
+    return x, x + w, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sine_args())
+def test_integer_sine_matches_fraction_sine(args):
+    lo, hi, p = args
+    assert _outcome(sin_point, lo, p) == _outcome(_fraction_sin_point, lo, p)
+    x = RealEnclosure(lo, hi, p)
+    assert (_outcome(enclose_op, "sinr", [x], p)
+            == _outcome(_fraction_sin_enclosure, x, p))
