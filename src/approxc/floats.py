@@ -2,9 +2,12 @@
 rounding-error bounds for the lowered float ops, and a vendored
 correctly-rounded sine.
 
-Everything here is arithmetic over ints and Fractions plus IEEE
-round-to-nearest-even reconstruction, so results are identical across
-platforms; the machine's libm is never consulted.
+Everything here is exact arithmetic over ints and Fractions, so results
+are identical across platforms; the machine's libm is never consulted.
+Rounding to binary64 is CPython's int true division and int-to-float
+conversion, both correctly rounded to nearest-even, and the rounding-error
+bound runs on integer numerators, building a Fraction only for the two
+endpoints it returns.
 """
 from __future__ import annotations
 
@@ -18,9 +21,6 @@ from .enclosure import PrecisionOverflow, sin_point
 #: largest finite binary64 magnitude, 2^1024 - 2^971
 MAXFLOAT_FRAC = Fraction((1 << 1024) - (1 << 971))
 MAXFLOAT = float.fromhex("0x1.fffffffffffffp+1023")
-
-_MIN_SUBNORMAL_EXP = -1074
-_OVERFLOW_THRESHOLD = Fraction(1 << 1024) - Fraction(1 << 970)  # RNE rounds to inf from here
 
 
 def float_bits(x: float) -> int:
@@ -36,56 +36,44 @@ def to_fraction(x: float) -> Fraction:
 
 def nearest_float(q: Fraction) -> float:
     """Round an arbitrary rational to binary64, ties to even."""
-    if q == 0:
-        return 0.0
-    sign = -1.0 if q < 0 else 1.0
-    a = -q if q < 0 else q
-    if a >= _OVERFLOW_THRESHOLD:
-        return sign * math.inf
-    n, d = a.numerator, a.denominator
-    # bit lengths give 2^(e-1) <= a < 2^(e+1); settle which binade
-    e = n.bit_length() - d.bit_length()
-    below = n < (d << e) if e >= 0 else (n << -e) < d
-    if below:
-        e -= 1
-    # grid exponent: normals use e-52, subnormals bottom out at 2^-1074
-    g = e - 52 if e - 52 > _MIN_SUBNORMAL_EXP else _MIN_SUBNORMAL_EXP
-    if g >= 0:
-        num, den = n, d << g
-    else:
-        num, den = n << -g, d
-    m, rem = divmod(num, den)
-    if 2 * rem > den or (2 * rem == den and m % 2 == 1):
-        m += 1
+    return _nearest(q.numerator, q.denominator)
+
+
+def _nearest(n: int, d: int) -> float:
+    # CPython's int true division is correctly rounded, ties to even and
+    # subnormals included; it raises where the rounded value overflows
     try:
-        out = math.ldexp(float(m), g)
+        return n / d
     except OverflowError:
-        return sign * math.inf
-    return sign * out
+        return -math.inf if n < 0 else math.inf
 
 
 def round_down_float(q: Fraction) -> float:
     """Largest float <= q (toward -inf)."""
-    f = nearest_float(q)
-    if f == math.inf:
-        return MAXFLOAT if q < math.inf else math.inf
-    if f == -math.inf:
-        return -math.inf
-    if Fraction(f) > q:
-        return math.nextafter(f, -math.inf)
-    return f
+    return _round_down(q.numerator, q.denominator)
 
 
 def round_up_float(q: Fraction) -> float:
     """Smallest float >= q (toward +inf)."""
-    f = nearest_float(q)
-    if f == -math.inf:
-        return -MAXFLOAT
-    if f == math.inf:
-        return math.inf
-    if Fraction(f) < q:
-        return math.nextafter(f, math.inf)
-    return f
+    return _round_up(q.numerator, q.denominator)
+
+
+def _round_down(n: int, d: int) -> float:
+    # largest float <= n/d, for d > 0
+    f = _nearest(n, d)
+    if math.isinf(f):
+        return MAXFLOAT if f > 0 else f
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, -math.inf) if fn * d > n * fd else f
+
+
+def _round_up(n: int, d: int) -> float:
+    # smallest float >= n/d, for d > 0
+    f = _nearest(n, d)
+    if math.isinf(f):
+        return -MAXFLOAT if f < 0 else f
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * d < n * fd else f
 
 
 def ieee_div(x: float, y: float) -> float:
@@ -146,18 +134,22 @@ ErrIv = Tuple[Fraction, Optional[Fraction]]  # (lo, hi); hi None means infinity
 _INF: ErrIv = (Fraction(0), None)
 
 
-def _op_interval(op: str, xlo: Fraction, xhi: Fraction,
-                 ylo: Fraction, yhi: Fraction) -> Tuple[Fraction, Fraction]:
+def _op_interval(op: str, xlo: int, xhi: int, ylo: int,
+                 yhi: int, den: int) -> Tuple[int, int, int]:
+    """op over [xlo, xhi] x [ylo, yhi], all numerators over den > 0, as
+    (lo, hi, d): numerators over one positive denominator d.  For "/" the
+    y interval must exclude zero."""
     if op == "+":
-        return xlo + ylo, xhi + yhi
+        return xlo + ylo, xhi + yhi, den
     if op == "-":
-        return xlo - yhi, xhi - ylo
+        return xlo - yhi, xhi - ylo, den
     if op == "*":
         cs = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
-        return min(cs), max(cs)
+        return min(cs), max(cs), den * den
     if op == "/":
-        cs = (xlo / ylo, xlo / yhi, xhi / ylo, xhi / yhi)
-        return min(cs), max(cs)
+        # x/ylo = x*yhi/(ylo*yhi), and ylo*yhi > 0 as ylo, yhi share a sign
+        cs = (xlo * yhi, xlo * ylo, xhi * yhi, xhi * ylo)
+        return min(cs), max(cs), ylo * yhi
     raise ValueError(op)
 
 
@@ -172,52 +164,64 @@ def float_interval_op_err(op: str,
     MAXFLOAT, and division by an interval containing zero, give the
     infinite bound.  Inputs are enclosures, so the result is itself an
     interval containing the true bound value.
+
+    The rule runs on integers: the eight inputs become numerators over
+    their least common denominator, and only the two returned endpoints
+    are built as Fractions.
     """
     if xq[1] is None or yq[1] is None:
         return _INF
-    xq_lo, xq_hi = xq[0], xq[1]
-    yq_lo, yq_hi = yq[0], yq[1]
+    qs = (xe[0], xe[1], xq[0], xq[1], ye[0], ye[1], yq[0], yq[1])
+    den = math.lcm(*[q.denominator for q in qs])
+    xl, xh, xq_lo, xq_hi, yl, yh, yq_lo, yq_hi = [
+        q.numerator * (den // q.denominator) for q in qs]
 
     # widest input box (outer) and the exact-result enclosure
-    oxl, oxh = xe[0] - xq_hi, xe[1] + xq_hi
-    oyl, oyh = ye[0] - yq_hi, ye[1] + yq_hi
+    oxl, oxh, oyl, oyh = xl - xq_hi, xh + xq_hi, yl - yq_hi, yh + yq_hi
     if op == "/" and oyl <= 0 <= oyh:
         return _INF
-    i_lo, i_hi = _op_interval(op, oxl, oxh, oyl, oyh)
-    r_lo, r_hi = _op_interval(op, xe[0], xe[1], ye[0], ye[1])
-
-    # narrowest input box (inner), for the lower end of the bound value
-    nxl, nxh = xe[1] - xq_lo, xe[0] + xq_lo
-    nyl, nyh = ye[1] - yq_lo, ye[0] + yq_lo
-    inner_ok = nxl <= nxh and nyl <= nyh and not (op == "/" and nyl <= 0 <= nyh)
-    if inner_ok:
-        j_lo, j_hi = _op_interval(op, nxl, nxh, nyl, nyh)
+    i_lo, i_hi, i_den = _op_interval(op, oxl, oxh, oyl, oyh, den)
+    r_lo, r_hi, r_den = _op_interval(op, xl, xh, yl, yh, den)
 
     # outward rounding of the interval endpoints to binary64
-    out_lo_f = round_down_float(i_lo)
-    out_hi_f = round_up_float(i_hi)
-    if (math.isinf(out_lo_f) or math.isinf(out_hi_f)
-            or abs(out_lo_f) >= MAXFLOAT or abs(out_hi_f) >= MAXFLOAT):
+    a = _round_down(i_lo, i_den)
+    b = _round_up(i_hi, i_den)
+    if (math.isinf(a) or math.isinf(b)
+            or abs(a) >= MAXFLOAT or abs(b) >= MAXFLOAT):
         return _INF
 
-    a, b = Fraction(out_lo_f), Fraction(out_hi_f)
-    hi = max(r_hi - a, b - r_lo)
-
+    # narrowest input box (inner), for the lower end of the bound value;
+    # [c, d] is the span every realized rounded interval must cover.  The
+    # inner box lies in the outer one, so c == a and d == b exactly when
+    # the inner interval rounds to the same floats
+    nxl, nxh, nyl, nyh = xh - xq_lo, xl + xq_lo, yh - yq_lo, yl + yq_lo
+    inner_ok = nxl <= nxh and nyl <= nyh and not (op == "/" and nyl <= 0 <= nyh)
+    c, d = a, b
     if inner_ok:
-        in_lo_f = round_down_float(j_lo)
-        in_hi_f = round_up_float(j_hi)
-        if in_lo_f == out_lo_f and in_hi_f == out_hi_f:
-            # the rounded interval is determinate; the bound value only
-            # varies with the exact-result enclosure
-            mid = (a + b) / 2
-            if r_lo <= mid <= r_hi:
-                lo = (b - a) / 2
-            else:
-                lo = min(max(r_lo - a, b - r_lo), max(r_hi - a, b - r_hi))
-            return (max(Fraction(0), min(lo, hi)), hi)
+        j_lo, j_hi, j_den = _op_interval(op, nxl, nxh, nyl, nyh, den)
+        c = max(_round_down(j_lo, j_den), a)
+        d = min(_round_up(j_hi, j_den), b)
+
+    # a, b, c, d and the exact result as numerators over s, with s even
+    # so that the half-widths below are exact
+    fs = [f.as_integer_ratio() for f in (a, b, c, d)]
+    f_den = max(fd for _, fd in fs)  # all powers of two
+    s = 2 * r_den * f_den
+    a, b, c, d = [fn * (s // fd) for fn, fd in fs]
+    r_lo, r_hi = 2 * f_den * r_lo, 2 * f_den * r_hi
+
+    hi = max(r_hi - a, b - r_lo)
+    if not inner_ok:
+        lo = 0
+    elif c == a and d == b:
+        # the rounded interval is determinate; the bound value only
+        # varies with the exact-result enclosure
+        if 2 * r_lo <= a + b <= 2 * r_hi:
+            lo = (b - a) // 2
+        else:
+            lo = min(max(r_lo - a, b - r_lo), max(r_hi - a, b - r_hi))
+    else:
         # indeterminate rounding: any realized rounded interval still
         # spans the inner floats, giving a half-width floor
-        c, d = Fraction(max(in_lo_f, out_lo_f)), Fraction(min(in_hi_f, out_hi_f))
-        lo = (d - c) / 2 if c <= d else Fraction(0)
-        return (max(Fraction(0), min(lo, hi)), hi)
-    return (Fraction(0), hi)
+        lo = (d - c) // 2 if c <= d else 0
+    return Fraction(max(0, min(lo, hi)), s), Fraction(hi, s)

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 from . import enclosure as enc
 from .enclosure import RealEnclosure, Tern, compare_leq, from_rational
 from .floats import (
-    float_interval_op_err, ieee_div, nearest_float, sin_f64, to_fraction,
+    float_interval_op_err, ieee_div, sin_f64,
 )
 from .syntax import (
     App, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
@@ -333,7 +333,7 @@ class _Machine:
             return VBool(x.value <= y.value)
         if op == "nat2float":
             (n,) = args
-            return VFloat(nearest_float(Fraction(n.value)))
+            return VFloat(_nat_float(n.value))
         if op in ("+n", "-n", "*n", "dn", "leqn", "floorK", "ceilK"):
             x, y = args
             a, b = x.value, y.value
@@ -382,14 +382,22 @@ class _Machine:
     def _n2rerr(self, n: int, k: int) -> VErr:
         # worst |n - real(nat2float m)| over naturals m with |m - n| <= k;
         # float conversion is monotone, so the extremes sit at the ends
-        cands = [max(0, n - k), n + k]
-        worst = Fraction(0)
-        for m in cands:
-            f = nearest_float(Fraction(m))
+        worst = 0
+        for m in (max(0, n - k), n + k):
+            f = _nat_float(m)
             if math.isinf(f):
                 return ERR_INF
-            worst = max(worst, abs(Fraction(n) - to_fraction(f)))
-        return VErr.point(worst)
+            worst = max(worst, abs(n - int(f)))
+        return VErr.point(Fraction(worst))
+
+
+def _nat_float(m: int) -> float:
+    # CPython's int-to-float conversion rounds to nearest-even and raises
+    # exactly where the rounded value overflows
+    try:
+        return float(m)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

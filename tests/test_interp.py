@@ -189,6 +189,37 @@ def test_n2rerr_examples():
     assert v.lo >= 2
 
 
+# 2^1024 - 2^970 is the first natural that rounds to infinity, ties to even
+_NAT_OVERFLOW = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize("n, k, want", [
+    # 2^53 + 1 ties down to 2^53; 2^53 and 2^53 + 2 are both exact
+    (2**53 + 1, 0, 1),
+    (2**53 + 1, 1, 1),
+    (2**53 + 3, 0, 1),  # ties up to 2^53 + 4, the even neighbour
+    # n + k reaches the overflow threshold: the bound is infinite
+    (_NAT_OVERFLOW - 1, 1, None),
+    (_NAT_OVERFLOW, 0, None),
+    # just below it everything rounds to MAXFLOAT = 2^1024 - 2^971
+    (_NAT_OVERFLOW - 1, 0, 2**970 - 1),
+    (_NAT_OVERFLOW - 2, 1, 2**970 - 2),
+])
+def test_n2rerr_exact_values(n, k, want):
+    v = eval_error(parse(f"(n2rerr {n} {k})"), cfg=CFG)
+    assert v.lo == v.hi == want
+    assert want is None or type(v.lo) is Fraction
+
+
+def test_nat2float_overflow_threshold():
+    def nat2float(n):
+        return eval_approx(parse(f"(nat2float {n})"), cfg=CFG).value
+    assert nat2float(_NAT_OVERFLOW) == math.inf
+    assert nat2float(_NAT_OVERFLOW - 1) == MAXFLOAT
+    assert float_bits(nat2float(2**53 + 1)) == float_bits(2.0**53)
+    assert float_bits(nat2float(0)) == 0
+
+
 def test_call_table_stops_growing_at_its_cap(corpus_dir, monkeypatch):
     # past the cap calls are evaluated afresh: the bound is unchanged and
     # the table never holds more than the cap
