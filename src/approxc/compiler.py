@@ -21,7 +21,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TypeVar,
+)
 
 from .families import (
     BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
@@ -201,8 +204,10 @@ def _fold_node(e: Expr) -> Expr:
         if e.op == "*n":
             if isinstance(a, NatLit) and isinstance(b, NatLit):
                 return NatLit(a.value * b.value)
-            if (isinstance(a, NatLit) and a.value == 0) or \
-               (isinstance(b, NatLit) and b.value == 0):
+            # 0 * b drops b, so b must be a value: a fold evaluates the
+            # same subterms as the node it replaces (see _saturate)
+            if (isinstance(a, NatLit) and a.value == 0 and type(b) in _VALUES) or \
+               (isinstance(b, NatLit) and b.value == 0 and type(a) in _VALUES):
                 return NatLit(0)
             if isinstance(a, NatLit) and a.value == 1:
                 return b
@@ -231,49 +236,77 @@ def _is_zero_err(e: Expr) -> bool:
 
 # ---------------------------------------------------------------------------
 # builtin leaf table
+#
+# A leaf is a builtin's float lowering and its error: a curried lambda over
+# the exact value and the error of each argument in turn, whose body is a
+# tree of builtins over those parameters.  A builtin applied to all of its
+# arguments gets that body with the actuals in place of the parameters, not
+# one application of the lambda per actual: see _saturate.
 
 _OP_LOWER = {"+r": "+f", "-r": "-f", "*r": "*f", "/r": "/f"}
 _OP_ERR = {"+r": "+err", "-r": "-err", "*r": "*err", "/r": "/err"}
 
-# each op's leaf is built once and shared by every compile, so its error is
-# folded, and its closures staged, once per process
+
+class _Leaf(NamedTuple):
+    fam: ApproxTy
+    approx: Expr
+    err: Expr              # the body under one Lam per parameter
+    rule: str
+    params: Tuple[str, ...]  # in application order
+    body: Expr
+    uses: Tuple[str, ...]  # the body's variable occurrences, left to right
+
+
+def _var_uses(e: Expr) -> Tuple[str, ...]:
+    if type(e) is Var:
+        return (e.name,)
+    return tuple(u for c in children(e) for u in _var_uses(c))
+
+
+def _make_leaf(fam: ApproxTy, approx: Expr, params: Tuple[Tuple[str, Ty], ...],
+               body: Expr, rule: str = "R-Op") -> _Leaf:
+    err = body
+    for name, ty in reversed(params):
+        err = Lam(name, ty, err)
+    return _Leaf(fam, approx, err, rule, tuple(n for n, _ in params), body,
+                 _var_uses(body))
+
+
+# each op's leaf, with its parameter list and occurrence order, is built
+# once and shared by every compile, so its error is folded, and its
+# closures staged, once per process
 
 
 @functools.cache
-def _binary_real_leaf(op: str) -> Tuple[ApproxTy, Expr, Expr]:
+def _binary_real_leaf(op: str) -> _Leaf:
     fam = Pi("xe", "xa", "xq", FL, Pi("ye", "ya", "yq", FL, FL))
-    approx = Builtin(_OP_LOWER[op], ())
-    err = Lam("xe", REAL, Lam("xq", ERRREAL, Lam("ye", REAL, Lam(
-        "yq", ERRREAL,
-        Builtin(_OP_ERR[op], (Var("xe"), Var("xq"), Var("ye"), Var("yq")))))))
-    return fam, approx, err
+    body = Builtin(_OP_ERR[op], (Var("xe"), Var("xq"), Var("ye"), Var("yq")))
+    return _make_leaf(fam, Builtin(_OP_LOWER[op], ()), (
+        ("xe", REAL), ("xq", ERRREAL), ("ye", REAL), ("yq", ERRREAL)), body)
 
 
 @functools.cache
-def _sin_leaf(subst: bool) -> Tuple[ApproxTy, Expr, Expr, str]:
+def _sin_leaf(subst: bool) -> _Leaf:
     fam = Pi("xe", "xa", "xq", FL, FL)
+    params = (("xe", REAL), ("xq", ERRREAL))
     if subst:
-        approx: Expr = Lam("x", FLOAT64, Var("x"))
-        err = Lam("xe", REAL, Lam("xq", ERRREAL, Builtin("+q", (
-            Var("xq"), Builtin("dr", (Var("xe"), Builtin("sinr", (Var("xe"),))))))))
-        return fam, approx, err, "R-SinSubst"
-    approx = Builtin("sinf", ())
-    err = Lam("xe", REAL, Lam("xq", ERRREAL,
-                              Builtin("sinerr", (Var("xe"), Var("xq")))))
-    return fam, approx, err, "R-Op"
+        body = Builtin("+q", (Var("xq"), Builtin("dr", (
+            Var("xe"), Builtin("sinr", (Var("xe"),))))))
+        return _make_leaf(fam, Lam("x", FLOAT64, Var("x")), params, body,
+                          "R-SinSubst")
+    return _make_leaf(fam, Builtin("sinf", ()), params,
+                      Builtin("sinerr", (Var("xe"), Var("xq"))))
 
 
 @functools.cache
-def _nat2real_leaf() -> Tuple[ApproxTy, Expr, Expr]:
+def _nat2real_leaf() -> _Leaf:
     fam = Pi("ne", "na", "nq", NAT_A, FL)
-    approx = Builtin("nat2float", ())
-    err = Lam("ne", NAT, Lam("nq", NAT,
-                             Builtin("n2rerr", (Var("ne"), Var("nq")))))
-    return fam, approx, err
+    return _make_leaf(fam, Builtin("nat2float", ()), (("ne", NAT), ("nq", NAT)),
+                      Builtin("n2rerr", (Var("ne"), Var("nq"))))
 
 
 @functools.cache
-def _nat_op_leaf(op: str) -> Tuple[ApproxTy, Expr, Expr]:
+def _nat_op_leaf(op: str) -> _Leaf:
     fam = Pi("ne", "na", "nq", NAT_A, Pi("me", "ma", "mq", NAT_A, NAT_A))
     if op in ("+n", "-n"):
         body: Expr = Builtin("+n", (Var("nq"), Var("mq")))
@@ -284,8 +317,56 @@ def _nat_op_leaf(op: str) -> Tuple[ApproxTy, Expr, Expr]:
             Builtin("*n", (Var("mq"), Builtin("+n", (Var("ne"), Var("nq")))))))
     else:
         raise NoRuleApplies(f"no float lowering for {op}")
-    err = Lam("ne", NAT, Lam("nq", NAT, Lam("me", NAT, Lam("mq", NAT, body))))
-    return fam, Builtin(op, ()), err
+    return _make_leaf(fam, Builtin(op, ()), (
+        ("ne", NAT), ("nq", NAT), ("me", NAT), ("mq", NAT)), body)
+
+
+# the node types whose evaluation cannot diverge, spend fuel or be
+# inconclusive: variables and literals
+_VALUES = frozenset({Var, NatLit, RealLit, ErrLit, BoolLit, FloatLit})
+
+
+def _saturate(leaf: _Leaf, actuals: Sequence[Expr]) -> Optional[Expr]:
+    """The leaf's body with the folded actuals in place of its parameters,
+    or None when that could evaluate differently from applying the leaf.
+
+    Applying the leaf evaluates each actual once, in order, before the
+    body; the body's builtins evaluate their operands left to right.  So
+    the body is substituted only when every actual that is not a value
+    occurs in it exactly once, in application order: then the same
+    subterms are evaluated in the same order, and a dropped or duplicated
+    actual can be only a variable or a literal, whose evaluation cannot
+    diverge, spend fuel or be inconclusive.  A partial application keeps
+    the redex.  Leaf bodies bind nothing, so the simultaneous substitution
+    captures nothing, and an actual that mentions a parameter's name is
+    not substituted into again."""
+    if len(actuals) != len(leaf.params):
+        return None
+    moving = [p for p, a in zip(leaf.params, actuals) if type(a) not in _VALUES]
+    if [u for u in leaf.uses if u in moving] != moving:
+        return None
+    return _substitute(leaf.body, dict(zip(leaf.params, actuals)))
+
+
+def _substitute(t: Expr, env: Dict[str, Expr]) -> Expr:
+    # a leaf body holds only builtins and variables; a module-level
+    # function, as a recursive closure would leave a cycle per call for
+    # the collector
+    if type(t) is Var:
+        return env[t.name]
+    return Builtin(t.op, tuple([_substitute(a, env) for a in t.args]))
+
+
+def _leaf_err(leaf: _Leaf, actuals: Sequence[Expr]) -> Expr:
+    """The folded error of the leaf applied to actuals: the saturated body,
+    or else the leaf's lambda applied to each actual in turn."""
+    actuals = [fold_err(a) for a in actuals]
+    err = _saturate(leaf, actuals)
+    if err is None:
+        err = leaf.err
+        for a in actuals:
+            err = App(err, a)
+    return fold_err(err)
 
 
 # ---------------------------------------------------------------------------
@@ -486,40 +567,38 @@ class Compiler:
         d = Derivation("R-Lit", e, e, NatLit(0), target)
         return CompileResult(e, NatLit(0), target, d)
 
-    def _leaf(self, op: str) -> Tuple[ApproxTy, Expr, Expr, str]:
+    def _leaf(self, op: str) -> _Leaf:
         if op in _OP_LOWER:
-            fam, a, q = _binary_real_leaf(op)
-            return fam, a, q, "R-Op"
+            return _binary_real_leaf(op)
         if op == "sinr":
             return _sin_leaf(self.opts.enable_sin_subst)
         if op == "nat2real":
-            fam, a, q = _nat2real_leaf()
-            return fam, a, q, "R-Op"
+            return _nat2real_leaf()
         if op in ("+n", "-n", "*n"):
-            fam, a, q = _nat_op_leaf(op)
-            return fam, a, q, "R-Op"
+            return _nat_op_leaf(op)
         raise NoRuleApplies(f"builtin {op} has no approximation rule")
 
     def _builtin(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> CompileResult:
         if e.op in ("leqr", "leqn") and len(e.args) == 2:
             return self._compare(ctx, e, target)
-        fam, leaf_a, leaf_q, rule = self._leaf(e.op)
-        # the leaf followed by one application per argument
-        cur = CompileResult(leaf_a, leaf_q, fam,
-                            Derivation(rule, Builtin(e.op, ()), leaf_a, leaf_q, fam))
+        leaf = self._leaf(e.op)
+        fam, approx = leaf.fam, leaf.approx
+        premises: List[Derivation] = []
+        actuals: List[Expr] = []
         for arg in e.args:
-            if not isinstance(cur.family, Pi):
+            if not isinstance(fam, Pi):
                 raise NoRuleApplies(f"too many arguments for {e.op}")
-            r2 = self.compile(ctx, arg, cur.family.fam)
-            approx = self._apply_approx(cur.approx, r2.approx)
-            err = fold_err(App(App(cur.err, arg), r2.err))
-            d = Derivation("A-App", e, approx, err, cur.family.body,
-                           premises=[cur.derivation, r2.derivation])
-            cur = CompileResult(approx, err, cur.family.body, d)
-        if not same_family(cur.family, target):
-            raise TypeMismatch(family_source(target), family_source(cur.family),
-                               _src(e))
-        return cur
+            r = self.compile(ctx, arg, fam.fam)
+            approx = self._apply_approx(approx, r.approx)
+            premises.append(r.derivation)
+            actuals += (arg, r.err)
+            fam = fam.body
+        if not same_family(fam, target):
+            raise TypeMismatch(family_source(target), family_source(fam), _src(e))
+        # one derivation for the leaf and the applications to its arguments
+        err = _leaf_err(leaf, actuals)
+        d = Derivation(leaf.rule, e, approx, err, fam, premises=premises)
+        return CompileResult(approx, err, fam, d)
 
     def _apply_approx(self, fn: Expr, arg: Expr) -> Expr:
         if isinstance(fn, Builtin):
@@ -588,11 +667,9 @@ class Compiler:
         # element, its error, the exact prefix sum and the previous bound
         prev = Builtin("-n", (Var(s), NatLit(1)))
         idx = prev if k == 1 else Builtin("floorK", (prev, NatLit(k)))
-        step = App(App(App(App(
-            comb_res.err, App(e.generator, idx)),
-            App(App(gen_res.err, idx), NatLit(0))),
-            RedSeq(Builtin("+r", ()), prev, kept)),
-            App(Var(acc_q), prev))
+        step = _leaf_err(_binary_real_leaf("+r"), (
+            App(e.generator, idx), App(App(gen_res.err, idx), NatLit(0)),
+            RedSeq(Builtin("+r", ()), prev, kept), App(Var(acc_q), prev)))
         err: Expr = App(Fix(Lam(acc_q, Arrow(NAT, ERRREAL), Lam(s, NAT, If(
             Builtin("leqn", (Var(s), NatLit(0))), ErrLit(Fraction(0)), step)))),
             n_up)

@@ -195,7 +195,8 @@ def float_interval_op_err(op: str,
     # inner box lies in the outer one, so c == a and d == b exactly when
     # the inner interval rounds to the same floats
     nxl, nxh, nyl, nyh = xh - xq_lo, xl + xq_lo, yh - yq_lo, yl + yq_lo
-    inner_ok = nxl <= nxh and nyl <= nyh and not (op == "/" and nyl <= 0 <= nyh)
+    # an inner divisor box lies in the outer one, already checked for zero
+    inner_ok = nxl <= nxh and nyl <= nyh
     c, d = a, b
     if inner_ok:
         j_lo, j_hi, j_den = _op_interval(op, nxl, nxh, nyl, nyh, den)

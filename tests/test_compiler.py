@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import json
@@ -18,24 +19,27 @@ from approxc.compiler import (
 )
 from approxc.enclosure import RealEnclosure, from_rational
 from approxc.families import (
-    FL, ApproxCtx, Pi, approx_ty, err_ty, family_source,
+    FL, ApproxCtx, Pi, approx_ty, err_ty, family_source, sample_member_triple,
 )
 from approxc.floats import (
     MAXFLOAT_FRAC, float_bits, nearest_float, round_down_float,
     round_up_float, to_fraction,
 )
 from approxc.interp import (
-    DIVERGED, EvalConfig, VErr, bound_of, eval_approx, eval_error, eval_exact,
+    DIVERGED, EvalConfig, OracleInconclusive, VErr, bound_of, eval_approx,
+    eval_error, eval_exact,
 )
-from approxc.checker import load_sidecar_opts
+from approxc.checker import _instantiations, load_sidecar_opts
 from approxc.parser import parse
+from approxc.sampling import trial_rng
 from approxc.syntax import (
-    App, BoolLit, Builtin, ErrLit, FloatLit, If, NatLit, RealLit,
-    map_children, to_source,
+    App, BoolLit, Builtin, ErrLit, FloatLit, If, Lam, NatLit, RealLit, Var,
+    children, map_children, to_source,
 )
 from approxc.typecheck import TyCtx, TypeMismatch, infer_type
 from test_random_programs import programs
 
+REPO = Path(__file__).resolve().parents[1]
 CFG = EvalConfig(fuel=500_000, precision_bits=128)
 OPTS = CompileOpts(cfg=CFG)
 
@@ -418,6 +422,10 @@ def test_site_labels_preorder():
 
 # -- the fold cache ---------------------------------------------------------------
 
+def _plain(e):
+    return type(e) in (Var, NatLit, RealLit, ErrLit, BoolLit, FloatLit)
+
+
 def _fold_err_reference(e):
     """The constant folder before each node's folded form was cached on it:
     a plain rebuilding walk, kept as the reference."""
@@ -438,8 +446,9 @@ def _fold_err_reference(e):
         if e.op == "*n":
             if isinstance(a, NatLit) and isinstance(b, NatLit):
                 return NatLit(a.value * b.value)
-            if (isinstance(a, NatLit) and a.value == 0) or \
-               (isinstance(b, NatLit) and b.value == 0):
+            # 0 * b drops b only where b is a variable or a literal
+            if (isinstance(a, NatLit) and a.value == 0 and _plain(b)) or \
+               (isinstance(b, NatLit) and b.value == 0 and _plain(a)):
                 return NatLit(0)
             if isinstance(a, NatLit) and a.value == 1:
                 return b
@@ -549,3 +558,153 @@ def test_deep_chain_compiles_quickly():
     t0 = time.perf_counter()
     compile_program(e, OPTS)
     assert time.perf_counter() - t0 < 1.0
+
+
+# -- leaf saturation ---------------------------------------------------------------
+
+@contextlib.contextmanager
+def _refusing():
+    """A context in which no builtin leaf saturates: each keeps the redex
+    of its error lambda applied to every actual."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approxc.compiler, "_saturate", lambda leaf, actuals: None)
+        yield
+
+
+def _compile_both(e, opts):
+    """The errors compiled with and without leaf saturation, or the types
+    of the errors both compilations raise."""
+    def run():
+        try:
+            return compile_program(e, opts)
+        except CompileError as ex:
+            return type(ex)
+    saturated = run()
+    with _refusing():
+        redex = run()
+    return saturated, redex
+
+
+def _bounds(e, result, cfg, trials=3):
+    """Error bounds of each instantiation at inputs sampled down its
+    function spine."""
+    out = []
+    for tag, _, _, q, fam in _instantiations(result, e):
+        for t in range(trials):
+            rng = trial_rng(7, t)
+            applied, f = q, fam
+            while isinstance(f, Pi):
+                x, _, xq = sample_member_triple(f.fam, rng)
+                applied, f = App(App(applied, x), xq), f.body
+            try:
+                out.append((tag, bound_of(eval_error(applied, cfg=cfg))))
+            except OracleInconclusive:
+                out.append((tag, "inconclusive"))
+    return out
+
+
+def _always_saturable_leaves():
+    # each of these leaves' bodies uses every parameter once, in order
+    return [*(approxc.compiler._binary_real_leaf(op)
+              for op in ("+r", "-r", "*r", "/r")),
+            approxc.compiler._sin_leaf(False), approxc.compiler._nat2real_leaf()]
+
+
+def _leaf_redexes(e, leaves=None):
+    """The applications in e whose function is a builtin leaf's error."""
+    if leaves is None:
+        leaves = _always_saturable_leaves() + [
+            approxc.compiler._sin_leaf(True),
+            *(approxc.compiler._nat_op_leaf(op) for op in ("+n", "-n", "*n"))]
+    ids = {id(leaf.err) for leaf in leaves}
+    stack, out = [e], []
+    while stack:
+        t = stack.pop()
+        if type(t) is App and id(t.fn) in ids:
+            out.append(t)
+        stack.extend(children(t))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "corpus").glob("*.ax")),
+                         ids=lambda p: p.name)
+def test_saturated_corpus_errors_bound_like_their_redexes(path):
+    e = parse(path.read_text())
+    opts = load_sidecar_opts(path, OPTS)
+    saturated, redex = _compile_both(e, opts)
+    if isinstance(saturated, type):
+        assert saturated is redex
+        return
+    assert to_source(saturated.approx) == to_source(redex.approx)
+    assert _bounds(e, saturated, CFG) == _bounds(e, redex, CFG), path.name
+
+
+@given(programs())
+def test_saturated_random_errors_bound_like_their_redexes(case):
+    e, opts = case
+    saturated, redex = _compile_both(e, opts)
+    if isinstance(saturated, type):
+        assert saturated is redex
+        return
+    assert _bounds(e, saturated, CFG, trials=2) == \
+        _bounds(e, redex, CFG, trials=2), to_source(e)
+    assert _leaf_redexes(saturated.err, _always_saturable_leaves()) == []
+
+
+def test_fix_sum_error_applies_no_leaf_lambda():
+    r = compile_program(parse((REPO / "corpus" / "fix_sum.ax").read_text()), OPTS)
+    assert _leaf_redexes(r.err) == []
+    assert "(+err (nat2real n) (n2rerr n n_q) (app rec (-n n 1)) " \
+        "(app (app rec_q (-n n 1)) n_q))" in to_source(r.err)
+
+
+@pytest.mark.parametrize("src, opts", [
+    # a partial application passed to a higher-order function
+    ("(app (lam (f (-> Real Real)) (app f 2/1)) (+r 1/1))", OPTS),
+    # *n with an application as its first operand: its error nq occurs
+    # twice in the *n body, and it is no value
+    ("(*n (app (lam (y Nat) y) 3) 2)", OPTS),
+    # *n's body uses me before ne: two operands that are no values would
+    # be evaluated out of order
+    ("(lam (n Nat) (*n (-n n 1) (-n n 2)))", OPTS),
+    # the substituted sine repeats xe, here no value
+    ("(lam (x Real) (sinr (app (lam (y Real) y) x)))",
+     CompileOpts(enable_sin_subst=True, cfg=CFG)),
+    # +n's body does not use the exact operand ne, an application
+    ("(+n (app (lam (y Nat) y) 3) 2)", OPTS),
+])
+def test_unsaturable_leaves_keep_their_redex(src, opts):
+    e = parse(src)
+    saturated, redex = _compile_both(e, opts)
+    assert _leaf_redexes(saturated.err) != []
+    assert _bounds(e, saturated, CFG) == _bounds(e, redex, CFG)
+
+
+@pytest.mark.parametrize("src, opts, err", [
+    ("(lam (x Real) (sinr x))", CompileOpts(enable_sin_subst=True, cfg=CFG),
+     "(lam (x Real) (lam (x_q ErrReal) (+q x_q (dr x (sinr x)))))"),
+    # +n's unused exact operands are values, and *n's repeated nq is 0
+    ("(lam (n Nat) (+n n 2))", OPTS,
+     "(lam (n Nat) (lam (n_q Nat) n_q))"),
+    ("(lam (n Nat) (*n 2 (app (lam (y Nat) y) n)))", OPTS,
+     "(lam (n Nat) (lam (n_q Nat) (+n (*n 0 (app (lam (y Nat) y) n)) "
+     "(*n (app (app (lam (y Nat) (lam (y_q Nat) y_q)) n) n_q) 2))))"),
+])
+def test_saturable_leaves_substitute_their_body(src, opts, err):
+    e = parse(src)
+    saturated, redex = _compile_both(e, opts)
+    assert to_source(saturated.err) == err
+    assert _leaf_redexes(saturated.err) == []
+    assert _bounds(e, saturated, CFG) == _bounds(e, redex, CFG)
+
+
+def test_saturation_substitutes_user_names_of_leaf_parameters_once():
+    e = parse("(lam (xq Real) (lam (yq Real) (lam (xe Real) (lam (ye Real) "
+              "(+r (*r xq ye) (-r yq xe))))))")
+    saturated, redex = _compile_both(e, OPTS)
+    assert to_source(saturated.err).endswith(
+        "(+err (*r xq ye) (*err xq xq_q ye ye_q) (-r yq xe) "
+        "(-err yq yq_q xe xe_q))))))))))")
+    assert _leaf_redexes(saturated.err) == []
+    assert _bounds(e, saturated, CFG, trials=6) == \
+        _bounds(e, redex, CFG, trials=6)

@@ -30,14 +30,14 @@ MAX_FUEL = 1 << 24
 WORLDS = {"exact": eval_exact, "approx": eval_approx, "err": eval_error}
 
 
-def _applied():
+def _applied(trial: int = 0):
     """(key, world, expression) for every corpus program instantiation,
-    applied to the inputs drawn at trial 0 of seed 42."""
+    applied to the inputs drawn at the given trial of seed 42."""
     for path in sorted((REPO / "corpus").glob("*.ax")):
         e = parse(path.read_text())
         result = compile_program(e, load_sidecar_opts(path, CompileOpts()))
         for tag, me, ma, mq, fam in _instantiations(result, e):
-            rng = trial_rng(SEED, 0)
+            rng = trial_rng(SEED, trial)
             while isinstance(fam, Pi):
                 x, xa, xq = sample_member_triple(fam.fam, rng)
                 me, ma, mq = App(me, x), App(ma, xa), App(App(mq, x), xq)
