@@ -12,7 +12,8 @@ adds the exact distance between its branches, and a reduction chains the
 rounding error of each float addition and adds the exact drift of a
 perforated loop.  Compilation evaluates nothing, except that weakening
 to a caller-supplied bound checks the ordering, on sampled inputs at
-function families.
+function families, where the emitted error is the pointwise join of the
+synthesized error and the bound.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .families import (
     BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
     NatBase, Pi, PiTy, TyTriple, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
-    family_source, instantiate_poly, plus_apply, plus_lambda,
+    family_source, instantiate_poly, join_apply, plus_apply, plus_lambda,
     sample_member_triple, same_family, zero_expr,
 )
 from .floats import nearest_float, to_fraction
@@ -218,6 +219,15 @@ def _fold_node(e: Expr) -> Expr:
                 if a.value is None or b.value is None:
                     return ErrLit(None)
                 return ErrLit(a.value + b.value)
+            if isinstance(a, ErrLit) and a.value == 0:
+                return b
+            if isinstance(b, ErrLit) and b.value == 0:
+                return a
+        if e.op == "maxq":
+            if isinstance(a, ErrLit) and isinstance(b, ErrLit):
+                if a.value is None or b.value is None:
+                    return ErrLit(None)
+                return ErrLit(max(a.value, b.value))
             if isinstance(a, ErrLit) and a.value == 0:
                 return b
             if isinstance(b, ErrLit) and b.value == 0:
@@ -732,15 +742,17 @@ _RULES = {
 def label_sites(e: Expr) -> List[Tuple[str, str]]:
     """Reduction sites in pre-order: (label, source) pairs."""
     out: List[Tuple[str, str]] = []
-
-    def walk(t: Expr):
-        if type(t) is RedSeq:
-            out.append((f"L{len(out)}", to_source(t)))
-        for c in children(t):
-            walk(c)
-
-    walk(e)
+    _collect_sites(e, out)
     return out
+
+
+# a module-level walk: a nested recursive function would leave one
+# reference cycle per compile for the collector
+def _collect_sites(t: Expr, out: List[Tuple[str, str]]) -> None:
+    if type(t) is RedSeq:
+        out.append((f"L{len(out)}", to_source(t)))
+    for c in children(t):
+        _collect_sites(c, out)
 
 
 # ---------------------------------------------------------------------------
@@ -793,22 +805,32 @@ _WEAKEN_SAMPLES = 32
 
 def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileResult:
     """Final weakening to a caller-supplied error, with the ordering
-    side condition checked (sampled for function carriers)."""
-    want = err_ty(result.family)
+    side condition checked.  At a base family the check decides, and the
+    target is emitted.  At a function family it samples inputs, so it only
+    checks: the emitted error is the pointwise join of the synthesized
+    error and the target, which is sound whatever the samples miss and
+    equals the target wherever the ordering holds."""
+    fam = result.family
+    want = err_ty(fam)
     got = infer_type(TyCtx(), q_weak)
     if got != want:
         raise TypeMismatch(want, got, "weakening target")
-    verdict = _err_leq_verdict(result.family, result.err, q_weak, opts)
+    if isinstance(fam, PiTy):
+        raise Unsupported("weakening at a polymorphic family: its error "
+                          "carrier has no expressible join")
+    verdict = _err_leq_verdict(fam, result.err, q_weak, opts)
     if verdict.status == "fail":
         raise SideConditionFailed(
             "weakening target is not an upper bound of the synthesized error",
             verdict.counterexample)
-    d = Derivation("A-Weak", result.derivation.exact, result.approx, q_weak,
-                   result.family, premises=[result.derivation],
+    err = fold_err(join_apply(fam, result.err, q_weak)) \
+        if isinstance(fam, Pi) else q_weak
+    d = Derivation("A-Weak", result.derivation.exact, result.approx, err,
+                   fam, premises=[result.derivation],
                    side_conditions=[SideCondition(
                        "synthesized error is below the weakening target",
                        verdict)])
-    return CompileResult(result.approx, q_weak, result.family, d)
+    return CompileResult(result.approx, err, fam, d)
 
 
 def _err_leq_verdict(fam: ApproxTy, q1: Expr, q2: Expr,

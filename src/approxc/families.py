@@ -176,25 +176,50 @@ def zero_expr(a: ApproxTy) -> Expr:
     raise TypeError(a)
 
 
-def plus_apply(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
-    """The family's error addition applied to two error expressions."""
+def _pointwise(a: ApproxTy, q1: Expr, q2: Expr, at_base) -> Expr:
+    """at_base(b, q1', q2') lifted through a's function spine: q1' and q2'
+    are q1 and q2 applied to the same exact input and input error."""
+    if not isinstance(a, Pi):
+        return at_base(a, q1, q2)
+    xe, xq = a.xe, a.xq
+    avoid = free_vars(q1) | free_vars(q2)
+    while xe in avoid or xq in avoid or xe == xq:
+        xe += "'"
+        xq += "'"
+    return Lam(xe, exact_ty(a.fam), Lam(xq, err_ty(a.fam), _pointwise(
+        a.body,
+        App(App(q1, Var(xe)), Var(xq)),
+        App(App(q2, Var(xe)), Var(xq)), at_base)))
+
+
+def _plus_base(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
     if isinstance(a, FlBase):
         return Builtin("+q", (q1, q2))
     if isinstance(a, (NatBase, BoolBase)):
         return Builtin("+n", (q1, q2))
     if isinstance(a, VarBase):
         return App(App(Var(a.zp), q1), q2)
-    if isinstance(a, Pi):
-        xe, xq = a.xe, a.xq
-        avoid = free_vars(q1) | free_vars(q2)
-        while xe in avoid or xq in avoid or xe == xq:
-            xe += "'"
-            xq += "'"
-        return Lam(xe, exact_ty(a.fam), Lam(xq, err_ty(a.fam), plus_apply(
-            a.body,
-            App(App(q1, Var(xe)), Var(xq)),
-            App(App(q2, Var(xe)), Var(xq)))))
     raise TypeError(f"no expressible addition for {a!r}")
+
+
+def _join_base(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
+    if isinstance(a, FlBase):
+        return Builtin("maxq", (q1, q2))
+    if isinstance(a, (NatBase, BoolBase)):
+        # q1 + (q2 - q1), with truncated subtraction, is max(q1, q2)
+        return Builtin("+n", (q1, Builtin("-n", (q2, q1))))
+    raise TypeError(f"no expressible join for {a!r}")
+
+
+def plus_apply(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
+    """The family's error addition applied to two error expressions."""
+    return _pointwise(a, q1, q2, _plus_base)
+
+
+def join_apply(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
+    """The pointwise maximum of two error expressions: at least each of
+    them, and equal to q2 wherever q1 is below q2."""
+    return _pointwise(a, q1, q2, _join_base)
 
 
 def plus_lambda(a: ApproxTy) -> Expr:
@@ -455,14 +480,15 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
                 cfg: EvalConfig) -> Tuple[str, dict]:
     """Decide distance <= bound at a base family.
 
-    Each precision step evaluates q, e and (for equality) other once, and
-    takes the infinite-bound and divergence shortcuts on those values
-    before it measures.  Nat and Bool distances are exact.  An Fl distance that
-    stays undecided cannot provably exceed the bound, so it passes with
-    the combined enclosure width reported as slack; escalation stops once
-    the enclosures agree to 48 bits beyond the starting precision (a tight
-    bound met exactly) or at the precision cap.  An undecided comparison
-    inside any of the programs makes the trial inconclusive.
+    Each precision step evaluates q, e and (for equality) other once, on
+    one call table, and takes the infinite-bound and divergence shortcuts
+    on those values before it measures.  Nat and Bool distances are exact.
+    An Fl distance that stays undecided cannot provably exceed the bound,
+    so it passes with the combined enclosure width reported as slack;
+    escalation stops once the enclosures agree to 48 bits beyond the
+    starting precision (a tight bound met exactly) or at the precision
+    cap.  An undecided comparison inside any of the programs makes the
+    trial inconclusive.
     """
     if not approx and e == other:
         return ("pass", {"note": "identical expressions"})
@@ -470,12 +496,12 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     try:
         av = eval_approx(other, cfg=cfg) if approx else None
         for p in _precisions(cfg):
-            cfgp = cfg.at_precision(p)
-            qv = bound_of(eval_error(q, cfg=cfgp))
+            cfgp, calls = cfg.at_precision(p), {}
+            qv = bound_of(eval_error(q, cfg=cfgp, calls=calls))
             if qv.lo is None:
                 return ("pass", {"bound": ["inf", "inf"]})
-            ev = eval_exact(e, cfg=cfgp)
-            ov = av if approx else eval_exact(other, cfg=cfgp)
+            ev = eval_exact(e, cfg=cfgp, calls=calls)
+            ov = av if approx else eval_exact(other, cfg=cfgp, calls=calls)
             if ev is DIVERGED or ov is DIVERGED:
                 return _diverged(fam, ev, ov, approx)
             rec = {"bound": _err_interval_strings(qv)}

@@ -11,6 +11,14 @@ Evaluation is staged: each node is turned once into a closure over its
 children's closures, cached on the node, and runs read the machine (fuel,
 precision, call table) only through the arguments the closure is given.
 Fuel is spent by application, fix, type application and builtin rules.
+
+Every call of a fix on a keyed argument is memoized in a call table,
+the top-level call included: `fix` of a lambda returns its
+self-reference, so it unrolls on its first call.  A closed lambda is one
+value per node, so a closed fix that two programs embed keys the same
+entries in both.  A check passes one table to the error, exact and
+equality programs it evaluates at one precision, and the error program's
+calls of the exact recursion answer the exact program's.
 """
 from __future__ import annotations
 
@@ -183,6 +191,13 @@ def err_add(a: VErr, b: VErr) -> VErr:
     return VErr(a.lo + b.lo, hi)
 
 
+def err_max(a: VErr, b: VErr) -> VErr:
+    if a.is_infinite or b.is_infinite:
+        return ERR_INF
+    hi = None if (a.hi is None or b.hi is None) else max(a.hi, b.hi)
+    return VErr(max(a.lo, b.lo), hi)
+
+
 def float_op_err(op: str, xe: RealEnclosure, xq: VErr,
                  ye: RealEnclosure, yq: VErr) -> VErr:
     """Worst-case distance between the exact op and its rounded float
@@ -215,13 +230,18 @@ def err_of_value(v: Value) -> VErr:
 # ---------------------------------------------------------------------------
 # evaluation core
 
+CallTable = Dict[Tuple[int, Value], Tuple[Value, Value]]
+
+
 class _Machine:
-    def __init__(self, cfg: EvalConfig):
+    def __init__(self, cfg: EvalConfig, calls: Optional[CallTable] = None):
         self.cfg = cfg
         self.fuel = cfg.fuel
-        # (id(fn), arg) -> (fn, result) for every completed call of a fix
-        # self-reference on a keyed argument; holding fn keeps its id live
-        self.calls: Dict[Tuple[int, Value], Tuple[Value, Value]] = {}
+        # (id(fn), arg) -> (fn, result) for every completed call of a fix on
+        # a keyed argument; holding fn keeps its id live.  A result depends
+        # on the precision alone, not on fuel, so the evaluations of one
+        # precision step may share the table
+        self.calls: CallTable = {} if calls is None else calls
 
     def _tick(self):
         self.fuel -= 1
@@ -241,22 +261,38 @@ class _Machine:
                 return VBuiltin(fn.op, args)
             return self.delta(fn.op, args)
         if t is VFix:
-            if not isinstance(arg, _KEYED_ARGS):
-                return self.apply(self.fix(fn.fn), arg)
-            key = (id(fn.fn), arg)
-            hit = self.calls.get(key)
-            if hit is not None:
-                return hit[1]
-            v = self.apply(self.fix(fn.fn), arg)
-            if len(self.calls) < _CALL_TABLE_MAX:
+            key = (id(fn.fn), arg) if isinstance(arg, _KEYED_ARGS) else None
+            if key is not None:
+                hit = self.calls.get(key)
+                if hit is not None:
+                    return hit[1]
+            f = self._unroll(fn.fn)
+            if type(f) is VClosure:
+                # entered here, not through a nested apply, so a recursive
+                # call costs one host frame fewer than a call of a closure
+                self._tick()
+                env = dict(f.env)
+                env[f.binder] = arg
+                v = _code(f.body)(self, env)
+            else:
+                v = self.apply(f, arg)
+            if key is not None and len(self.calls) < _CALL_TABLE_MAX:
                 self.calls[key] = (fn.fn, v)
             return v
         raise EvalError(f"application of a non-function value: {fn!r}")
 
     def fix(self, fn: Value) -> Value:
-        # call-by-value fix: fn receives a self-reference, VFix(fn)
+        # call-by-value fix: fn receives a self-reference, VFix(fn).  A
+        # lambda returning a lambda only builds a closure when unrolled, so
+        # the unrolling waits for the first call, which the table memoizes
         if not isinstance(fn, (VClosure, VBuiltin, VFix)):
             raise EvalError("fix of a non-function value")
+        if type(fn) is VClosure and type(fn.body) is Lam:
+            self._tick()
+            return VFix(fn)
+        return self._unroll(fn)
+
+    def _unroll(self, fn: Value) -> Value:
         self._tick()
         return self.apply(fn, VFix(fn))
 
@@ -357,6 +393,8 @@ class _Machine:
             return VErr.point(Fraction(n.value))
         if op == "+q":
             return err_add(err_of_value(args[0]), err_of_value(args[1]))
+        if op == "maxq":
+            return err_max(err_of_value(args[0]), err_of_value(args[1]))
         if op == "*q":
             return err_mul(err_of_value(args[0]), err_of_value(args[1]))
         if op in ("+err", "-err", "*err", "/err"):
@@ -450,7 +488,11 @@ def _stage_var(e: Var):
 
 def _stage_lam(e: Lam):
     binder, body = e.binder, e.body
-    return lambda m, env: VClosure(binder, body, tuple(env.items()))
+    # a closed lambda is one value per node: a closed fix keys the same
+    # call-table entries in every program and run that evaluates it
+    closed = VClosure(binder, body, ())
+    return lambda m, env: VClosure(binder, body, tuple(env.items())) \
+        if env else closed
 
 
 def _stage_tylam(e: TyLam):
@@ -549,8 +591,8 @@ _STAGERS = {
 # kept modest: each interpreter level spans several host frames, and the
 # limit must trip before the C stack is exhausted
 _EVAL_STACK_LIMIT = 2500
-# completed fix calls a run remembers; past it, calls are evaluated afresh
-# and existing entries keep answering, so memory stays bounded
+# completed fix calls a table remembers; past it, calls are evaluated
+# afresh and existing entries keep answering, so memory stays bounded
 _CALL_TABLE_MAX = 1 << 14
 
 
@@ -563,27 +605,33 @@ def _guarded(run) -> Union[Value, Diverged]:
         return DIVERGED
 
 
-def _run(e: Expr, env: Optional[Env], cfg: EvalConfig) -> Union[Value, Diverged]:
-    return _guarded(lambda: _code(e)(_Machine(cfg), dict(env or {})))
+def _run(e: Expr, env: Optional[Env], cfg: EvalConfig,
+         calls: Optional[CallTable]) -> Union[Value, Diverged]:
+    return _guarded(lambda: _code(e)(_Machine(cfg, calls), dict(env or {})))
 
+
+# each entry point takes an optional call table, which evaluations at the
+# same precision may share; without one a run starts from an empty table
 
 def eval_exact(e: Expr, env: Optional[Env] = None,
-               cfg: EvalConfig = EvalConfig()) -> Union[Value, Diverged]:
+               cfg: EvalConfig = EvalConfig(),
+               calls: Optional[CallTable] = None) -> Union[Value, Diverged]:
     """Evaluate over exact reals realized as dyadic enclosures."""
-    return _run(e, env, cfg)
+    return _run(e, env, cfg, calls)
 
 
 def eval_approx(e: Expr, env: Optional[Env] = None,
                 cfg: EvalConfig = EvalConfig()) -> Union[Value, Diverged]:
     """Evaluate over binary64 with round-to-nearest-even, bit exactly."""
-    return _run(e, env, cfg)
+    return _run(e, env, cfg, None)
 
 
 def eval_error(e: Expr, env: Optional[Env] = None,
-               cfg: EvalConfig = EvalConfig()) -> Union[Value, Diverged]:
+               cfg: EvalConfig = EvalConfig(),
+               calls: Optional[CallTable] = None) -> Union[Value, Diverged]:
     """Evaluate an error expression; divergence is reported to callers,
     who treat it as the infinite bound."""
-    return _run(e, env, cfg)
+    return _run(e, env, cfg, calls)
 
 
 def bound_of(result: Union[Value, Diverged]) -> VErr:

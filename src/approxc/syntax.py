@@ -292,6 +292,7 @@ BUILTINS = {
     # error-level arithmetic
     "+q": _sig(ERRREAL, ERRREAL, ERRREAL),
     "*q": _sig(ERRREAL, ERRREAL, ERRREAL),
+    "maxq": _sig(ERRREAL, ERRREAL, ERRREAL),
     # interval rounding-error bounds for the lowered float ops
     "+err": _sig(REAL, ERRREAL, REAL, ERRREAL, ERRREAL),
     "-err": _sig(REAL, ERRREAL, REAL, ERRREAL, ERRREAL),

@@ -331,6 +331,78 @@ def test_weaken_idempotence_at_verdict_level():
     assert r2.err == direct.err
 
 
+_BIG = 2 ** 200
+
+
+def _err_at(err, x, xq=Fraction(0)):
+    return bound_of(eval_error(App(App(err, RealLit(Fraction(x))),
+                                   ErrLit(xq)), cfg=CFG))
+
+
+def test_weaken_at_a_function_family_does_not_rest_on_samples():
+    # the target is below the synthesized error only past 2^31, where no
+    # sampled real reaches; the emitted error still bounds x * x there
+    target = parse(f"(lam (x Real) (lam (x_q ErrReal) (if (leqr x "
+                   f"2147483648/1) (err {_BIG}/1) (err 0/1))))")
+    r = compile_program(parse("(lam (x Real) (*r x x))"),
+                        CompileOpts(weaken_to=target, cfg=CFG))
+    sc = r.derivation.side_conditions[0]
+    assert r.derivation.rule == "A-Weak" and r.derivation.err == r.err
+    assert sc.verdict.status == "pass" and sc.verdict.on_samples
+    x = 2 ** 32 + 1
+    assert _err_at(r.err, x).lo >= 1
+    assert abs(Fraction(x * x) - to_fraction(float(x) * float(x))) == 1
+    # where the target is above, the join is the target
+    assert _err_at(r.err, 3) == _err_at(target, 3) == VErr.point(_BIG)
+
+
+def test_weaken_at_a_function_family_joins_pointwise():
+    r0 = compile_program(parse("(lam (x Real) (*r x 1/3))"), OPTS)
+    target = parse("(lam (x Real) (lam (x_q ErrReal) (+q x_q (err 1/1))))")
+    r = weaken(r0, target, OPTS)
+    assert to_source(r.err) == (
+        f"(lam (x Real) (lam (x_q ErrReal) (maxq "
+        f"{to_source(App(App(r0.err, Var('x')), Var('x_q')))} "
+        f"{to_source(App(App(target, Var('x')), Var('x_q')))})))")
+    assert infer_type(TyCtx(), r.err) == err_ty(r.family)
+    for x, xq in ((Fraction(1, 3), Fraction(0)), (Fraction(7), None),
+                  (Fraction(-2), Fraction(1, 2))):
+        want = _err_at(target, x, xq)
+        assert _err_at(r.err, x, xq) == want
+
+
+def test_weaken_at_a_nat_function_family_joins_with_truncated_minus():
+    r0 = compile_program(parse("(lam (n Nat) (+n n 2))"), OPTS)
+    target = parse("(lam (n Nat) (lam (n_q Nat) (-n 3 n)))")
+    r = weaken(r0, target, OPTS)
+    assert infer_type(TyCtx(), r.err) == err_ty(r.family)
+    for n, nq in ((0, 0), (1, 5), (7, 2)):
+        q1 = App(App(r0.err, NatLit(n)), NatLit(nq))
+        q2 = App(App(target, NatLit(n)), NatLit(nq))
+        got = eval_error(App(App(r.err, NatLit(n)), NatLit(nq)), cfg=CFG)
+        assert got.value == max(eval_error(q1, cfg=CFG).value,
+                                eval_error(q2, cfg=CFG).value)
+
+
+def test_weaken_at_a_polymorphic_family_is_refused():
+    src = "(tlam X (lam (x X) x))"
+    target = parse("(tlam X (tlam X_q (lam (z0 X_q) (lam (zp (-> X_q (-> X_q "
+                   "X_q))) (lam (x X) (lam (xq X_q) xq))))))")
+    with pytest.raises(Unsupported):
+        compile_program(parse(src), CompileOpts(weaken_to=target, cfg=CFG))
+
+
+def test_maxq_evaluates_and_folds():
+    half, inf = ErrLit(Fraction(1, 2)), ErrLit(None)
+    v = eval_error(parse("(maxq (err 1/2) (err 1/3))"), cfg=CFG)
+    assert v == VErr.point(Fraction(1, 2))
+    assert eval_error(Builtin("maxq", (half, inf)), cfg=CFG).is_infinite
+    assert fold_err(Builtin("maxq", (half, ErrLit(Fraction(1, 3))))) == half
+    assert fold_err(Builtin("maxq", (inf, half))) == inf
+    x = Var("x")
+    assert fold_err(Builtin("maxq", (ErrLit(Fraction(0)), x))) is x
+
+
 # -- global properties ----------------------------------------------------------------
 
 def _corpus_results(corpus_dir):
@@ -463,6 +535,15 @@ def _fold_err_reference(e):
                 return b
             if isinstance(b, ErrLit) and b.value == 0:
                 return a
+        if e.op == "maxq":
+            if isinstance(a, ErrLit) and isinstance(b, ErrLit):
+                if a.value is None or b.value is None:
+                    return ErrLit(None)
+                return ErrLit(max(a.value, b.value))
+            if isinstance(a, ErrLit) and a.value == 0:
+                return b
+            if isinstance(b, ErrLit) and b.value == 0:
+                return a
         if e.op == "*q":
             if isinstance(a, ErrLit) and a.value == 1:
                 return b
@@ -507,6 +588,8 @@ def _unfolded(e, rng):
         Builtin("+q", (c, Builtin("+q", (q, ErrLit(Fraction(1)))))),
         Builtin("*q", (ErrLit(Fraction(1)), c)),
         Builtin("*q", (q, c)),
+        Builtin("maxq", (ErrLit(Fraction(0)), c)),
+        Builtin("maxq", (c, Builtin("maxq", (q, ErrLit(Fraction(1)))))),
         Builtin("+n", (c, Builtin("+n", (n, NatLit(0))))),
         Builtin("*n", (Builtin("*n", (NatLit(1), n)), c)),
         If(BoolLit(rng.random() < 0.5), c, n),

@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given
+
+from approxc import enclosure, interp
+from approxc.checker import _instantiations, load_sidecar_opts
+from approxc.compiler import CompileError, CompileOpts, compile_program
 from approxc.families import (
     BOOL_A, FL, NAT_A, ApproxCtx, Pi, PiTy, TyTriple, ValTriple, VarBase,
-    aeq_check, appr_member, approx_ty, check_approx_axioms, ctx_err,
-    ctx_exact, err_ty, exact_ty, family_from_type, family_source, fn_family,
-    instantiate_poly, member_trials, plus_apply, plus_lambda,
+    _base_check, aeq_check, appr_member, approx_ty, check_approx_axioms,
+    ctx_err, ctx_exact, err_ty, exact_ty, family_from_type, family_source,
+    fn_family, instantiate_poly, member_trials, plus_apply, plus_lambda,
     sample_member_triple, same_family, weaken_err_expr, zero_expr,
 )
 from approxc.floats import nearest_float, to_fraction
@@ -14,10 +19,11 @@ from approxc.interp import EvalConfig, eval_error, eval_exact, bound_of
 from approxc.parser import parse
 from approxc.sampling import trial_rng
 from approxc.syntax import (
-    ERRREAL, NAT, REAL, Arrow, ErrLit, FloatLit, Forall, NatLit, RealLit,
-    TyVar, to_source,
+    ERRREAL, NAT, REAL, App, Arrow, ErrLit, FloatLit, Forall, NatLit,
+    RealLit, TyVar, to_source,
 )
 from approxc.typecheck import TyCtx, infer_type
+from test_random_programs import programs
 
 CFG = EvalConfig(fuel=200_000, precision_bits=128)
 PI40 = Fraction("3.1415926535897932384626433832795028841972")
@@ -239,3 +245,89 @@ def test_projected_contexts_are_disjoint():
     assert te.lookup("x") == REAL
     assert tq.lookup("x_q") == ERRREAL
     assert tq.lookup("z0") == TyVar("X_q")
+
+
+# -- one call table per precision step --------------------------------------
+
+def test_one_precision_step_evaluates_each_fix_call_once(corpus_dir,
+                                                         monkeypatch):
+    # fix_sum's error program calls the exact recursion on n - 1 at every
+    # level, and the exact program runs it on n; sharing the table, the
+    # step adds each prefix once (with a table per evaluation and only the
+    # inner calls memoized it ran 189 additions here)
+    n = 64
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+    r = compile_program(e)
+    adds = []
+    enclose_op = enclosure.enclose_op
+
+    def spy(op, *args, **kwargs):
+        adds.append(op == "+r")
+        return enclose_op(op, *args, **kwargs)
+    monkeypatch.setattr(enclosure, "enclose_op", spy)
+    one_step = EvalConfig(precision_bits=128, max_precision_bits=128)
+    status, _ = _base_check(FL, App(App(r.err, NatLit(n)), NatLit(0)),
+                            App(e, NatLit(n)), App(r.approx, NatLit(n)),
+                            True, one_step)
+    assert status == "pass"
+    assert sum(adds) <= n + 1
+
+
+def _fresh_tables(mp):
+    """Give every evaluation a machine with its own call table."""
+    machine = interp._Machine
+    mp.setattr(interp, "_Machine", lambda cfg, calls=None: machine(cfg))
+
+
+def _member_records(e, r, trials, seed, cfg):
+    return [(tag, o.status, o.record)
+            for tag, me, ma, mq, fam in _instantiations(r, e)
+            for o in member_trials(fam, mq, ma, me, trials, seed, cfg)]
+
+
+def _shared_and_fresh(run):
+    shared = run()
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_tables(mp)
+        fresh = run()
+    return shared, fresh
+
+
+def test_shared_table_keeps_every_corpus_record(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.ax")):
+        e = parse(path.read_text())
+        r = compile_program(e, load_sidecar_opts(path, CompileOpts(cfg=CFG)))
+        shared, fresh = _shared_and_fresh(
+            lambda: _member_records(e, r, 40, 42, CFG))
+        assert shared == fresh, path.name
+
+
+def test_shared_table_keeps_equality_records():
+    cfg = EvalConfig(fuel=200_000, precision_bits=96, max_precision_bits=768)
+    shared, fresh = _shared_and_fresh(lambda: check_approx_axioms(
+        fn_family(FL, FL), trials=20, seed=42, cfg=cfg).to_json())
+    assert shared == fresh
+
+
+def test_each_precision_step_has_its_own_table():
+    # a tight bound escalates the precision until the enclosures agree; a
+    # fix result kept from a coarser step would stop them from narrowing
+    third = parse("(app (fix (lam (f (-> Nat Real)) (lam (n Nat) "
+                  "(if (leqn n 0) 1/3 (app f (-n n 1)))))) 2)")
+    a = FloatLit.of(nearest_float(Fraction(1, 3)))
+    q = ErrLit(abs(Fraction(1, 3) - to_fraction(a.value)))
+    shared, fresh = _shared_and_fresh(lambda: member_trials(
+        FL, q, a, third, 1, 42, CFG)[0].record)
+    assert shared == fresh and shared["tight"]
+
+
+@given(programs())
+def test_shared_table_keeps_random_program_records(case):
+    e, opts = case
+    try:
+        r = compile_program(e, opts)
+    except CompileError:
+        return
+    shared, fresh = _shared_and_fresh(
+        lambda: _member_records(e, r, 10, 7, CFG))
+    assert shared == fresh, to_source(e)

@@ -237,6 +237,39 @@ def test_call_table_stops_growing_at_its_cap(corpus_dir, monkeypatch):
     assert max(sizes) == 8
 
 
+def test_deepest_fix_sum_does_not_fall(corpus_dir):
+    # the top-level call of a fix goes through the call table, and a
+    # recursive call costs one host frame fewer than a closure call, so the
+    # deepest n that converges under the default budget stays at least the
+    # 413 it was when only the inner calls were memoized
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+    assert _deepest(lambda n: App(e, NatLit(n)), EvalConfig()) >= 413
+
+
+def test_closed_fix_is_one_value_per_node(corpus_dir):
+    # a closed lambda evaluates to the same closure in every run, so the
+    # fix_sum recursion that the error program embeds keys the same table
+    # entries as the exact program
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+    err = compile_program(e).err
+    assert err.expr.arg is e
+    assert eval_exact(e, cfg=CFG).fn is eval_exact(e, cfg=CFG).fn
+
+
+def test_fix_results_are_shared_through_one_table(corpus_dir):
+    # the error program at n fills the table with the exact recursion's
+    # calls up to n - 1; the exact program at n then unrolls one level
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+    err = compile_program(e).err
+    calls = {}
+    q = eval_error(App(App(err, NatLit(30)), NatLit(0)), cfg=CFG, calls=calls)
+    assert not bound_of(q).is_infinite
+    fuel = EvalConfig(fuel=20, precision_bits=128)
+    assert eval_exact(App(e, NatLit(30)), cfg=fuel) is DIVERGED
+    v = eval_exact(App(e, NatLit(30)), cfg=fuel, calls=calls)
+    assert v == eval_exact(App(e, NatLit(30)), cfg=CFG)
+
+
 # -- code staged on the nodes ---------------------------------------------
 
 def test_staged_code_leaves_nodes_unchanged(corpus_dir):
@@ -293,13 +326,13 @@ def _chain(wrap, leaf):
     return nest
 
 
-def _deepest(nest):
+def _deepest(nest, cfg=CFG):
     """The deepest nesting that evaluates before the host stack counts as
     divergence, by bisection."""
     lo, hi = 1, 3000
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if eval_exact(nest(mid), cfg=CFG) is DIVERGED:
+        if eval_exact(nest(mid), cfg=cfg) is DIVERGED:
             hi = mid - 1
         else:
             lo = mid
