@@ -2,6 +2,9 @@
 programs into float programs together with a machine-evaluable error
 expression and a derivation trace.
 
+A compile types the program once, recording every node's exact type; a
+rule picks a subterm's approximation family from its recorded type.
+
 Each structural construct is approximated by itself while its error is
 synthesized compositionally; the leaf transformations are real-to-float
 lowering of literals and builtins, the optional sine-by-identity
@@ -383,9 +386,9 @@ def _leaf_err(leaf: _Leaf, actuals: Sequence[Expr]) -> Expr:
 # the compiler
 
 class Compiler:
-    def __init__(self, opts: CompileOpts):
+    def __init__(self, opts: CompileOpts, types: Dict[int, Ty]):
         self.opts = opts
-        self.cfg = opts.cfg
+        self.types = types  # id(node): exact type, from the one typing pass
         self._site_counter = 0
         self._fresh_counter = 0
 
@@ -442,12 +445,8 @@ class Compiler:
         d = Derivation("A-Lam", e, approx, err, fam, premises=[inner.derivation])
         return CompileResult(approx, err, fam, d)
 
-    def _arg_family(self, ctx: ApproxCtx, arg: Expr) -> ApproxTy:
-        return family_from_type(infer_type(ctx_exact(ctx), arg),
-                                self._tymap(ctx))
-
     def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> CompileResult:
-        arg_fam = self._arg_family(ctx, e.arg)
+        arg_fam = family_from_type(self.types[id(e.arg)], self._tymap(ctx))
         fn_target = Pi("x", "x_a", "x_q", arg_fam, target)
         r1 = self.compile(ctx, e.fn, fn_target)
         r2 = self.compile(ctx, e.arg, arg_fam)
@@ -473,14 +472,8 @@ class Compiler:
 
     def _tyapp(self, ctx: ApproxCtx, e: TyApp, target: ApproxTy) -> CompileResult:
         fam = self._concrete_family(e.ty)
-        fn_ty = infer_type(ctx_exact(ctx), e.expr)
-        if not isinstance(fn_ty, Forall):
-            raise TypeMismatch("a universal type", fn_ty, _src(e))
-        xa, xq = fn_ty.var + "_a", fn_ty.var + "_q"
-        z0, zp = "z0_" + fn_ty.var, "zp_" + fn_ty.var
-        vb = VarBase(fn_ty.var, xa, xq, z0, zp)
-        body_fam = family_from_type(fn_ty.body, self._tymap(ctx) | {fn_ty.var: vb})
-        pt = PiTy(fn_ty.var, xa, xq, z0, zp, body_fam)
+        # the typing pass refused a type application of a non-universal type
+        pt = _family_of(self.types[id(e.expr)], self._tymap(ctx))
         r1 = self.compile(ctx, e.expr, pt)
         out_fam = instantiate_poly(pt, fam)
         if not same_family(out_fam, target):
@@ -637,16 +630,10 @@ class Compiler:
     # -- reductions ----------------------------------------------------------------
 
     def _redseq(self, ctx: ApproxCtx, e: RedSeq, target: ApproxTy) -> CompileResult:
+        """The float lowering of a reduction, perforated by the factor k
+        given for its site; k = 1 is the plain loop."""
         site = self._next_site()
         k = self.opts.perforation.get(site, 1)
-        return self.perforate(ctx, e, k, target, site)
-
-    def perforate(self, ctx: ApproxCtx, e: RedSeq, k: int,
-                  target: ApproxTy, site: Optional[str] = None) -> CompileResult:
-        """Perforated lowering of a reduction; k = 1 is the plain
-        float lowering of the loop."""
-        if site is None:
-            site = self._next_site()
         if not isinstance(target, FlBase):
             raise Unsupported("perforation targets scalar real reductions")
         if not (isinstance(e.combiner, Builtin) and e.combiner.op == "+r"
@@ -761,42 +748,53 @@ def _collect_sites(t: Expr, out: List[Tuple[str, str]]) -> None:
 def compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
                  opts: CompileOpts = CompileOpts()) -> CompileResult:
     """Compile under an approximation context toward a target family."""
-    result = nesting_guarded(lambda: _compile_expr(ctx, e, target, opts))
+    return _compile(ctx, e, target, opts)
+
+
+def compile_program(e: Expr, opts: CompileOpts = CompileOpts()) -> CompileResult:
+    """Compile a closed program; the target family is derived from its
+    exact type."""
+    return _compile(ApproxCtx(), e, None, opts)
+
+
+def _compile(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
+             opts: CompileOpts) -> CompileResult:
+    result = nesting_guarded(lambda: _compile_typed(ctx, e, target, opts))
     if opts.weaken_to is not None:
         result = weaken(result, opts.weaken_to, opts)
     return result
 
 
-def _compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
-                  opts: CompileOpts) -> CompileResult:
-    got = infer_type(ctx_exact(ctx), e)
-    want = exact_ty(target)
-    if got != want:
-        raise TypeMismatch(want, got, "program")
+def _compile_typed(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
+                   opts: CompileOpts) -> CompileResult:
+    # the one typing pass: the rules read each node's recorded type.  The
+    # table tells nodes apart by identity, so one node object at two places
+    # of e must have the same type at both, as in every tree the parser builds
+    types: Dict[int, Ty] = {}
+    got = infer_type(ctx_exact(ctx), e, types)
+    if target is None:
+        target = _family_of(got, {})
+    elif got != exact_ty(target):
+        raise TypeMismatch(exact_ty(target), got, "program")
     sites = [label for label, _ in label_sites(e)]
     unknown = sorted(set(opts.perforation) - set(sites))
     if unknown:
         raise CompileError(
             f"unknown perforation site {', '.join(unknown)}; the program's "
             f"reduction sites are: {', '.join(sites) or 'none'}")
-    return Compiler(opts).compile(ctx, e, target)
+    return Compiler(opts, types).compile(ctx, e, target)
 
 
-def compile_program(e: Expr, opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Compile a closed program; the target family is derived from its
-    exact type."""
-    target = nesting_guarded(lambda: _target_from_type(infer_type(TyCtx(), e)))
-    return compile_expr(ApproxCtx(), e, target, opts)
-
-
-def _target_from_type(ty: Ty) -> ApproxTy:
-    if isinstance(ty, Forall):
-        xa, xq = ty.var + "_a", ty.var + "_q"
-        z0, zp = "z0_" + ty.var, "zp_" + ty.var
-        vb = VarBase(ty.var, xa, xq, z0, zp)
-        return PiTy(ty.var, xa, xq, z0, zp,
-                    family_from_type(ty.body, {ty.var: vb}))
-    return family_from_type(ty)
+def _family_of(ty: Ty, tymap: Dict[str, VarBase]) -> ApproxTy:
+    """The family of an exact type whose type variables tymap maps; a
+    universal type gets the polymorphic family named after its variable."""
+    if not isinstance(ty, Forall):
+        return family_from_type(ty, tymap)
+    xa, xq = ty.var + "_a", ty.var + "_q"
+    z0, zp = "z0_" + ty.var, "zp_" + ty.var
+    vb = VarBase(ty.var, xa, xq, z0, zp)
+    return PiTy(ty.var, xa, xq, z0, zp,
+                family_from_type(ty.body, tymap | {ty.var: vb}))
 
 
 # sampled inputs for the ordering check of a weakening at a function family

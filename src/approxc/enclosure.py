@@ -257,9 +257,11 @@ def _sin_enclosure(x: RealEnclosure, p: int) -> RealEnclosure:
     a, b = x.lo.numerator, x.lo.denominator
     c, d = x.hi.numerator, x.hi.denominator
     xa, xc = a << (_PI_BITS + 1), c << (_PI_BITS + 1)
-    # floor((2x/pi - 1) / 2) at each end, pi_hi at x.lo and pi_lo at x.hi,
-    # widened by one candidate on each side
-    k_min = (xa - b * pi_hi) // (2 * b * pi_hi) - 1
+    # floor((2x/pi - 1) / 2) at each end, pi_hi at x.lo and pi_lo at x.hi.
+    # That at x.lo is at most the first k the test admits: the quotients
+    # differ by less than 1 for any x sin_point reduces.  At x.hi < 0 the
+    # test uses m * pi_hi, which the floor at pi_lo can miss by one.
+    k_min = (xa - b * pi_hi) // (2 * b * pi_hi)
     k_max = (xc - d * pi_lo) // (2 * d * pi_lo) + 1
     for k in range(k_min, k_max + 1):
         m = 2 * k + 1

@@ -37,7 +37,7 @@ from .syntax import (
     BOOL, ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, FloatLit, Forall, Lam,
     NatLit, RealLit, Ty, TyApp, TyLam, TyVar, Var, free_vars, map_children,
-    to_source,
+    subst, to_source,
 )
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,17 @@ def _pointwise(a: ApproxTy, q1: Expr, q2: Expr, at_base) -> Expr:
         xe += "'"
         xq += "'"
     return Lam(xe, exact_ty(a.fam), Lam(xq, err_ty(a.fam), _pointwise(
-        a.body,
-        App(App(q1, Var(xe)), Var(xq)),
-        App(App(q2, Var(xe)), Var(xq)), at_base)))
+        a.body, _apply2(q1, xe, xq), _apply2(q2, xe, xq), at_base)))
+
+
+def _apply2(q: Expr, xe: str, xq: str) -> Expr:
+    """q applied to the variables xe and xq.  A literal two-level lambda
+    gets them substituted instead: variables are values, so the same
+    subterms are evaluated, without the two applications."""
+    if type(q) is Lam and type(q.body) is Lam:
+        inner = subst(q.body, q.binder, Var(xe))
+        return subst(inner.body, inner.binder, Var(xq))
+    return App(App(q, Var(xe)), Var(xq))
 
 
 def _plus_base(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
@@ -381,23 +389,6 @@ def ctx_exact(ctx: ApproxCtx):
             t = t.bind(en.xe, exact_ty(en.family))
         elif isinstance(en, TyTriple):
             t = t.bind_tyvar(en.xe)
-    return t
-
-
-def ctx_err(ctx: ApproxCtx):
-    """Exact plus error bindings: the context error expressions live in."""
-    from .typecheck import TyCtx
-    t = TyCtx()
-    for en in ctx.entries:
-        if isinstance(en, ValTriple):
-            t = t.bind(en.xe, exact_ty(en.family))
-            t = t.bind(en.xq, err_ty(en.family))
-        elif isinstance(en, TyTriple):
-            t = t.bind_tyvar(en.xe)
-            t = t.bind_tyvar(en.xq)
-            q = TyVar(en.xq)
-            t = t.bind(en.z0, q)
-            t = t.bind(en.zp, Arrow(q, Arrow(q, q)))
     return t
 
 

@@ -6,7 +6,7 @@ is needed; the result type of a well-typed term is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .syntax import (
     BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, REAL,
@@ -92,84 +92,85 @@ def kind_ok(ctx: TyCtx, t: Ty) -> bool:
         return False
 
 
-def infer_type(ctx: TyCtx, e: Expr) -> Ty:
+def infer_type(ctx: TyCtx, e: Expr,
+               types: Optional[Dict[int, Ty]] = None) -> Ty:
+    """The type of e under ctx; given a table, the type of e and of each
+    of its subterms is recorded in it too, keyed by id(node)."""
     if isinstance(e, Var):
         t = ctx.lookup(e.name)
         if t is None:
             raise UnboundVariable(e.name)
-        return t
-    if isinstance(e, Lam):
+    elif isinstance(e, Lam):
         kind_check(ctx, e.annot)
-        body_t = infer_type(ctx.bind(e.binder, e.annot), e.body)
-        return Arrow(e.annot, body_t)
-    if isinstance(e, App):
-        fn_t = infer_type(ctx, e.fn)
-        arg_t = infer_type(ctx, e.arg)
+        t = Arrow(e.annot, infer_type(ctx.bind(e.binder, e.annot), e.body, types))
+    elif isinstance(e, App):
+        fn_t = infer_type(ctx, e.fn, types)
+        arg_t = infer_type(ctx, e.arg, types)
         if not isinstance(fn_t, Arrow):
             raise TypeMismatch("a function type", fn_t, "application head")
         if fn_t.dom != arg_t:
             raise TypeMismatch(fn_t.dom, arg_t, "application argument")
-        return fn_t.cod
-    if isinstance(e, TyLam):
-        body_t = infer_type(ctx.bind_tyvar(e.tyvar), e.body)
-        return Forall(e.tyvar, body_t)
-    if isinstance(e, TyApp):
-        fn_t = infer_type(ctx, e.expr)
+        t = fn_t.cod
+    elif isinstance(e, TyLam):
+        t = Forall(e.tyvar, infer_type(ctx.bind_tyvar(e.tyvar), e.body, types))
+    elif isinstance(e, TyApp):
+        fn_t = infer_type(ctx, e.expr, types)
         if not isinstance(fn_t, Forall):
             raise KindError(f"type application of non-universal type {fn_t}")
         kind_check(ctx, e.ty)
-        return subst_ty(fn_t.body, fn_t.var, e.ty)
-    if isinstance(e, Fix):
-        t = infer_type(ctx, e.expr)
+        t = subst_ty(fn_t.body, fn_t.var, e.ty)
+    elif isinstance(e, Fix):
+        t = infer_type(ctx, e.expr, types)
         if not isinstance(t, Arrow) or t.dom != t.cod:
             raise TypeMismatch("a type of shape (-> t t)", t, "fix")
-        return t.dom
-    if isinstance(e, If):
-        ct = infer_type(ctx, e.cond)
+        t = t.dom
+    elif isinstance(e, If):
+        ct = infer_type(ctx, e.cond, types)
         if ct != BOOL:
             raise TypeMismatch(BOOL, ct, "if condition")
-        tt = infer_type(ctx, e.then_e)
-        ft = infer_type(ctx, e.else_e)
-        if tt != ft:
-            raise TypeMismatch(tt, ft, "if branches")
-        return tt
-    if isinstance(e, RealLit):
-        return REAL
-    if isinstance(e, NatLit):
-        return NAT
-    if isinstance(e, BoolLit):
-        return BOOL
-    if isinstance(e, FloatLit):
-        return FLOAT64
-    if isinstance(e, ErrLit):
-        return ERRREAL
-    if isinstance(e, Builtin):
+        t = infer_type(ctx, e.then_e, types)
+        ft = infer_type(ctx, e.else_e, types)
+        if t != ft:
+            raise TypeMismatch(t, ft, "if branches")
+    elif isinstance(e, RealLit):
+        t = REAL
+    elif isinstance(e, NatLit):
+        t = NAT
+    elif isinstance(e, BoolLit):
+        t = BOOL
+    elif isinstance(e, FloatLit):
+        t = FLOAT64
+    elif isinstance(e, ErrLit):
+        t = ERRREAL
+    elif isinstance(e, Builtin):
         if e.op not in BUILTINS:
             raise TypeError_(f"unregistered builtin: {e.op}")
         arg_tys, res = BUILTINS[e.op]
         if len(e.args) > len(arg_tys):
             raise TypeMismatch(f"at most {len(arg_tys)} arguments", len(e.args), e.op)
         for i, a in enumerate(e.args):
-            at = infer_type(ctx, a)
+            at = infer_type(ctx, a, types)
             if at != arg_tys[i]:
                 raise TypeMismatch(arg_tys[i], at, f"argument {i + 1} of {e.op}")
-        t: Ty = res
+        t = res
         for rest in reversed(arg_tys[len(e.args):]):
             t = Arrow(rest, t)
-        return t
-    if isinstance(e, RedSeq):
-        nt = infer_type(ctx, e.count)
+    elif isinstance(e, RedSeq):
+        nt = infer_type(ctx, e.count, types)
         if nt != NAT:
             raise TypeMismatch(NAT, nt, "redseq count")
-        gt = infer_type(ctx, e.generator)
+        gt = infer_type(ctx, e.generator, types)
         if not isinstance(gt, Arrow) or gt.dom != NAT:
             raise TypeMismatch("(-> Nat t)", gt, "redseq generator")
-        elem = gt.cod
-        ft = infer_type(ctx, e.combiner)
-        if ft != Arrow(elem, Arrow(elem, elem)):
-            raise TypeMismatch(Arrow(elem, Arrow(elem, elem)), ft, "redseq combiner")
-        return elem
-    if isinstance(e, Bottom):
+        t = gt.cod
+        ft = infer_type(ctx, e.combiner, types)
+        if ft != Arrow(t, Arrow(t, t)):
+            raise TypeMismatch(Arrow(t, Arrow(t, t)), ft, "redseq combiner")
+    elif isinstance(e, Bottom):
         kind_check(ctx, e.annot)
-        return e.annot
-    raise TypeError_(f"not an expression: {e!r}")
+        t = e.annot
+    else:
+        raise TypeError_(f"not an expression: {e!r}")
+    if types is not None:
+        types[id(e)] = t
+    return t

@@ -6,6 +6,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ from approxc.syntax import App, Builtin, ErrLit, FloatLit, RealLit
 
 CFG = EvalConfig(fuel=500_000, precision_bits=128)
 OPTS = CompileOpts(cfg=CFG)
+# the report of the criterion 6 run, which
+# `python scripts/run_corpus.py --trials 1000 --seed 42` also writes
+CORPUS_REPORT = Path(__file__).resolve().parent / "golden" / "corpus_report.json"
 
 PI40 = Fraction("3.1415926535897932384626433832795028841972")
 
@@ -196,6 +200,11 @@ def test_criterion_6_corpus_soundness(corpus_run):
              f"{len(rep.entries)} programs, 1000 trials each, "
              f"0 failures, {elapsed:.1f}s"
              + (f"; bad: {bad}" if bad else ""))
+
+
+def test_corpus_report_bytes_are_pinned(corpus_run):
+    rep, _ = corpus_run
+    assert rep.to_json() + "\n" == CORPUS_REPORT.read_text()
 
 
 def test_criterion_7_metamorphic_weakening(corpus_dir):

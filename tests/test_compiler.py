@@ -3,6 +3,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,10 +14,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import approxc.compiler
+import approxc.typecheck
 
 from approxc.compiler import (
     CompileError, CompileOpts, NoRuleApplies, SideConditionFailed, Unsupported,
-    Compiler, compile_expr, compile_program, float_op_err, fold_err,
+    compile_expr, compile_program, float_op_err, fold_err,
     label_sites, weaken,
 )
 from approxc.enclosure import RealEnclosure, from_rational
@@ -33,8 +37,8 @@ from approxc.checker import _instantiations, load_sidecar_opts
 from approxc.parser import parse
 from approxc.sampling import trial_rng
 from approxc.syntax import (
-    App, BoolLit, Builtin, ErrLit, FloatLit, If, Lam, NatLit, RealLit, Var,
-    children, map_children, to_source,
+    REAL, App, BoolLit, Builtin, ErrLit, FloatLit, If, Lam, NatLit, RealLit,
+    Var, children, map_children, to_source,
 )
 from approxc.typecheck import TyCtx, TypeMismatch, infer_type
 from test_random_programs import programs
@@ -360,10 +364,10 @@ def test_weaken_at_a_function_family_joins_pointwise():
     r0 = compile_program(parse("(lam (x Real) (*r x 1/3))"), OPTS)
     target = parse("(lam (x Real) (lam (x_q ErrReal) (+q x_q (err 1/1))))")
     r = weaken(r0, target, OPTS)
+    # both errors are literal lambdas, so their bodies are joined in place
     assert to_source(r.err) == (
-        f"(lam (x Real) (lam (x_q ErrReal) (maxq "
-        f"{to_source(App(App(r0.err, Var('x')), Var('x_q')))} "
-        f"{to_source(App(App(target, Var('x')), Var('x_q')))})))")
+        "(lam (x Real) (lam (x_q ErrReal) (maxq "
+        "(*err x x_q 1/3 (err 1/54043195528445952)) (+q x_q (err 1/1)))))")
     assert infer_type(TyCtx(), r.err) == err_ty(r.family)
     for x, xq in ((Fraction(1, 3), Fraction(0)), (Fraction(7), None),
                   (Fraction(-2), Fraction(1, 2))):
@@ -479,7 +483,7 @@ def test_perforate_outside_compile_flow():
     from approxc.syntax import RedSeq
     e = parse("(redseq +r 8 (lam (i Nat) (nat2real i)))")
     assert isinstance(e, RedSeq)
-    r = Compiler(OPTS).perforate(ApproxCtx(), e, 2, FL)
+    r = compile_program(e, dataclasses.replace(OPTS, perforation={"L0": 2}))
     assert eval_approx(r.approx, cfg=CFG).value == 24.0
 
 
@@ -641,6 +645,105 @@ def test_deep_chain_compiles_quickly():
     t0 = time.perf_counter()
     compile_program(e, OPTS)
     assert time.perf_counter() - t0 < 1.0
+
+
+# -- one typing pass -----------------------------------------------------------------
+
+@contextlib.contextmanager
+def _typing_visits():
+    """A list of every node infer_type visits while the context is open."""
+    visits = []
+    typed = approxc.typecheck.infer_type
+
+    def counting(ctx, e, types=None):
+        visits.append(e)
+        return typed(ctx, e, types)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approxc.typecheck, "infer_type", counting)
+        mp.setattr(approxc.compiler, "infer_type", counting)
+        yield visits
+
+
+def _nodes(e):
+    stack, out = [e], []
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        stack.extend(children(t))
+    return out
+
+
+def test_compile_types_each_node_once(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.ax")):
+        e = parse(path.read_text())
+        opts = load_sidecar_opts(path, OPTS)
+        with _typing_visits() as visits:
+            compile_program(e, opts)
+        # only a weakening target, typed against the family's error type,
+        # adds nodes of its own
+        want = _nodes(e) + (_nodes(opts.weaken_to) if opts.weaken_to else [])
+        assert sorted(map(id, visits)) == sorted(map(id, want)), path.name
+
+
+def _app_chain(depth):
+    t = Var("x")
+    for _ in range(depth):
+        t = App(Lam("y", REAL, Builtin("+r", (Var("y"), Var("x")))), t)
+    return Lam("x", REAL, t)
+
+
+def test_typing_work_grows_linearly_with_application_nesting():
+    counts = []
+    for depth in (100, 200, 400):
+        with _typing_visits() as visits:
+            compile_program(_app_chain(depth), OPTS)
+        counts.append(len(visits))
+    # typing each argument's subtree again at its application, as the
+    # compiler once did, grows fourfold
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
+
+
+_DEEPEST = """
+import json
+from approxc.compiler import NestingTooDeep, compile_program
+from approxc.syntax import REAL, App, Builtin, Lam, Var
+
+def plus_chain(n):
+    t = Var("x")
+    for _ in range(n):
+        t = Builtin("+r", (Var("x"), t))
+    return Lam("x", REAL, t)
+
+def app_chain(n):
+    t = Var("x")
+    for _ in range(n):
+        t = App(Lam("y", REAL, Builtin("+r", (Var("y"), Var("x")))), t)
+    return Lam("x", REAL, t)
+
+def deepest(chain):
+    lo, hi = 1, 2000
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        try:
+            compile_program(chain(mid))
+            lo = mid
+        except NestingTooDeep:
+            hi = mid
+    return lo
+
+print(json.dumps([deepest(plus_chain), deepest(app_chain)]))
+"""
+
+
+def test_deepest_compilable_nesting_does_not_fall():
+    # the depth left for the compile depends on the caller's own stack, so
+    # it is measured from a fresh interpreter, as a script or the CLI runs
+    out = subprocess.run([sys.executable, "-c", _DEEPEST], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    plus, app = json.loads(out.stdout)
+    assert plus >= 740 and app >= 740, (plus, app)
 
 
 # -- leaf saturation ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from approxc.enclosure import (
     _PI_BITS, DivisorStraddlesZero, PrecisionOverflow, RealEnclosure, Tern,
-    _reduce_arg, _sin_taylor_interval, compare_leq, enclose_op,
+    _pi_scaled, _reduce_arg, _sin_taylor_interval, compare_leq, enclose_op,
     from_rational, pi_bounds, rd_down, rd_up, sin_point,
 )
 from approxc.sampling import sample_real_fraction, trial_rng
@@ -382,3 +382,61 @@ def test_integer_sine_matches_fraction_sine(args):
     x = RealEnclosure(lo, hi, p)
     assert (_outcome(enclose_op, "sinr", [x], p)
             == _outcome(_fraction_sin_enclosure, x, p))
+
+
+def _margin_sin_enclosure(x, p):
+    """_sin_enclosure as it was with a candidate of margin below k_min,
+    kept verbatim."""
+    if x.width >= 7:  # wider than a full period
+        return RealEnclosure(Fraction(-1), Fraction(1), p)
+    s1 = sin_point(x.lo, p + 2)
+    s2 = s1 if x.lo == x.hi else sin_point(x.hi, p + 2)
+    lo = min(s1.lo, s2.lo)
+    hi = max(s1.hi, s2.hi)
+    pi_lo, pi_hi = _pi_scaled()
+    a, b = x.lo.numerator, x.lo.denominator
+    c, d = x.hi.numerator, x.hi.denominator
+    xa, xc = a << (_PI_BITS + 1), c << (_PI_BITS + 1)
+    k_min = (xa - b * pi_hi) // (2 * b * pi_hi) - 1
+    k_max = (xc - d * pi_lo) // (2 * d * pi_lo) + 1
+    for k in range(k_min, k_max + 1):
+        m = 2 * k + 1
+        if m >= 0:
+            c_lo, c_hi = m * pi_lo, m * pi_hi
+        else:
+            c_lo, c_hi = m * pi_hi, m * pi_lo
+        if c_hi * b >= xa and c_lo * d <= xc:  # extremum possibly inside
+            if k % 2 == 0:
+                hi = Fraction(1)
+            else:
+                lo = Fraction(-1)
+    lo = max(lo, Fraction(-1))
+    hi = min(hi, Fraction(1))
+    return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+
+
+@st.composite
+def _near_extrema(draw):
+    """(lo, hi, p): an interval with one end or both within 2^-60 of an
+    enclosure end of (2k+1)*pi/2, for k from -40 to 40."""
+    def near(k):
+        m = 2 * k + 1
+        return m * draw(st.sampled_from(pi_bounds())) / 2 + draw(
+            st.integers(-4, 4)) * Fraction(1, 1 << 62)
+    k = draw(st.integers(-40, 40))
+    lo = near(k)
+    hi = draw(st.one_of(st.just(lo), _widths.map(lambda w: lo + w),
+                        st.integers(0, 2).map(lambda dk: near(k + dk))))
+    if draw(st.booleans()):  # the upper end lies there instead
+        lo, hi = 2 * lo - hi, lo
+    lo, hi = min(lo, hi), max(lo, hi)
+    return lo, hi, draw(st.sampled_from([2, 53, 128, 1024]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_extrema())
+def test_sine_scan_needs_no_margin_below_k_min(args):
+    lo, hi, p = args
+    x = RealEnclosure(lo, hi, p)
+    assert (_outcome(enclose_op, "sinr", [x], p)
+            == _outcome(_margin_sin_enclosure, x, p))

@@ -10,7 +10,7 @@ from approxc.compiler import CompileError, CompileOpts, compile_program
 from approxc.families import (
     BOOL_A, FL, NAT_A, ApproxCtx, Pi, PiTy, TyTriple, ValTriple, VarBase,
     _base_check, aeq_check, appr_member, approx_ty, check_approx_axioms,
-    ctx_err, ctx_exact, err_ty, exact_ty, family_from_type, family_source,
+    ctx_exact, err_ty, exact_ty, family_from_type, family_source,
     fn_family, instantiate_poly, member_trials, plus_apply, plus_lambda,
     sample_member_triple, same_family, weaken_err_expr, zero_expr,
 )
@@ -20,7 +20,7 @@ from approxc.parser import parse
 from approxc.sampling import trial_rng
 from approxc.syntax import (
     ERRREAL, NAT, REAL, App, Arrow, ErrLit, FloatLit, Forall, NatLit,
-    RealLit, TyVar, to_source,
+    RealLit, to_source,
 )
 from approxc.typecheck import TyCtx, infer_type
 from test_random_programs import programs
@@ -240,11 +240,7 @@ def test_projected_contexts_are_disjoint():
     ctx = ctx.extend(TyTriple("X", "X_a", "X_q", "z0", "zp"))
     with pytest.raises(ValueError):
         ctx.extend(ValTriple("x", "u", "v", FL))
-    te = ctx_exact(ctx)
-    tq = ctx_err(ctx)
-    assert te.lookup("x") == REAL
-    assert tq.lookup("x_q") == ERRREAL
-    assert tq.lookup("z0") == TyVar("X_q")
+    assert ctx_exact(ctx).lookup("x") == REAL
 
 
 # -- one call table per precision step --------------------------------------
