@@ -446,7 +446,13 @@ class Compiler:
         return CompileResult(approx, err, fam, d)
 
     def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> CompileResult:
-        arg_fam = family_from_type(self.types[id(e.arg)], self._tymap(ctx))
+        ty = self.types[id(e.arg)]
+        try:
+            arg_fam = family_from_type(ty, self._tymap(ctx))
+        except TypeError:
+            # a universal type, alone or inside an arrow, has no family
+            raise Unsupported(f"an argument of type {ty} has no "
+                              "approximation family") from None
         fn_target = Pi("x", "x_a", "x_q", arg_fam, target)
         r1 = self.compile(ctx, e.fn, fn_target)
         r2 = self.compile(ctx, e.arg, arg_fam)

@@ -3,14 +3,16 @@
 One call-by-value core serves the exact evaluator (reals as dyadic
 enclosures), the approximate evaluator (bit-exact binary64), and the
 error evaluator (nonnegative rationals with infinity); the builtin
-namespaces of the three worlds are disjoint, so a single dispatch table
-covers all of them.  Error expressions may embed exact-real subterms,
-whose evaluation delegates to the enclosure oracle.
+namespaces of the three worlds are disjoint, so one table, `_DELTA`,
+holds one rule per builtin for all of them.  Error expressions may embed
+exact-real subterms, whose evaluation delegates to the enclosure oracle.
 
 Evaluation is staged: each node is turned once into a closure over its
 children's closures, cached on the node, and runs read the machine (fuel,
 precision, call table) only through the arguments the closure is given.
-Fuel is spent by application, fix, type application and builtin rules.
+A builtin node's rule is picked when the node is staged, so a run neither
+dispatches on the op nor collects the operands.  Fuel is spent by
+application, fix, type application and builtin rules.
 
 Every call of a fix on a keyed argument is memoized in a call table,
 the top-level call included: `fix` of a lambda returns its
@@ -23,6 +25,8 @@ calls of the exact recursion answer the exact program's.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -249,17 +253,26 @@ class _Machine:
             raise _Diverge()
 
     def apply(self, fn: Value, arg: Value) -> Value:
-        self._tick()
+        self.fuel -= 1
+        if self.fuel <= 0:
+            raise _Diverge()
         t = type(fn)
         if t is VClosure:
             env = dict(fn.env)
             env[fn.binder] = arg
-            return _code(fn.body)(self, env)
+            try:
+                # staged with its lambda, unless built outside the evaluator
+                code = fn.body.__dict__[_CODE]
+            except KeyError:
+                code = _code(fn.body)
+            return code(self, env)
         if t is VBuiltin:
             args = fn.args + (arg,)
             if len(args) < builtin_arity(fn.op):
                 return VBuiltin(fn.op, args)
-            return self.delta(fn.op, args)
+            # the saturating application, then the rule's own tick
+            self._tick()
+            return _DELTA[fn.op](self, *args)
         if t is VFix:
             key = (id(fn.fn), arg) if isinstance(arg, _KEYED_ARGS) else None
             if key is not None:
@@ -322,112 +335,6 @@ class _Machine:
             return VErr.point(Fraction(0))
         raise EvalError(f"redseq over a carrier without a zero: {v!r}")
 
-    # -- builtin delta rules ------------------------------------------------
-
-    def delta(self, op: str, args: Tuple[Value, ...]) -> Value:
-        self._tick()
-        p = self.cfg.precision_bits
-        if op in ("+r", "-r", "*r", "/r", "sinr", "absr", "dr"):
-            encs = []
-            for a in args:
-                if not isinstance(a, VReal):
-                    raise EvalError(f"{op} applied to {a!r}")
-                encs.append(a.enc)
-            try:
-                out = enc.enclose_op(op, encs, p, self.cfg.max_precision_bits)
-            except enc.DivisorStraddlesZero as ex:
-                raise OracleInconclusive(str(ex))
-            if op == "dr":
-                return VErr(out.lo, out.hi)
-            return VReal(out)
-        if op == "leqr":
-            x, y = args
-            r = compare_leq(x.enc, y.enc)
-            if r is Tern.UNKNOWN:
-                raise OracleInconclusive(
-                    f"comparison undecided at {p} bits")
-            return VBool(r is Tern.YES)
-        if op == "nat2real":
-            (n,) = args
-            return VReal(from_rational(Fraction(n.value), p))
-        if op in ("+f", "-f", "*f", "/f"):
-            x, y = args
-            if not (isinstance(x, VFloat) and isinstance(y, VFloat)):
-                raise EvalError(f"{op} applied to non-floats")
-            if op == "+f":
-                return VFloat(x.value + y.value)
-            if op == "-f":
-                return VFloat(x.value - y.value)
-            if op == "*f":
-                return VFloat(x.value * y.value)
-            return VFloat(ieee_div(x.value, y.value))
-        if op == "sinf":
-            (x,) = args
-            return VFloat(sin_f64(x.value))
-        if op == "leqf":
-            x, y = args
-            return VBool(x.value <= y.value)
-        if op == "nat2float":
-            (n,) = args
-            return VFloat(_nat_float(n.value))
-        if op in ("+n", "-n", "*n", "dn", "leqn", "floorK", "ceilK"):
-            x, y = args
-            a, b = x.value, y.value
-            if op == "+n":
-                return VNat(a + b)
-            if op == "-n":
-                return VNat(max(0, a - b))
-            if op == "*n":
-                return VNat(a * b)
-            if op == "dn":
-                return VNat(abs(a - b))
-            if op == "leqn":
-                return VBool(a <= b)
-            if b == 0:
-                raise EvalError(f"{op} with zero modulus")
-            if op == "floorK":
-                return VNat(b * (a // b))
-            return VNat(b * ((a + b - 1) // b))
-        if op == "nat2err":
-            (n,) = args
-            return VErr.point(Fraction(n.value))
-        if op == "+q":
-            return err_add(err_of_value(args[0]), err_of_value(args[1]))
-        if op == "maxq":
-            return err_max(err_of_value(args[0]), err_of_value(args[1]))
-        if op == "*q":
-            return err_mul(err_of_value(args[0]), err_of_value(args[1]))
-        if op in ("+err", "-err", "*err", "/err"):
-            xe, xq, ye, yq = args
-            return float_op_err(op[0], xe.enc, err_of_value(xq),
-                                ye.enc, err_of_value(yq))
-        if op == "sinerr":
-            xe, xq = args
-            q = err_of_value(xq)
-            if q.is_infinite:
-                return ERR_INF
-            # |sin e - sin a| <= min(|e-a|, 2); the vendored sine is
-            # correctly rounded, adding at most 2^-53
-            ulp = Fraction(1, 1 << 53)
-            lo = min(q.lo, Fraction(2)) + ulp
-            hi = None if q.hi is None else min(q.hi, Fraction(2)) + ulp
-            return VErr(lo, hi)
-        if op == "n2rerr":
-            n, k = args
-            return self._n2rerr(n.value, k.value)
-        raise EvalError(f"no evaluation rule for builtin {op}")
-
-    def _n2rerr(self, n: int, k: int) -> VErr:
-        # worst |n - real(nat2float m)| over naturals m with |m - n| <= k;
-        # float conversion is monotone, so the extremes sit at the ends
-        worst = 0
-        for m in (max(0, n - k), n + k):
-            f = _nat_float(m)
-            if math.isinf(f):
-                return ERR_INF
-            worst = max(worst, abs(n - int(f)))
-        return VErr.point(Fraction(worst))
-
 
 def _nat_float(m: int) -> float:
     # CPython's int-to-float conversion rounds to nearest-even and raises
@@ -436,6 +343,127 @@ def _nat_float(m: int) -> float:
         return float(m)
     except OverflowError:
         return math.inf
+
+
+# ---------------------------------------------------------------------------
+# builtin rules: one function per op, taking the machine and the operands
+# positionally.  Kernels are named through module globals at call time, so
+# rebinding one (as a tracer does) reaches every staged node
+
+def _real2(op: str, box):
+    def rule(m, x, y):
+        if type(x) is not VReal:
+            raise EvalError(f"{op} applied to {x!r}")
+        if type(y) is not VReal:
+            raise EvalError(f"{op} applied to {y!r}")
+        try:
+            out = enc.enclose_op(op, [x.enc, y.enc], m.cfg.precision_bits,
+                                 m.cfg.max_precision_bits)
+        except enc.DivisorStraddlesZero as ex:
+            raise OracleInconclusive(str(ex))
+        return box(out)
+    return rule
+
+
+def _real1(op: str):
+    def rule(m, x):
+        if type(x) is not VReal:
+            raise EvalError(f"{op} applied to {x!r}")
+        return VReal(enc.enclose_op(op, [x.enc], m.cfg.precision_bits,
+                                    m.cfg.max_precision_bits))
+    return rule
+
+
+def _leqr(m, x, y):
+    r = compare_leq(x.enc, y.enc)
+    if r is Tern.UNKNOWN:
+        raise OracleInconclusive(
+            f"comparison undecided at {m.cfg.precision_bits} bits")
+    return VBool(r is Tern.YES)
+
+
+def _float2(op: str, f):
+    def rule(m, x, y):
+        if not (type(x) is VFloat and type(y) is VFloat):
+            raise EvalError(f"{op} applied to non-floats")
+        return VFloat(f(x.value, y.value))
+    return rule
+
+
+def _modulus(op: str, f):
+    def rule(m, x, y):
+        if y.value == 0:
+            raise EvalError(f"{op} with zero modulus")
+        return VNat(f(x.value, y.value))
+    return rule
+
+
+def _float_err(op: str):
+    return lambda m, xe, xq, ye, yq: float_op_err(
+        op, xe.enc, err_of_value(xq), ye.enc, err_of_value(yq))
+
+
+def _sinerr(m, xe, xq):
+    q = err_of_value(xq)
+    if q.is_infinite:
+        return ERR_INF
+    # |sin e - sin a| <= min(|e-a|, 2); the vendored sine is correctly
+    # rounded, adding at most 2^-53
+    ulp = Fraction(1, 1 << 53)
+    lo = min(q.lo, Fraction(2)) + ulp
+    hi = None if q.hi is None else min(q.hi, Fraction(2)) + ulp
+    return VErr(lo, hi)
+
+
+def _n2rerr(m, n, k) -> VErr:
+    # worst |n - real(nat2float m)| over naturals m with |m - n| <= k;
+    # float conversion is monotone, so the extremes sit at the ends
+    n, k = n.value, k.value
+    worst = 0
+    for i in (max(0, n - k), n + k):
+        f = _nat_float(i)
+        if math.isinf(f):
+            return ERR_INF
+        worst = max(worst, abs(n - int(f)))
+    return VErr.point(Fraction(worst))
+
+
+_DELTA = {
+    "+r": _real2("+r", VReal),
+    "-r": _real2("-r", VReal),
+    "*r": _real2("*r", VReal),
+    "/r": _real2("/r", VReal),
+    "dr": _real2("dr", lambda out: VErr(out.lo, out.hi)),
+    "sinr": _real1("sinr"),
+    "absr": _real1("absr"),
+    "leqr": _leqr,
+    "nat2real": lambda m, n: VReal(
+        from_rational(Fraction(n.value), m.cfg.precision_bits)),
+    "+f": _float2("+f", operator.add),
+    "-f": _float2("-f", operator.sub),
+    "*f": _float2("*f", operator.mul),
+    "/f": _float2("/f", lambda a, b: ieee_div(a, b)),
+    "sinf": lambda m, x: VFloat(sin_f64(x.value)),
+    "leqf": lambda m, x, y: VBool(x.value <= y.value),
+    "nat2float": lambda m, n: VFloat(_nat_float(n.value)),
+    "+n": lambda m, x, y: VNat(x.value + y.value),
+    "-n": lambda m, x, y: VNat(max(0, x.value - y.value)),
+    "*n": lambda m, x, y: VNat(x.value * y.value),
+    "dn": lambda m, x, y: VNat(abs(x.value - y.value)),
+    "leqn": lambda m, x, y: VBool(x.value <= y.value),
+    "floorK": _modulus("floorK", lambda a, b: b * (a // b)),
+    "ceilK": _modulus("ceilK", lambda a, b: b * ((a + b - 1) // b)),
+    "nat2err": lambda m, n: VErr.point(Fraction(n.value)),
+    "+q": lambda m, x, y: err_add(err_of_value(x), err_of_value(y)),
+    "maxq": lambda m, x, y: err_max(err_of_value(x), err_of_value(y)),
+    "*q": lambda m, x, y: err_mul(err_of_value(x), err_of_value(y)),
+    "+err": _float_err("+"),
+    "-err": _float_err("-"),
+    "*err": _float_err("*"),
+    "/err": _float_err("/"),
+    "sinerr": _sinerr,
+    "n2rerr": _n2rerr,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +575,40 @@ def _constant(v: Value):
 def _stage_builtin(e: Builtin):
     op = e.op
     args = tuple(_code(a) for a in e.args)
-    # one path with its generator frame: a nested builtin costs the host
-    # stack two frames, as every nesting through a call does, which fixes
-    # the depth at which a deep chain counts as divergence
     if len(args) < builtin_arity(op):
         return lambda m, env: VBuiltin(op, tuple(a(m, env) for a in args))
-    return lambda m, env: m.delta(op, tuple(a(m, env) for a in args))
+    # the rule is picked here, once per node; the closure evaluates the
+    # operands, spends the one tick and calls it, so a nested builtin costs
+    # the host stack one frame, like a level of an if chain
+    rule = _DELTA[op]
+    if len(args) == 1:
+        (a,) = args
+
+        def run(m, env):
+            x = a(m, env)
+            m.fuel -= 1
+            if m.fuel <= 0:
+                raise _Diverge()
+            return rule(m, x)
+    elif len(args) == 2:
+        a, b = args
+
+        def run(m, env):
+            x, y = a(m, env), b(m, env)
+            m.fuel -= 1
+            if m.fuel <= 0:
+                raise _Diverge()
+            return rule(m, x, y)
+    else:
+        a, b, c, d = args
+
+        def run(m, env):
+            x, y, z, w = a(m, env), b(m, env), c(m, env), d(m, env)
+            m.fuel -= 1
+            if m.fuel <= 0:
+                raise _Diverge()
+            return rule(m, x, y, z, w)
+    return run
 
 
 def _stage_redseq(e: RedSeq):
@@ -588,19 +644,40 @@ _STAGERS = {
 # ---------------------------------------------------------------------------
 # public entry points
 
-# kept modest: each interpreter level spans several host frames, and the
-# limit must trip before the C stack is exhausted
+# host frames an evaluation may add to its caller's stack; kept modest:
+# each interpreter level spans several host frames, and the limit must trip
+# before the C stack is exhausted
 _EVAL_STACK_LIMIT = 2500
 # completed fix calls a table remembers; past it, calls are evaluated
 # afresh and existing entries keep answering, so memory stays bounded
 _CALL_TABLE_MAX = 1 << 14
 
 
+_depth_hint = 0
+
+
+def _stack_depth() -> int:
+    """The number of host frames under this one.  Evaluations mostly start
+    at about the depth of the last one, so the count starts there when the
+    stack is that deep."""
+    global _depth_hint
+    try:
+        f, n = sys._getframe(_depth_hint), _depth_hint
+    except ValueError:
+        f, n = sys._getframe(), 0
+    while f.f_back is not None:
+        f, n = f.f_back, n + 1
+    _depth_hint = n
+    return n
+
+
 def _guarded(run) -> Union[Value, Diverged]:
     # deep fix unrollings recurse through the host stack; exhausting it
-    # counts as divergence (the fuel budget usually bites first)
+    # counts as divergence (the fuel budget usually bites first).  The
+    # limit sits a fixed number of frames above the caller's depth, so
+    # whether a program diverges does not depend on who evaluates it
     try:
-        return with_stack_limit(_EVAL_STACK_LIMIT, run)
+        return with_stack_limit(_stack_depth() + _EVAL_STACK_LIMIT, run)
     except (_Diverge, RecursionError):
         return DIVERGED
 

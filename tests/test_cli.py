@@ -101,6 +101,17 @@ def test_deep_nesting_is_a_typed_error(tmp_path, capsys, depth, error):
     assert not list(tmp_path.glob("deep.*.*"))
 
 
+def test_argument_of_universal_type_exit_two(tmp_path, capsys):
+    p = tmp_path / "poly_arg.ax"
+    p.write_text("(app (lam (f (forall X (-> X X))) (app (tyapp f Real) 1/1)) "
+                 "(tlam X (lam (x X) x)))")
+    rc = main(["compile", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Unsupported: an argument of type (forall X (-> X X))" in err, err
+    assert not list(tmp_path.glob("poly_arg.*.*"))
+
+
 def test_bad_perforate_value_exit_two(tmp_path):
     p = _write_pi(tmp_path)
     rc = main(["check", str(p), "--perforate", "L0"])

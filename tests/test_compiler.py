@@ -396,6 +396,14 @@ def test_weaken_at_a_polymorphic_family_is_refused():
         compile_program(parse(src), CompileOpts(weaken_to=target, cfg=CFG))
 
 
+def test_argument_of_universal_type_is_refused():
+    # no family describes a universal type under an arrow's domain
+    src = ("(app (lam (f (forall X (-> X X))) (app (tyapp f Real) 1/1)) "
+           "(tlam X (lam (x X) x)))")
+    with pytest.raises(Unsupported, match="forall X"):
+        compile_program(parse(src), CompileOpts(cfg=CFG))
+
+
 def test_maxq_evaluates_and_folds():
     half, inf = ErrLit(Fraction(1, 2)), ErrLit(None)
     v = eval_error(parse("(maxq (err 1/2) (err 1/3))"), cfg=CFG)

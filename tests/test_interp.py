@@ -1,11 +1,12 @@
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from approxc import interp
+from approxc import enclosure, interp
 from approxc.compiler import compile_program
 from approxc.enclosure import from_rational
 from approxc.floats import MAXFLOAT, float_bits
@@ -16,8 +17,8 @@ from approxc.interp import (
 )
 from approxc.parser import parse
 from approxc.syntax import (
-    FLOAT64, NAT, App, Arrow, BoolLit, Builtin, ErrLit, Fix, FloatLit, If,
-    Lam, NatLit, RealLit, RedSeq, Var, to_source,
+    BUILTINS, FLOAT64, NAT, App, Arrow, BoolLit, Builtin, ErrLit, Fix,
+    FloatLit, If, Lam, NatLit, RealLit, RedSeq, Var, to_source,
 )
 from test_random_programs import programs
 
@@ -340,28 +341,162 @@ def _deepest(nest, cfg=CFG):
 
 
 def test_host_stack_frames_per_nesting_level():
-    # a level of an if chain or of nested arguments is one host frame; a
-    # level that nests through a call (builtin operand, let body, redseq
-    # operand) is two, so those chains count as divergence at half the
-    # depth
+    # a level of an if chain, of nested arguments or of a builtin operand
+    # is one host frame; a level that nests through a call (let body,
+    # redseq operand) is two, so those chains count as divergence at half
+    # the depth
     one = NatLit(1)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # below the evaluator's own limit
     try:
         depth_if = _deepest(_chain(lambda e: If(BoolLit(False), one, e), one))
-        depth_arg = _deepest(_chain(lambda e: App(Lam("x", NAT, Var("x")), e),
-                                    one))
-        two_frames = {
+        one_frame = {
+            "argument": _chain(lambda e: App(Lam("x", NAT, Var("x")), e), one),
             "builtin": _chain(lambda e: Builtin("+n", (e, one)), one),
             "unary builtin": _chain(lambda e: Builtin("absr", (e,)),
                                     Builtin("nat2real", (one,))),
+        }
+        two_frames = {
             "let": _chain(lambda e: App(Lam("x", NAT, e), one), Var("x")),
             "redseq": _chain(
                 lambda e: RedSeq(Builtin("+n"), e, Lam("i", NAT, one)), one),
         }
-        depths = {k: _deepest(nest) for k, nest in two_frames.items()}
+        ones = {k: _deepest(nest) for k, nest in one_frame.items()}
+        twos = {k: _deepest(nest) for k, nest in two_frames.items()}
     finally:
         sys.setrecursionlimit(old)
-    assert abs(depth_arg - depth_if) <= 32
-    for kind, depth in depths.items():
+    for kind, depth in ones.items():
+        assert abs(depth - depth_if) <= 32, (kind, depth, depth_if)
+    for kind, depth in twos.items():
         assert abs(2 * depth - depth_if) <= 32, (kind, depth, depth_if)
+
+
+def test_deep_builtin_chain_evaluates():
+    one = NatLit(1)
+    e = _chain(lambda e: Builtin("+n", (e, one)), one)(2000)
+    assert eval_exact(e, cfg=CFG) == VNat(2001)
+
+
+def _in_thread(run):
+    # a fresh thread with room for the evaluator's frames on the C stack
+    # too, where an interpreter keeps Python frames there
+    out = []
+    old = threading.stack_size(64 << 20)
+    try:
+        t = threading.Thread(target=lambda: out.append(run()))
+        t.start()
+        t.join()
+    finally:
+        threading.stack_size(old)
+    return out[0]
+
+
+def test_deepest_fix_sum_does_not_depend_on_the_caller(corpus_dir):
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+
+    def deepest():
+        return _deepest(lambda n: App(e, NatLit(n)), EvalConfig())
+
+    def nested(k):
+        return deepest() if k == 0 else nested(k - 1)
+
+    assert _in_thread(lambda: nested(200)) == _in_thread(deepest)
+
+
+# -- builtin rules ----------------------------------------------------------
+
+def _r(q):
+    return RealLit(Fraction(q))
+
+
+def _q(q):
+    return ErrLit(None if q is None else Fraction(q))
+
+
+_F = FloatLit.of
+# operand lists per op, typed ones and ones a rule refuses
+_RULE_CASES = [
+    ("+r", (_r("1/3"), _r("2/7"))), ("+r", (NatLit(1), _r(1))),
+    ("+r", (_r(1), NatLit(1))), ("-r", (_r("1/3"), _r("2/7"))),
+    ("*r", (_r("-1/3"), _r("2/7"))), ("/r", (_r("1/3"), _r("2/7"))),
+    ("/r", (_r(1), _r(0))), ("dr", (_r("1/3"), _r("1/5"))),
+    ("dr", (_r(1), FloatLit.of(1.0))), ("sinr", (_r("1/2"),)),
+    ("sinr", (NatLit(2),)), ("absr", (_r("-1/3"),)),
+    ("leqr", (_r("1/5"), _r("1/3"))), ("leqr", (_r("1/3"), _r("1/3"))),
+    ("nat2real", (NatLit(5),)),
+    ("+f", (_F(0.1), _F(0.2))), ("+f", (_F(0.1), NatLit(2))),
+    ("-f", (_F(0.1), _F(0.2))), ("*f", (_F(0.1), _F(3.0))),
+    ("/f", (_F(1.0), _F(0.0))), ("/f", (_F(-1.0), _F(3.0))),
+    ("sinf", (_F(0.5),)), ("leqf", (_F(0.5), _F(-0.0))),
+    ("nat2float", (NatLit(2 ** 53 + 1),)), ("nat2float", (NatLit(2 ** 1100),)),
+    ("+n", (NatLit(3), NatLit(5))), ("-n", (NatLit(3), NatLit(5))),
+    ("*n", (NatLit(3), NatLit(5))), ("dn", (NatLit(3), NatLit(5))),
+    ("leqn", (NatLit(5), NatLit(3))), ("floorK", (NatLit(7), NatLit(3))),
+    ("floorK", (NatLit(7), NatLit(0))), ("ceilK", (NatLit(7), NatLit(3))),
+    ("ceilK", (NatLit(7), NatLit(0))), ("nat2err", (NatLit(4),)),
+    ("+q", (_q("1/2"), NatLit(3))), ("+q", (_q(None), _q(1))),
+    ("maxq", (NatLit(1), _q("1/2"))), ("*q", (_q("1/2"), _q("1/3"))),
+    ("*q", (_q(0), _q(None))), ("+q", (_F(1.0), _q(1))),
+    ("+err", (_r("1/3"), _q("1/1024"), _r("2/3"), _q(0))),
+    ("-err", (_r("1/3"), NatLit(1), _r("2/3"), _q(0))),
+    ("*err", (_r(10 ** 300), _q(0), _r(10 ** 300), _q(0))),
+    ("/err", (_r(1), _q(0), _r(0), _q(0))),
+    ("/err", (_r("1/3"), _q(0), _r(3), _q("1/8"))),
+    ("sinerr", (_r("1/2"), _q("1/8"))), ("sinerr", (_r("1/2"), _q(None))),
+    ("sinerr", (_r("1/2"), _q(3))),
+    ("n2rerr", (NatLit(2 ** 53 + 1), NatLit(1))),
+    ("n2rerr", (NatLit(2 ** 1100), NatLit(0))),
+]
+
+
+def _rule_outcome(run):
+    m = interp._Machine(CFG)
+    try:
+        v = run(m)
+    except interp.EvalError as ex:
+        v = (type(ex), str(ex))
+    return v, CFG.fuel - m.fuel
+
+
+def test_every_builtin_has_one_rule():
+    assert set(interp._DELTA) == set(BUILTINS)
+    assert {op for op, _ in _RULE_CASES} == set(BUILTINS)
+
+
+@pytest.mark.parametrize("op,args", _RULE_CASES)
+def test_staged_and_curried_builtins_agree(op, args):
+    def curried(m):
+        f = interp._code(Builtin(op, ()))(m, {})
+        for a in args:
+            f = m.apply(f, interp._code(a)(m, {}))
+        return f
+
+    staged, staged_fuel = _rule_outcome(
+        lambda m: interp._code(Builtin(op, args))(m, {}))
+    value, fuel = _rule_outcome(curried)
+    assert staged == value
+    # one tick for the rule, and the curried path one per application
+    assert staged_fuel == 1 and fuel == 1 + len(args)
+
+
+def test_staged_builtins_reach_kernels_through_module_globals(monkeypatch):
+    # a tracer rebinds the kernels by name; a node staged before the
+    # rebinding must call the new binding
+    e = parse("(+q (+err 1/3 (err 0/1) 1/7 (err 0/1)) "
+              "(dr (sinr 1/3) (nat2real (ceilK 3 2))))")
+    a = Builtin("sinf", (FloatLit.of(0.5),))
+    want, want_a = eval_error(e, cfg=CFG), eval_approx(a, cfg=CFG)
+    seen = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *xs, **kw: (
+            seen.append(xs[0] if name == "enclose_op" else name),
+            real(*xs, **kw))[1])
+
+    spy(interp, "float_interval_op_err")
+    spy(enclosure, "enclose_op")
+    spy(interp, "sin_f64")
+    assert eval_error(e, cfg=CFG) == want
+    assert eval_approx(a, cfg=CFG) == want_a
+    assert sorted(seen) == ["dr", "float_interval_op_err", "sin_f64", "sinr"]
