@@ -15,8 +15,9 @@ adds the exact distance between its branches, and a reduction chains the
 rounding error of each float addition and adds the exact drift of a
 perforated loop.  Compilation evaluates nothing, except that weakening
 to a caller-supplied bound checks the ordering, on sampled inputs at
-function families, where the emitted error is the pointwise join of the
-synthesized error and the bound.
+function families; there, and where the comparison stays undecided at the
+precision cap, the emitted error is the pointwise join of the synthesized
+error and the bound.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .families import (
     NatBase, Pi, PiTy, TyTriple, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
     family_source, instantiate_poly, join_apply, plus_apply, plus_lambda,
-    sample_member_triple, same_family, zero_expr,
+    precisions, sample_member_triple, same_family, zero_expr,
 )
 from .floats import nearest_float, to_fraction
 from .interp import (
@@ -809,11 +810,13 @@ _WEAKEN_SAMPLES = 32
 
 def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileResult:
     """Final weakening to a caller-supplied error, with the ordering
-    side condition checked.  At a base family the check decides, and the
-    target is emitted.  At a function family it samples inputs, so it only
-    checks: the emitted error is the pointwise join of the synthesized
-    error and the target, which is sound whatever the samples miss and
-    equals the target wherever the ordering holds."""
+    side condition checked.  At a base family the check escalates the
+    precision until it decides, and the target is emitted.  Where it does
+    not decide, at a function family (it samples inputs) or at a base
+    family still undecided at the precision cap, it only checks: the
+    emitted error is the pointwise join of the synthesized error and the
+    target, which is sound whatever the check missed and equals the target
+    wherever the ordering holds."""
     fam = result.family
     want = err_ty(fam)
     got = infer_type(TyCtx(), q_weak)
@@ -828,7 +831,7 @@ def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileRes
             "weakening target is not an upper bound of the synthesized error",
             verdict.counterexample)
     err = fold_err(join_apply(fam, result.err, q_weak)) \
-        if isinstance(fam, Pi) else q_weak
+        if verdict.on_samples else q_weak
     d = Derivation("A-Weak", result.derivation.exact, result.approx, err,
                    fam, premises=[result.derivation],
                    side_conditions=[SideCondition(
@@ -841,14 +844,23 @@ def _err_leq_verdict(fam: ApproxTy, q1: Expr, q2: Expr,
                      opts: CompileOpts) -> Verdict:
     cfg = opts.cfg
     if isinstance(fam, (FlBase, NatBase, BoolBase)):
-        v1 = bound_of(eval_error(q1, cfg=cfg))
-        v2 = bound_of(eval_error(q2, cfg=cfg))
-        r = scalar_err_leq(v1, v2)
+        # bounds that embed irrational reals are enclosures, which may
+        # overlap at one precision and separate at a higher one; each step
+        # evaluates both on one call table
+        for p in precisions(cfg):
+            cfgp, calls = cfg.at_precision(p), {}
+            v1 = bound_of(eval_error(q1, cfg=cfgp, calls=calls))
+            v2 = bound_of(eval_error(q2, cfg=cfgp, calls=calls))
+            r = scalar_err_leq(v1, v2)
+            if r is not LeqVerdict.YES_ON_SAMPLES:
+                break
         if r is LeqVerdict.NO:
             return Verdict(status="fail",
                            counterexample={"lhs": str(v1.lo), "rhs": str(v2.hi)})
-        return Verdict(status="pass", trials=1, passes=1,
-                       on_samples=r is LeqVerdict.YES_ON_SAMPLES)
+        if r is LeqVerdict.YES:
+            return Verdict(status="pass", trials=1, passes=1)
+        return Verdict(status="pass", trials=1, passes=1, on_samples=True,
+                       reason=f"comparison undecided at {p} bits")
     if isinstance(fam, Pi):
         passes = 0
         for t in range(_WEAKEN_SAMPLES):

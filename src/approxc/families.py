@@ -428,7 +428,9 @@ class TrialOutcome:
     record: dict
 
 
-def _precisions(cfg: EvalConfig):
+def precisions(cfg: EvalConfig):
+    """The precision steps of an escalation: the configured precision,
+    doubled up to the cap, the cap last."""
     p = cfg.precision_bits
     while True:
         yield min(p, cfg.max_precision_bits)
@@ -486,7 +488,7 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     cutoff = Fraction(1, 1 << (cfg.precision_bits + _TIGHT_CUTOFF_BITS))
     try:
         av = eval_approx(other, cfg=cfg) if approx else None
-        for p in _precisions(cfg):
+        for p in precisions(cfg):
             cfgp, calls = cfg.at_precision(p), {}
             qv = bound_of(eval_error(q, cfg=cfgp, calls=calls))
             if qv.lo is None:

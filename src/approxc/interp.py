@@ -18,9 +18,11 @@ Every call of a fix on a keyed argument is memoized in a call table,
 the top-level call included: `fix` of a lambda returns its
 self-reference, so it unrolls on its first call.  A closed lambda is one
 value per node, so a closed fix that two programs embed keys the same
-entries in both.  A check passes one table to the error, exact and
-equality programs it evaluates at one precision, and the error program's
-calls of the exact recursion answer the exact program's.
+entries in both.  The same table holds every sine taken, keyed by the
+argument enclosure and the precision, under the same size cap.  A check
+passes one table to the error, exact and equality programs it evaluates
+at one precision, so the error program's calls of the exact recursion
+answer the exact program's, and each sine of one argument is taken once.
 """
 from __future__ import annotations
 
@@ -234,7 +236,9 @@ def err_of_value(v: Value) -> VErr:
 # ---------------------------------------------------------------------------
 # evaluation core
 
-CallTable = Dict[Tuple[int, Value], Tuple[Value, Value]]
+# a fix call's entry maps (id(fn), arg) to (fn, result), a sine's maps
+# ("sinr", argument enclosure, precision) to its VReal
+CallTable = Dict[tuple, Union[Tuple[Value, Value], VReal]]
 
 
 class _Machine:
@@ -242,9 +246,9 @@ class _Machine:
         self.cfg = cfg
         self.fuel = cfg.fuel
         # (id(fn), arg) -> (fn, result) for every completed call of a fix on
-        # a keyed argument; holding fn keeps its id live.  A result depends
-        # on the precision alone, not on fuel, so the evaluations of one
-        # precision step may share the table
+        # a keyed argument, holding fn to keep its id live, and every sine
+        # taken.  A result depends on the precision alone, not on fuel, so
+        # the evaluations of one precision step may share the table
         self.calls: CallTable = {} if calls is None else calls
 
     def _tick(self):
@@ -374,7 +378,26 @@ def _real1(op: str):
     return rule
 
 
+def _sinr(m, x):
+    if type(x) is not VReal:
+        raise EvalError(f"sinr applied to {x!r}")
+    # a check's error and exact programs take the sine of the same
+    # argument, so the step's call table answers the repeats
+    p = m.cfg.precision_bits
+    key = ("sinr", x.enc, p)
+    v = m.calls.get(key)
+    if v is None:
+        v = VReal(enc.enclose_op("sinr", [x.enc], p, m.cfg.max_precision_bits))
+        if len(m.calls) < _CALL_TABLE_MAX:
+            m.calls[key] = v
+    return v
+
+
 def _leqr(m, x, y):
+    if type(x) is not VReal:
+        raise EvalError(f"leqr applied to {x!r}")
+    if type(y) is not VReal:
+        raise EvalError(f"leqr applied to {y!r}")
     r = compare_leq(x.enc, y.enc)
     if r is Tern.UNKNOWN:
         raise OracleInconclusive(
@@ -382,12 +405,18 @@ def _leqr(m, x, y):
     return VBool(r is Tern.YES)
 
 
-def _float2(op: str, f):
+def _float2(op: str, f, box=VFloat):
     def rule(m, x, y):
         if not (type(x) is VFloat and type(y) is VFloat):
             raise EvalError(f"{op} applied to non-floats")
-        return VFloat(f(x.value, y.value))
+        return box(f(x.value, y.value))
     return rule
+
+
+def _sinf(m, x):
+    if type(x) is not VFloat:
+        raise EvalError(f"sinf applied to {x!r}")
+    return VFloat(sin_f64(x.value))
 
 
 def _modulus(op: str, f):
@@ -434,7 +463,7 @@ _DELTA = {
     "*r": _real2("*r", VReal),
     "/r": _real2("/r", VReal),
     "dr": _real2("dr", lambda out: VErr(out.lo, out.hi)),
-    "sinr": _real1("sinr"),
+    "sinr": _sinr,
     "absr": _real1("absr"),
     "leqr": _leqr,
     "nat2real": lambda m, n: VReal(
@@ -443,8 +472,8 @@ _DELTA = {
     "-f": _float2("-f", operator.sub),
     "*f": _float2("*f", operator.mul),
     "/f": _float2("/f", lambda a, b: ieee_div(a, b)),
-    "sinf": lambda m, x: VFloat(sin_f64(x.value)),
-    "leqf": lambda m, x, y: VBool(x.value <= y.value),
+    "sinf": _sinf,
+    "leqf": _float2("leqf", operator.le, VBool),
     "nat2float": lambda m, n: VFloat(_nat_float(n.value)),
     "+n": lambda m, x, y: VNat(x.value + y.value),
     "-n": lambda m, x, y: VNat(max(0, x.value - y.value)),
@@ -648,8 +677,9 @@ _STAGERS = {
 # each interpreter level spans several host frames, and the limit must trip
 # before the C stack is exhausted
 _EVAL_STACK_LIMIT = 2500
-# completed fix calls a table remembers; past it, calls are evaluated
-# afresh and existing entries keep answering, so memory stays bounded
+# completed fix calls and sines a table remembers, together; past it, both
+# are evaluated afresh and existing entries keep answering, so memory stays
+# bounded
 _CALL_TABLE_MAX = 1 << 14
 
 

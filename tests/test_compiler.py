@@ -335,6 +335,23 @@ def test_weaken_idempotence_at_verdict_level():
     assert r2.err == direct.err
 
 
+def test_weaken_escalates_an_undecided_base_comparison():
+    # the target is the synthesized bound's lower endpoint at 128 bits,
+    # where the two overlap; a higher precision shows the bound above it
+    e, opts = parse("(sinr 1/1)"), CompileOpts(enable_sin_subst=True, cfg=CFG)
+    r0 = compile_program(e, opts)
+    assert to_source(r0.err) == "(dr 1/1 (sinr 1/1))"
+    lo = bound_of(eval_error(r0.err, cfg=CFG)).lo
+    with pytest.raises(SideConditionFailed):
+        compile_program(e, dataclasses.replace(opts, weaken_to=ErrLit(lo)))
+    # a target equal to the bound stays undecided at the cap: the join is
+    # emitted, sound whichever way the comparison goes
+    r = compile_program(e, dataclasses.replace(opts, weaken_to=r0.err))
+    sc = r.derivation.side_conditions[0]
+    assert r.err == Builtin("maxq", (r0.err, r0.err))
+    assert sc.verdict.status == "pass" and sc.verdict.on_samples
+
+
 _BIG = 2 ** 200
 
 

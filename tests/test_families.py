@@ -9,10 +9,11 @@ from approxc.checker import _instantiations, load_sidecar_opts
 from approxc.compiler import CompileError, CompileOpts, compile_program
 from approxc.families import (
     BOOL_A, FL, NAT_A, ApproxCtx, Pi, PiTy, TyTriple, ValTriple, VarBase,
-    _base_check, aeq_check, appr_member, approx_ty, check_approx_axioms,
-    ctx_exact, err_ty, exact_ty, family_from_type, family_source,
-    fn_family, instantiate_poly, member_trials, plus_apply, plus_lambda,
-    sample_member_triple, same_family, weaken_err_expr, zero_expr,
+    _base_check, _verdict, aeq_check, appr_member, approx_ty,
+    check_approx_axioms, ctx_exact, err_ty, exact_ty, family_from_type,
+    family_source, fn_family, instantiate_poly, member_trials, plus_apply,
+    plus_lambda, sample_member_triple, same_family, weaken_err_expr,
+    zero_expr,
 )
 from approxc.floats import nearest_float, to_fraction
 from approxc.interp import EvalConfig, eval_error, eval_exact, bound_of
@@ -315,6 +316,48 @@ def test_each_precision_step_has_its_own_table():
     shared, fresh = _shared_and_fresh(lambda: member_trials(
         FL, q, a, third, 1, 42, CFG)[0].record)
     assert shared == fresh and shared["tight"]
+
+
+@pytest.mark.parametrize("name", ["sin_plus", "sin_subst"])
+def test_one_precision_step_takes_each_sine_once(corpus_dir, monkeypatch,
+                                                 name):
+    # sin_plus's error program holds (sinr x) twice and sin_subst's once,
+    # and the exact program takes it again; without the table's sines the
+    # step took three and two
+    path = corpus_dir / f"{name}.ax"
+    e = parse(path.read_text())
+    r = compile_program(e, load_sidecar_opts(path, CompileOpts(cfg=CFG)))
+    x = Fraction(1, 3)
+    xa = FloatLit.of(nearest_float(x))
+    xq = ErrLit(abs(x - to_fraction(xa.value)))
+    sines = []
+    enclose_op = enclosure.enclose_op
+
+    def spy(op, *args, **kwargs):
+        sines.append(op == "sinr")
+        return enclose_op(op, *args, **kwargs)
+    monkeypatch.setattr(enclosure, "enclose_op", spy)
+    one_step = EvalConfig(precision_bits=128, max_precision_bits=128)
+    status, _ = _base_check(FL, App(App(r.err, RealLit(x)), xq),
+                            App(e, RealLit(x)), App(r.approx, xa), True,
+                            one_step)
+    assert status == "pass"
+    assert sum(sines) == 1
+
+
+def test_shared_table_keeps_sine_records_and_verdicts(corpus_dir):
+    def run(e, r):
+        return [(tag, _verdict(fam, outs).to_json(),
+                 [(o.status, o.record) for o in outs])
+                for tag, me, ma, mq, fam in _instantiations(r, e)
+                for outs in [member_trials(fam, mq, ma, me, 200, 42, CFG)]]
+
+    for name in ("sin_lower", "sin_plus", "sin_subst"):
+        path = corpus_dir / f"{name}.ax"
+        e = parse(path.read_text())
+        r = compile_program(e, load_sidecar_opts(path, CompileOpts(cfg=CFG)))
+        shared, fresh = _shared_and_fresh(lambda: run(e, r))
+        assert shared == fresh, name
 
 
 @given(programs())

@@ -479,6 +479,43 @@ def test_staged_and_curried_builtins_agree(op, args):
     assert staged_fuel == 1 and fuel == 1 + len(args)
 
 
+@pytest.mark.parametrize("op,args", [
+    ("leqr", (NatLit(1), NatLit(2))), ("leqr", (_r(1), _F(2.0))),
+    ("sinf", (NatLit(1),)), ("sinf", (_r(1),)),
+    ("leqf", (NatLit(1), NatLit(2))), ("leqf", (_F(1.0), _r(2))),
+])
+def test_oracle_rules_refuse_ill_typed_operands(op, args):
+    with pytest.raises(interp.EvalError, match=f"{op} applied to"):
+        eval_exact(Builtin(op, args), cfg=CFG)
+
+
+def test_a_repeated_sine_is_taken_once_at_the_same_fuel(monkeypatch):
+    e = parse("(+r (sinr 1/3) (app (lam (y Real) (sinr y)) 1/3))")
+    enclose_op = enclosure.enclose_op
+
+    def run():
+        sines = []
+
+        def spy(op, *args, **kwargs):
+            sines.append(op == "sinr")
+            return enclose_op(op, *args, **kwargs)
+        monkeypatch.setattr(enclosure, "enclose_op", spy)
+        m = interp._Machine(CFG)
+        return interp._code(e)(m, {}), CFG.fuel - m.fuel, sum(sines)
+
+    v, fuel, sines = run()
+    monkeypatch.setattr(interp, "_CALL_TABLE_MAX", 0)
+    assert run() == (v, fuel, 2) and sines == 1
+
+
+def test_a_table_kept_across_precisions_answers_each_with_its_own_sine():
+    e, calls = parse("(sinr 1/3)"), {}
+    coarse = eval_exact(e, cfg=CFG.at_precision(64), calls=calls)
+    fine = eval_exact(e, cfg=CFG.at_precision(256), calls=calls)
+    assert fine == eval_exact(e, cfg=CFG.at_precision(256))
+    assert fine.enc.width < coarse.enc.width
+
+
 def test_staged_builtins_reach_kernels_through_module_globals(monkeypatch):
     # a tracer rebinds the kernels by name; a node staged before the
     # rebinding must call the new binding
