@@ -17,7 +17,8 @@ perforated loop.  Compilation evaluates nothing, except that weakening
 to a caller-supplied bound checks the ordering, on sampled inputs at
 function families; there, and where the comparison stays undecided at the
 precision cap, the emitted error is the pointwise join of the synthesized
-error and the bound.
+error and the bound.  Bounds the oracle cannot evaluate even at the cap
+refuse the weakening with OrderingUndecidable.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .families import (
 )
 from .floats import nearest_float, to_fraction
 from .interp import (
-    EvalConfig, bound_of, eval_error,
+    EvalConfig, OracleInconclusive, bound_of, eval_error,
     float_op_err,  # re-exported: part of this module's public surface
 )
 from .quant import LeqVerdict, scalar_err_leq
@@ -75,6 +76,12 @@ class SideConditionFailed(CompileError):
 
 class Unsupported(CompileError):
     pass
+
+
+class OrderingUndecidable(CompileError):
+    """A weakening check whose bounds the oracle cannot evaluate, even at
+    the precision cap: a comparison or a divisor inside them stays
+    undecided."""
 
 
 class NestingTooDeep(CompileError):
@@ -846,14 +853,24 @@ def _err_leq_verdict(fam: ApproxTy, q1: Expr, q2: Expr,
     if isinstance(fam, (FlBase, NatBase, BoolBase)):
         # bounds that embed irrational reals are enclosures, which may
         # overlap at one precision and separate at a higher one; each step
-        # evaluates both on one call table
+        # evaluates both on one call table.  A step whose evaluation meets
+        # an undecided comparison is undecided too
         for p in precisions(cfg):
             cfgp, calls = cfg.at_precision(p), {}
-            v1 = bound_of(eval_error(q1, cfg=cfgp, calls=calls))
-            v2 = bound_of(eval_error(q2, cfg=cfgp, calls=calls))
+            try:
+                v1 = bound_of(eval_error(q1, cfg=cfgp, calls=calls))
+                v2 = bound_of(eval_error(q2, cfg=cfgp, calls=calls))
+            except OracleInconclusive as ex:
+                undecided = ex
+                continue
+            undecided = None
             r = scalar_err_leq(v1, v2)
             if r is not LeqVerdict.YES_ON_SAMPLES:
                 break
+        if undecided is not None:
+            raise OrderingUndecidable(
+                f"the weakening check cannot evaluate its bounds at the "
+                f"{p}-bit cap: {undecided}")
         if r is LeqVerdict.NO:
             return Verdict(status="fail",
                            counterexample={"lhs": str(v1.lo), "rhs": str(v2.hi)})

@@ -2,8 +2,20 @@
 
 The computable stand-in for exact real evaluation: every operation
 returns an enclosure guaranteed to contain the mathematical result for
-any point selection from its argument enclosures.  Endpoints are dyadic
-rationals, rounded outward at the requested precision.
+any point selection from its argument enclosures.
+
+An enclosure is two integer numerators over one shared positive
+denominator, with the precision it was made at.  Every enclosure the
+oracle returns at p bits lies on the 2^-p grid, its denominator 2^p:
+each operation rounds its exact result outward onto that grid, as one
+floor and one ceiling shift, or division where the exact denominator is
+not a power of two.  Operands at another precision, and enclosures built
+from arbitrary rationals, are rescaled to a common denominator first.
+An enclosure built from rationals gets denominator 2^p when both ends
+lie on the 2^-p grid and the least common denominator of its ends
+otherwise, so equal endpoints and precision give equal fields, and
+enclosures compare and hash by value.  The endpoints read as Fractions
+at the edge (`lo`, `hi`, `width`).
 
 Sine reduces its argument against a fixed 5376-bit enclosure of pi to
 |m| <= 3.3, sums the Taylor series in fixed point (integers scaled by
@@ -22,7 +34,8 @@ than this margin nests inside the coarser one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -47,53 +60,92 @@ class Tern(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _on_grid(x: Fraction, p: int) -> bool:
-    """Is x a multiple of 2^-p, so that rounding at p bits keeps it?"""
-    d = x.denominator
-    return d & (d - 1) == 0 and d.bit_length() <= p + 1
+class RealEnclosure(namedtuple("_Numerators", "lo_num hi_num den precision_bits")):
+    """The interval [lo_num/den, hi_num/den], made at precision_bits.
 
+    Built from two rationals lo <= hi; see the module docstring for the
+    denominator an enclosure gets.  A tuple, so immutable, and equal and
+    hashed by its fields, which is by value."""
 
-def rd_down(x: Fraction, p: int) -> Fraction:
-    if _on_grid(x, p):
-        return x
-    s = x * (1 << p)
-    return Fraction(s.numerator // s.denominator, 1 << p)
+    __slots__ = ()
 
+    def __new__(cls, lo: Fraction, hi: Fraction, precision_bits: int):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"inverted enclosure [{lo}, {hi}]")
+        den = 1 << precision_bits
+        if den % lo.denominator or den % hi.denominator:
+            den = math.lcm(lo.denominator, hi.denominator)
+        return _new(cls, (lo.numerator * (den // lo.denominator),
+                          hi.numerator * (den // hi.denominator),
+                          den, precision_bits))
 
-def rd_up(x: Fraction, p: int) -> Fraction:
-    if _on_grid(x, p):
-        return x
-    s = x * (1 << p)
-    return Fraction(-((-s.numerator) // s.denominator), 1 << p)
+    def __getnewargs__(self):
+        return self.lo, self.hi, self.precision_bits
 
+    def __repr__(self):
+        return (f"RealEnclosure(lo={self.lo!r}, hi={self.hi!r}, "
+                f"precision_bits={self.precision_bits!r})")
 
-@dataclass(frozen=True)
-class RealEnclosure:
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
 
     def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
+        n, d = q.numerator * self.den, q.denominator
+        return self.lo_num * d <= n <= self.hi_num * d
+
+
+_new = tuple.__new__
+
+
+def _grid(lo: int, hi: int, p: int) -> RealEnclosure:
+    """The enclosure [lo, hi] * 2^-p, made at p bits."""
+    return _new(RealEnclosure, (lo, hi, 1 << p, p))
+
+
+def _rounded(lo: int, hi: int, d: int, p: int) -> RealEnclosure:
+    """[lo/d, hi/d], for d > 0, rounded outward onto the 2^-p grid: a
+    directed shift where d is a power of two, else a directed division."""
+    one = 1 << p
+    if d != one:
+        if d & (d - 1):
+            lo, hi = (lo << p) // d, -((-hi << p) // d)
+        else:
+            s = d.bit_length() - 1 - p
+            lo, hi = (lo >> s, -(-hi >> s)) if s > 0 else (lo << -s, hi << -s)
+    return _new(RealEnclosure, (lo, hi, one, p))
+
+
+def _common(x: RealEnclosure, y: RealEnclosure) -> Tuple[int, int, int, int, int]:
+    """x's and y's numerators over one denominator, and that denominator."""
+    xd, yd = x.den, y.den
+    if xd == yd:
+        return x.lo_num, x.hi_num, y.lo_num, y.hi_num, xd
+    return (x.lo_num * yd, x.hi_num * yd, y.lo_num * xd, y.hi_num * xd,
+            xd * yd)
 
 
 def from_rational(q: Fraction, p: int) -> RealEnclosure:
-    return RealEnclosure(rd_down(q, p), rd_up(q, p), p)
+    """q, a Fraction or an int, rounded outward onto the 2^-p grid."""
+    n = q.numerator
+    return _rounded(n, n, q.denominator, p)
 
 
 def compare_leq(a: RealEnclosure, b: RealEnclosure) -> Tern:
     """Is a <= b?  Unknown when the enclosures overlap."""
-    if a.hi <= b.lo:
+    al, ah, bl, bh, _ = _common(a, b)
+    if ah <= bl:
         return Tern.YES
-    if b.hi < a.lo:
+    if bh < al:
         return Tern.NO
     return Tern.UNKNOWN
 
@@ -152,9 +204,10 @@ def pi_bounds() -> Tuple[Fraction, Fraction]:
 _CAP_NUM, _CAP_DEN = 33, 10
 
 
-def _sin_taylor_interval(lo: int, hi: int, den: int, p: int) -> Tuple[Fraction, Fraction]:
+def _sin_taylor_interval(lo: int, hi: int, den: int, p: int) -> Tuple[int, int]:
     """Taylor sum of sin over [lo/den, hi/den], a narrow interval within
-    +-3.3, for integers lo <= hi and den > 0 (not necessarily reduced).
+    +-3.3, for integers lo <= hi and den > 0 (not necessarily reduced),
+    as numerators over 2^p.
 
     Rounds every intermediate outward to the 2^-w grid, w = p+16, and
     finishes with a geometric full-tail remainder, which keeps results
@@ -199,14 +252,14 @@ def _sin_taylor_interval(lo: int, hi: int, den: int, p: int) -> Tuple[Fraction, 
     one = 1 << p
     lo_p = max(-one, (s_lo * e - tail) // q)
     hi_p = min(one, -((-s_hi * e - tail) // q))
-    return Fraction(lo_p, one), Fraction(hi_p, one)
+    return lo_p, hi_p
 
 
-def _reduce_arg(r: Fraction, p: int) -> Tuple[int, int, int]:
-    """Exact interval for r - n*2pi with n chosen so |result| <= 3.3, as
-    numerators lo, hi over the common denominator b * 2^5376, r = a/b."""
+def _reduce_arg(a: int, b: int, p: int) -> Tuple[int, int, int]:
+    """Exact interval for r - n*2pi, r = a/b with b > 0, with n chosen so
+    |result| <= 3.3, as numerators lo, hi over the common denominator
+    b * 2^5376."""
     pi_lo, pi_hi = _pi_scaled()
-    a, b = r.numerator, r.denominator
     x = a << _PI_BITS
     # nearest integer to r / 2pi, using the midpoint of the pi bounds:
     # floor(q + 1/2) for q = x / m
@@ -232,101 +285,118 @@ def _reduce_arg(r: Fraction, p: int) -> Tuple[int, int, int]:
     raise PrecisionOverflow("sine argument reduction failed")
 
 
-def sin_point(r: Fraction, p: int) -> RealEnclosure:
-    """Rigorous enclosure of sin(r) for an exact rational r."""
-    if r == 0:
-        return RealEnclosure(Fraction(0), Fraction(0), p)
-    a, b = r.numerator, r.denominator
+def sin_point(r: Fraction, p: int, den: int = 1) -> RealEnclosure:
+    """Rigorous enclosure of sin(r / den) for an exact rational r, a
+    Fraction or an int, and an integer den > 0; r / den need not be in
+    lowest terms.  The result lies on the 2^-p grid."""
+    a, b = r.numerator, r.denominator * den
+    if a == 0:
+        return _grid(0, 0, p)
     if _CAP_DEN * abs(a) <= _CAP_NUM * b:
         lo, hi = _sin_taylor_interval(a, a, b, p)
     else:
-        lo, hi = _sin_taylor_interval(*_reduce_arg(r, p), p)
-    return RealEnclosure(lo, hi, p)
+        lo, hi = _sin_taylor_interval(*_reduce_arg(a, b, p), p)
+    return _grid(lo, hi, p)
 
 
 def _sin_enclosure(x: RealEnclosure, p: int) -> RealEnclosure:
-    if x.width >= 7:  # wider than a full period
-        return RealEnclosure(Fraction(-1), Fraction(1), p)
-    s1 = sin_point(x.lo, p + 2)
-    s2 = s1 if x.lo == x.hi else sin_point(x.hi, p + 2)
-    lo = min(s1.lo, s2.lo)
-    hi = max(s1.hi, s2.hi)
+    # x is [a/b, c/b]; the sines of its ends are taken at p + 2 bits, as
+    # numerators over 2^(p+2), and the result rounded to p bits
+    a, c, b = x.lo_num, x.hi_num, x.den
+    if c - a >= 7 * b:  # wider than a full period
+        return _grid(-1 << p, 1 << p, p)
+    s1 = sin_point(a, p + 2, b)
+    s2 = s1 if a == c else sin_point(c, p + 2, b)
+    one = 1 << (p + 2)
+    lo = min(s1.lo_num, s2.lo_num)
+    hi = max(s1.hi_num, s2.hi_num)
     # account for interior extrema at (2k+1) * pi/2, comparing every value
-    # scaled by 2^5377 * b (x.lo = a/b) or 2^5377 * d (x.hi = c/d)
+    # scaled by 2^5377 * b
     pi_lo, pi_hi = _pi_scaled()
-    a, b = x.lo.numerator, x.lo.denominator
-    c, d = x.hi.numerator, x.hi.denominator
     xa, xc = a << (_PI_BITS + 1), c << (_PI_BITS + 1)
     # floor((2x/pi - 1) / 2) at each end, pi_hi at x.lo and pi_lo at x.hi.
     # That at x.lo is at most the first k the test admits: the quotients
     # differ by less than 1 for any x sin_point reduces.  At x.hi < 0 the
     # test uses m * pi_hi, which the floor at pi_lo can miss by one.
     k_min = (xa - b * pi_hi) // (2 * b * pi_hi)
-    k_max = (xc - d * pi_lo) // (2 * d * pi_lo) + 1
+    k_max = (xc - b * pi_lo) // (2 * b * pi_lo) + 1
     for k in range(k_min, k_max + 1):
         m = 2 * k + 1
         if m >= 0:
             c_lo, c_hi = m * pi_lo, m * pi_hi
         else:
             c_lo, c_hi = m * pi_hi, m * pi_lo
-        if c_hi * b >= xa and c_lo * d <= xc:  # extremum possibly inside
+        if c_hi * b >= xa and c_lo * b <= xc:  # extremum possibly inside
             if k % 2 == 0:
-                hi = Fraction(1)
+                hi = one
             else:
-                lo = Fraction(-1)
-    lo = max(lo, Fraction(-1))
-    hi = min(hi, Fraction(1))
-    return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+                lo = -one
+    return _rounded(max(lo, -one), min(hi, one), one, p)
 
 
 # ---------------------------------------------------------------------------
 # operation dispatch
+
+def _abs(lo: int, hi: int) -> Tuple[int, int]:
+    """The range of |v| for v in [lo, hi]."""
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def _quotient(x: RealEnclosure, y: RealEnclosure, p: int) -> RealEnclosure:
+    """x / y for y excluding zero.  The sign cases pick the corner each
+    end of the range sits at, so each end is one directed division:
+    x_i / y_j is x_i * y.den / (y_j * x.den)."""
+    xl, xh, yl, yh = x.lo_num, x.hi_num, y.lo_num, y.hi_num
+    if yl > 0:  # increasing in x
+        n_lo, d_lo = xl, (yh if xl >= 0 else yl)
+        n_hi, d_hi = xh, (yl if xh >= 0 else yh)
+    else:  # decreasing in x
+        n_lo, d_lo = xh, (yh if xh >= 0 else yl)
+        n_hi, d_hi = xl, (yl if xl >= 0 else yh)
+    if x.den != y.den:
+        n_lo, n_hi = n_lo * y.den, n_hi * y.den
+        d_lo, d_hi = d_lo * x.den, d_hi * x.den
+    # floor division by a negative divisor still floors
+    return _grid((n_lo << p) // d_lo, -((-n_hi << p) // d_hi), p)
+
 
 def enclose_op(op: str, args: List[RealEnclosure], precision_bits: int,
                max_bits: int = DEFAULT_MAX_PRECISION) -> RealEnclosure:
     """Apply a real builtin to enclosures, rounding outward.
 
     The result contains the exact mathematical value for every point
-    selection from the arguments.
+    selection from the arguments, and lies on the 2^-p grid for p =
+    precision_bits.
     """
     p = precision_bits
     if p > max_bits:
         raise PrecisionOverflow(f"{p} bits exceeds the configured cap {max_bits}")
     if op == "+r":
-        x, y = args
-        return RealEnclosure(rd_down(x.lo + y.lo, p), rd_up(x.hi + y.hi, p), p)
+        xl, xh, yl, yh, d = _common(*args)
+        return _rounded(xl + yl, xh + yh, d, p)
     if op == "-r":
-        x, y = args
-        return RealEnclosure(rd_down(x.lo - y.hi, p), rd_up(x.hi - y.lo, p), p)
+        xl, xh, yl, yh, d = _common(*args)
+        return _rounded(xl - yh, xh - yl, d, p)
     if op == "*r":
         x, y = args
-        cs = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
-        return RealEnclosure(rd_down(min(cs), p), rd_up(max(cs), p), p)
+        xl, xh, yl, yh = x.lo_num, x.hi_num, y.lo_num, y.hi_num
+        cs = (xl * yl, xl * yh, xh * yl, xh * yh)
+        return _rounded(min(cs), max(cs), x.den * y.den, p)
     if op == "/r":
         x, y = args
-        if y.lo <= 0 <= y.hi:
+        if y.lo_num <= 0 <= y.hi_num:
             raise DivisorStraddlesZero(f"divisor enclosure [{y.lo}, {y.hi}]")
-        cs = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
-        return RealEnclosure(rd_down(min(cs), p), rd_up(max(cs), p), p)
+        return _quotient(x, y, p)
     if op == "absr":
         (x,) = args
-        if x.lo >= 0:
-            lo, hi = x.lo, x.hi
-        elif x.hi <= 0:
-            lo, hi = -x.hi, -x.lo
-        else:
-            lo, hi = Fraction(0), max(-x.lo, x.hi)
-        return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+        return _rounded(*_abs(x.lo_num, x.hi_num), x.den, p)
     if op == "dr":
-        x, y = args
-        d_lo, d_hi = x.lo - y.hi, x.hi - y.lo
-        if d_lo >= 0:
-            lo, hi = d_lo, d_hi
-        elif d_hi <= 0:
-            lo, hi = -d_hi, -d_lo
-        else:
-            lo, hi = Fraction(0), max(-d_lo, d_hi)
-        return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+        xl, xh, yl, yh, d = _common(*args)
+        return _rounded(*_abs(xl - yh, xh - yl), d, p)
     if op == "sinr":
         (x,) = args
         return _sin_enclosure(x, p)

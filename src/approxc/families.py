@@ -36,8 +36,8 @@ from .sampling import (
 from .syntax import (
     BOOL, ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, FloatLit, Forall, Lam,
-    NatLit, RealLit, Ty, TyApp, TyLam, TyVar, Var, free_vars, map_children,
-    subst, to_source,
+    NatLit, RealLit, Ty, TyApp, TyLam, TyVar, Var, free_vars, fresh_name,
+    map_children, subst, to_source,
 )
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,11 @@ def _join_base(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
     if isinstance(a, FlBase):
         return Builtin("maxq", (q1, q2))
     if isinstance(a, (NatBase, BoolBase)):
-        # q1 + (q2 - q1), with truncated subtraction, is max(q1, q2)
-        return Builtin("+n", (q1, Builtin("-n", (q2, q1))))
+        # v + (q2 - v), with truncated subtraction, is max(v, q2); q1 is
+        # bound to v, so it is evaluated once
+        v = Var(fresh_name("j", free_vars(q2)))
+        return App(Lam(v.name, NAT, Builtin("+n", (v, Builtin("-n", (q2, v))))),
+                   q1)
     raise TypeError(f"no expressible join for {a!r}")
 
 
@@ -511,16 +514,17 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
             else:
                 oenc = ov.enc
             d = enc.enclose_op("dr", [ev.enc, oenc], p, cfg.max_precision_bits)
-            rec["measured"] = [str(d.lo), str(d.hi)]
+            dlo, dhi = d.lo, d.hi
+            rec["measured"] = [str(dlo), str(dhi)]
             if qv.hi is None:
                 # bound might be infinite; cannot be refuted
-                return ("pass", {**rec, "slack": str(d.width)})
-            if d.hi <= qv.lo:
+                return ("pass", {**rec, "slack": str(dhi - dlo)})
+            if dhi <= qv.lo:
                 return ("pass", {**rec, "slack": "0",
-                                 "tight": bool(d.hi + d.width >= qv.lo)})
-            if d.lo > qv.hi:
-                return ("fail", {**rec, "excess": str(d.lo - qv.hi)})
-            slack = d.width + (qv.hi - qv.lo)
+                                 "tight": bool(2 * dhi - dlo >= qv.lo)})
+            if dlo > qv.hi:
+                return ("fail", {**rec, "excess": str(dlo - qv.hi)})
+            slack = (dhi - dlo) + (qv.hi - qv.lo)
             if slack <= cutoff * max(Fraction(1), qv.hi):
                 break
     except OracleInconclusive as ex:

@@ -6,8 +6,8 @@ Everything here is exact arithmetic over ints and Fractions, so results
 are identical across platforms; the machine's libm is never consulted.
 Rounding to binary64 is CPython's int true division and int-to-float
 conversion, both correctly rounded to nearest-even, and the rounding-error
-bound runs on integer numerators, building a Fraction only for the two
-endpoints it returns.
+bound runs on integer numerators: it reads the enclosures' numerators as
+they are, and builds a Fraction only for the two endpoints it returns.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import struct
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .enclosure import PrecisionOverflow, sin_point
+from .enclosure import PrecisionOverflow, RealEnclosure, sin_point
 
 #: largest finite binary64 magnitude, 2^1024 - 2^971
 MAXFLOAT_FRAC = Fraction((1 << 1024) - (1 << 971))
@@ -131,7 +131,8 @@ def sin_f64(x: float) -> float:
 
 ErrIv = Tuple[Fraction, Optional[Fraction]]  # (lo, hi); hi None means infinity
 
-_INF: ErrIv = (Fraction(0), None)
+_ZERO = Fraction(0)
+_INF: ErrIv = (_ZERO, None)
 
 
 def _op_interval(op: str, xlo: int, xhi: int, ylo: int,
@@ -153,9 +154,8 @@ def _op_interval(op: str, xlo: int, xhi: int, ylo: int,
     raise ValueError(op)
 
 
-def float_interval_op_err(op: str,
-                          xe: Tuple[Fraction, Fraction], xq: ErrIv,
-                          ye: Tuple[Fraction, Fraction], yq: ErrIv) -> ErrIv:
+def float_interval_op_err(op: str, xe: RealEnclosure, xq: ErrIv,
+                          ye: RealEnclosure, yq: ErrIv) -> ErrIv:
     """Bound on |exact op - any rounded float op inside the error box|.
 
     Builds the exact interval of op over [xe-xq, xe+xq] x [ye-yq, ye+yq],
@@ -165,16 +165,27 @@ def float_interval_op_err(op: str,
     infinite bound.  Inputs are enclosures, so the result is itself an
     interval containing the true bound value.
 
-    The rule runs on integers: the eight inputs become numerators over
-    their least common denominator, and only the two returned endpoints
-    are built as Fractions.
+    The rule runs on integers: the enclosures' numerators and the four
+    error endpoints become numerators over their least common
+    denominator, and only the two returned endpoints are built as
+    Fractions.
     """
     if xq[1] is None or yq[1] is None:
         return _INF
-    qs = (xe[0], xe[1], xq[0], xq[1], ye[0], ye[1], yq[0], yq[1])
-    den = math.lcm(*[q.denominator for q in qs])
-    xl, xh, xq_lo, xq_hi, yl, yh, yq_lo, yq_hi = [
-        q.numerator * (den // q.denominator) for q in qs]
+    qs = (xq[0], xq[1], yq[0], yq[1])
+    # the errors' denominators are usually small and the enclosures' one
+    # power of two, so each lcm is taken only where it changes the result
+    xd, yd = xe.den, ye.den
+    den = xd if xd == yd else math.lcm(xd, yd)
+    q_den = math.lcm(qs[0].denominator, qs[1].denominator,
+                     qs[2].denominator, qs[3].denominator)
+    if den % q_den:
+        den = math.lcm(den, q_den)
+    xq_lo, xq_hi, yq_lo, yq_hi = [q.numerator * (den // q.denominator)
+                                  for q in qs]
+    xs, ys = den // xd, den // yd
+    xl, xh = xe.lo_num * xs, xe.hi_num * xs
+    yl, yh = ye.lo_num * ys, ye.hi_num * ys
 
     # widest input box (outer) and the exact-result enclosure
     oxl, oxh, oyl, oyh = xl - xq_hi, xh + xq_hi, yl - yq_hi, yh + yq_hi
@@ -193,12 +204,13 @@ def float_interval_op_err(op: str,
     # narrowest input box (inner), for the lower end of the bound value;
     # [c, d] is the span every realized rounded interval must cover.  The
     # inner box lies in the outer one, so c == a and d == b exactly when
-    # the inner interval rounds to the same floats
+    # the inner interval rounds to the same floats, as it does when the
+    # inner box is the outer one (point enclosures with point errors)
     nxl, nxh, nyl, nyh = xh - xq_lo, xl + xq_lo, yh - yq_lo, yl + yq_lo
     # an inner divisor box lies in the outer one, already checked for zero
     inner_ok = nxl <= nxh and nyl <= nyh
     c, d = a, b
-    if inner_ok:
+    if inner_ok and (nxl, nxh, nyl, nyh) != (oxl, oxh, oyl, oyh):
         j_lo, j_hi, j_den = _op_interval(op, nxl, nxh, nyl, nyh, den)
         c = max(_round_down(j_lo, j_den), a)
         d = min(_round_up(j_hi, j_den), b)
@@ -225,4 +237,6 @@ def float_interval_op_err(op: str,
         # indeterminate rounding: any realized rounded interval still
         # spans the inner floats, giving a half-width floor
         lo = (d - c) // 2 if c <= d else 0
-    return Fraction(max(0, min(lo, hi)), s), Fraction(hi, s)
+    lo = max(0, min(lo, hi))
+    # an exact operation's bound is zero, the one Fraction not built anew
+    return (Fraction(lo, s) if lo else _ZERO), (Fraction(hi, s) if hi else _ZERO)

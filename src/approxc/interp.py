@@ -209,8 +209,7 @@ def float_op_err(op: str, xe: RealEnclosure, xq: VErr,
     """Worst-case distance between the exact op and its rounded float
     counterpart over the input error box; infinity on overflow or on a
     divisor interval containing zero."""
-    lo, hi = float_interval_op_err(op, (xe.lo, xe.hi), (xq.lo, xq.hi),
-                                   (ye.lo, ye.hi), (yq.lo, yq.hi))
+    lo, hi = float_interval_op_err(op, xe, (xq.lo, xq.hi), ye, (yq.lo, yq.hi))
     if hi is None and lo == 0:
         return ERR_INF
     return VErr(lo, hi)
@@ -330,7 +329,7 @@ class _Machine:
 
     def _zero_like(self, v: Value) -> Value:
         if isinstance(v, VReal):
-            return VReal(from_rational(Fraction(0), self.cfg.precision_bits))
+            return VReal(from_rational(0, self.cfg.precision_bits))
         if isinstance(v, VFloat):
             return VFloat(0.0)
         if isinstance(v, VNat):
@@ -405,11 +404,29 @@ def _leqr(m, x, y):
     return VBool(r is Tern.YES)
 
 
-def _float2(op: str, f, box=VFloat):
+def _binary(op: str, t: type, what: str, f, box):
+    # f on the values of two operands of type t
     def rule(m, x, y):
-        if not (type(x) is VFloat and type(y) is VFloat):
-            raise EvalError(f"{op} applied to non-floats")
+        if not (type(x) is t and type(y) is t):
+            raise EvalError(f"{op} applied to non-{what}")
         return box(f(x.value, y.value))
+    return rule
+
+
+def _float2(op: str, f, box=VFloat):
+    return _binary(op, VFloat, "floats", f, box)
+
+
+def _nat2(op: str, f, box=VNat):
+    return _binary(op, VNat, "naturals", f, box)
+
+
+def _nat1(op: str, f):
+    # f(m, value) on a natural operand
+    def rule(m, n):
+        if type(n) is not VNat:
+            raise EvalError(f"{op} applied to {n!r}")
+        return f(m, n.value)
     return rule
 
 
@@ -420,11 +437,11 @@ def _sinf(m, x):
 
 
 def _modulus(op: str, f):
-    def rule(m, x, y):
-        if y.value == 0:
+    def g(a, b):
+        if b == 0:
             raise EvalError(f"{op} with zero modulus")
-        return VNat(f(x.value, y.value))
-    return rule
+        return f(a, b)
+    return _nat2(op, g)
 
 
 def _float_err(op: str):
@@ -447,6 +464,8 @@ def _sinerr(m, xe, xq):
 def _n2rerr(m, n, k) -> VErr:
     # worst |n - real(nat2float m)| over naturals m with |m - n| <= k;
     # float conversion is monotone, so the extremes sit at the ends
+    if not (type(n) is VNat and type(k) is VNat):
+        raise EvalError("n2rerr applied to non-naturals")
     n, k = n.value, k.value
     worst = 0
     for i in (max(0, n - k), n + k):
@@ -466,23 +485,23 @@ _DELTA = {
     "sinr": _sinr,
     "absr": _real1("absr"),
     "leqr": _leqr,
-    "nat2real": lambda m, n: VReal(
-        from_rational(Fraction(n.value), m.cfg.precision_bits)),
+    "nat2real": _nat1("nat2real", lambda m, n: VReal(
+        from_rational(n, m.cfg.precision_bits))),
     "+f": _float2("+f", operator.add),
     "-f": _float2("-f", operator.sub),
     "*f": _float2("*f", operator.mul),
     "/f": _float2("/f", lambda a, b: ieee_div(a, b)),
     "sinf": _sinf,
     "leqf": _float2("leqf", operator.le, VBool),
-    "nat2float": lambda m, n: VFloat(_nat_float(n.value)),
-    "+n": lambda m, x, y: VNat(x.value + y.value),
-    "-n": lambda m, x, y: VNat(max(0, x.value - y.value)),
-    "*n": lambda m, x, y: VNat(x.value * y.value),
-    "dn": lambda m, x, y: VNat(abs(x.value - y.value)),
-    "leqn": lambda m, x, y: VBool(x.value <= y.value),
+    "nat2float": _nat1("nat2float", lambda m, n: VFloat(_nat_float(n))),
+    "+n": _nat2("+n", operator.add),
+    "-n": _nat2("-n", lambda a, b: max(0, a - b)),
+    "*n": _nat2("*n", operator.mul),
+    "dn": _nat2("dn", lambda a, b: abs(a - b)),
+    "leqn": _nat2("leqn", operator.le, VBool),
     "floorK": _modulus("floorK", lambda a, b: b * (a // b)),
     "ceilK": _modulus("ceilK", lambda a, b: b * ((a + b - 1) // b)),
-    "nat2err": lambda m, n: VErr.point(Fraction(n.value)),
+    "nat2err": _nat1("nat2err", lambda m, n: VErr.point(Fraction(n))),
     "+q": lambda m, x, y: err_add(err_of_value(x), err_of_value(y)),
     "maxq": lambda m, x, y: err_max(err_of_value(x), err_of_value(y)),
     "*q": lambda m, x, y: err_mul(err_of_value(x), err_of_value(y)),

@@ -112,6 +112,21 @@ def test_argument_of_universal_type_exit_two(tmp_path, capsys):
     assert not list(tmp_path.glob("poly_arg.*.*"))
 
 
+def test_undecidable_weakening_target_exit_two(tmp_path, capsys):
+    # 1/3 is not dyadic, so (leqr 1/3 1/3) overlaps at every precision
+    p = tmp_path / "third.ax"
+    p.write_text("1/3")
+    rc = main(["compile", str(p), "--weaken-to",
+               "(if (leqr 1/3 1/3) (err 1/1) (err 2/1))"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("OrderingUndecidable: the weakening check cannot evaluate its "
+            "bounds at the 4096-bit cap: comparison undecided at 4096 bits"
+            in err), err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("third.*.*"))
+
+
 def test_bad_perforate_value_exit_two(tmp_path):
     p = _write_pi(tmp_path)
     rc = main(["check", str(p), "--perforate", "L0"])

@@ -17,8 +17,8 @@ import approxc.compiler
 import approxc.typecheck
 
 from approxc.compiler import (
-    CompileError, CompileOpts, NoRuleApplies, SideConditionFailed, Unsupported,
-    compile_expr, compile_program, float_op_err, fold_err,
+    CompileError, CompileOpts, NoRuleApplies, OrderingUndecidable,
+    SideConditionFailed, Unsupported, compile_expr, compile_program, float_op_err, fold_err,
     label_sites, weaken,
 )
 from approxc.enclosure import RealEnclosure, from_rational
@@ -350,6 +350,27 @@ def test_weaken_escalates_an_undecided_base_comparison():
     sc = r.derivation.side_conditions[0]
     assert r.err == Builtin("maxq", (r0.err, r0.err))
     assert sc.verdict.status == "pass" and sc.verdict.on_samples
+
+
+def test_weaken_escalates_past_an_undecided_comparison_in_the_target():
+    # 1/3 and 1/3 + 2^-200 overlap at 128 bits and separate at 256
+    target = parse(f"(if (leqr 1/3 (+r 1/3 1/{2 ** 200})) (err 1/1) (err 2/1))")
+    r = compile_program(parse("1/3"), CompileOpts(weaken_to=target, cfg=CFG))
+    sc = r.derivation.side_conditions[0]
+    assert r.err == target
+    assert sc.verdict.status == "pass" and not sc.verdict.on_samples
+
+
+def test_weaken_to_an_undecidable_target_is_refused():
+    target = parse("(if (leqr 1/3 1/3) (err 1/1) (err 2/1))")
+    with pytest.raises(OrderingUndecidable, match="at the 4096-bit cap"):
+        compile_program(parse("1/3"), CompileOpts(weaken_to=target, cfg=CFG))
+    # at a function family, where the check samples inputs, too
+    target = parse("(lam (x Real) (lam (x_q ErrReal) "
+                   "(if (leqr 1/3 1/3) (err 1/1) (err 2/1))))")
+    with pytest.raises(OrderingUndecidable, match="at the 4096-bit cap"):
+        compile_program(parse("(lam (x Real) x)"),
+                        CompileOpts(weaken_to=target, cfg=CFG))
 
 
 _BIG = 2 ** 200

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from approxc.enclosure import (
     _PI_BITS, DivisorStraddlesZero, PrecisionOverflow, RealEnclosure, Tern,
     _pi_scaled, _reduce_arg, _sin_taylor_interval, compare_leq, enclose_op,
-    from_rational, pi_bounds, rd_down, rd_up, sin_point,
+    from_rational, pi_bounds, sin_point,
 )
 from approxc.sampling import sample_real_fraction, trial_rng
 
@@ -17,11 +17,91 @@ def _pt(q, p=64):
     return from_rational(Fraction(q), p)
 
 
+# ---------------------------------------------------------------------------
+# the Fraction enclosure code the integer enclosures replaced, kept
+# verbatim as the reference they must reproduce
+
+def _on_grid(x: Fraction, p: int) -> bool:
+    """Is x a multiple of 2^-p, so that rounding at p bits keeps it?"""
+    d = x.denominator
+    return d & (d - 1) == 0 and d.bit_length() <= p + 1
+
+
+def rd_down(x: Fraction, p: int) -> Fraction:
+    if _on_grid(x, p):
+        return x
+    s = x * (1 << p)
+    return Fraction(s.numerator // s.denominator, 1 << p)
+
+
+def rd_up(x: Fraction, p: int) -> Fraction:
+    if _on_grid(x, p):
+        return x
+    s = x * (1 << p)
+    return Fraction(-((-s.numerator) // s.denominator), 1 << p)
+
+
+def _fraction_from_rational(q: Fraction, p: int) -> RealEnclosure:
+    return RealEnclosure(rd_down(q, p), rd_up(q, p), p)
+
+
+def _fraction_enclose_op(op, args, precision_bits, max_bits=4096):
+    p = precision_bits
+    if p > max_bits:
+        raise PrecisionOverflow(f"{p} bits exceeds the configured cap {max_bits}")
+    if op == "+r":
+        x, y = args
+        return RealEnclosure(rd_down(x.lo + y.lo, p), rd_up(x.hi + y.hi, p), p)
+    if op == "-r":
+        x, y = args
+        return RealEnclosure(rd_down(x.lo - y.hi, p), rd_up(x.hi - y.lo, p), p)
+    if op == "*r":
+        x, y = args
+        cs = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+        return RealEnclosure(rd_down(min(cs), p), rd_up(max(cs), p), p)
+    if op == "/r":
+        x, y = args
+        if y.lo <= 0 <= y.hi:
+            raise DivisorStraddlesZero(f"divisor enclosure [{y.lo}, {y.hi}]")
+        cs = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
+        return RealEnclosure(rd_down(min(cs), p), rd_up(max(cs), p), p)
+    if op == "absr":
+        (x,) = args
+        if x.lo >= 0:
+            lo, hi = x.lo, x.hi
+        elif x.hi <= 0:
+            lo, hi = -x.hi, -x.lo
+        else:
+            lo, hi = Fraction(0), max(-x.lo, x.hi)
+        return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+    if op == "dr":
+        x, y = args
+        d_lo, d_hi = x.lo - y.hi, x.hi - y.lo
+        if d_lo >= 0:
+            lo, hi = d_lo, d_hi
+        elif d_hi <= 0:
+            lo, hi = -d_hi, -d_lo
+        else:
+            lo, hi = Fraction(0), max(-d_lo, d_hi)
+        return RealEnclosure(rd_down(lo, p), rd_up(hi, p), p)
+    raise ValueError(f"not an enclosure operation: {op}")
+
+
+def _fraction_compare_leq(a, b):
+    if a.hi <= b.lo:
+        return Tern.YES
+    if b.hi < a.lo:
+        return Tern.NO
+    return Tern.UNKNOWN
+
+
 def test_outward_rounding():
     q = Fraction(1, 3)
-    assert rd_down(q, 8) <= q <= rd_up(q, 8)
-    assert rd_up(q, 8) - rd_down(q, 8) <= Fraction(1, 256)
-    assert rd_down(Fraction(1, 4), 8) == rd_up(Fraction(1, 4), 8) == Fraction(1, 4)
+    out = from_rational(q, 8)
+    assert out.lo <= q <= out.hi
+    assert out.width <= Fraction(1, 256)
+    out = from_rational(Fraction(1, 4), 8)
+    assert out.lo == out.hi == Fraction(1, 4)
 
 
 @given(st.sampled_from([1, 53, 128, 4096]), st.booleans(),
@@ -34,8 +114,10 @@ def test_rounding_matches_floor_and_ceil(p, dyadic, n, shift, den):
     q = (Fraction(2 * n + 1, 1 << max(0, p + shift)) if dyadic
          else Fraction(n, den))
     scale = 1 << p
-    assert rd_down(q, p) == Fraction(math.floor(q * scale), scale)
-    assert rd_up(q, p) == Fraction(math.ceil(q * scale), scale)
+    out = from_rational(q, p)
+    assert out.lo == Fraction(math.floor(q * scale), scale)
+    assert out.hi == Fraction(math.ceil(q * scale), scale)
+    assert out == _fraction_from_rational(q, p)
 
 
 def test_exact_integer_addition():
@@ -151,6 +233,67 @@ def test_monotone_width_shrink():
 
 
 # ---------------------------------------------------------------------------
+# the integer enclosure ops against the Fraction ops they replaced
+
+_OP_PRECISIONS = [1, 53, 128, 4096]
+_values = (st.integers(-2**300, 2**300).map(Fraction)
+           | st.builds(Fraction, st.integers(-10**6, 10**6),
+                       st.sampled_from([1, 3, 10, 1 << 60, 3 << 200]))
+           | st.builds(lambda n, k: Fraction(n, 1 << k),
+                       st.integers(-2**80, 2**80), st.integers(0, 4200)))
+
+
+@st.composite
+def _operands(draw, p):
+    """An enclosure as the oracle makes it, at p or at another precision,
+    or one built from arbitrary rationals: off its grid or non-dyadic; a
+    point or an interval."""
+    px = draw(st.sampled_from([p] + _OP_PRECISIONS))
+    lo = draw(_values)
+    hi = lo if draw(st.booleans()) else lo + abs(draw(_values))
+    if draw(st.booleans()):
+        return RealEnclosure(rd_down(lo, px), rd_up(hi, px), px)
+    return RealEnclosure(lo, hi, px)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except (DivisorStraddlesZero, PrecisionOverflow) as ex:
+        return type(ex).__name__, str(ex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_OP_PRECISIONS),
+       st.sampled_from(["+r", "-r", "*r", "/r", "absr", "dr"]), st.data())
+def test_integer_ops_match_fraction_ops(p, op, data):
+    x, y = data.draw(_operands(p)), data.draw(_operands(p))
+    args = [x] if op == "absr" else [x, y]
+    got = _result(enclose_op, op, args, p)
+    assert got == _result(_fraction_enclose_op, op, args, p)
+    assert compare_leq(x, y) is _fraction_compare_leq(x, y)
+    q = x.lo
+    assert from_rational(q, p) == _fraction_from_rational(q, p)
+    # every enclosure the oracle returns lies on its 2^-p grid
+    for out in (got, from_rational(q, p)):
+        assert type(out) is tuple or out.den == 1 << p
+
+
+def test_enclosures_are_equal_and_hashed_by_value():
+    a = from_rational(Fraction(1, 3), 64)
+    b = RealEnclosure(a.lo, a.hi, 64)
+    assert a == b and hash(a) == hash(b)
+    # one value made at two precisions, or off the grid, is two enclosures
+    assert from_rational(Fraction(1, 4), 64) != from_rational(Fraction(1, 4), 128)
+    c = RealEnclosure(Fraction(1, 3), Fraction(1, 2), 64)
+    assert c.den == 6 and c == RealEnclosure(Fraction(2, 6), Fraction(1, 2), 64)
+    assert repr(c) == ("RealEnclosure(lo=Fraction(1, 3), hi=Fraction(1, 2), "
+                       "precision_bits=64)")
+    with pytest.raises(ValueError):
+        RealEnclosure(Fraction(1), Fraction(0), 64)
+
+
+# ---------------------------------------------------------------------------
 # the integer Taylor kernel against the Fraction kernel it replaced
 
 def _fraction_sin_taylor_interval(mlo, mhi, p):
@@ -217,7 +360,12 @@ def _kernel_args(draw):
         st.integers(-50, 970))
     x = x if draw(st.booleans()) else -x
     assume(abs(x) > _CAP)
-    return (*_reduce_arg(x, p), p)
+    return (*_reduce_arg(x.numerator, x.denominator, p), p)
+
+
+def _taylor_fractions(lo, hi, den, p):
+    """_sin_taylor_interval's numerators over 2^p, as Fractions."""
+    return tuple(Fraction(n, 1 << p) for n in _sin_taylor_interval(lo, hi, den, p))
 
 
 def _outcome(fn, *args):
@@ -231,7 +379,7 @@ def _outcome(fn, *args):
 @given(_kernel_args())
 def test_integer_kernel_matches_fraction_kernel(args):
     lo, hi, den, p = args
-    assert (_outcome(_sin_taylor_interval, lo, hi, den, p)
+    assert (_outcome(_taylor_fractions, lo, hi, den, p)
             == _outcome(_fraction_sin_taylor_interval,
                         Fraction(lo, den), Fraction(hi, den), p))
 
@@ -378,10 +526,13 @@ def _sine_args(draw):
 @given(_sine_args())
 def test_integer_sine_matches_fraction_sine(args):
     lo, hi, p = args
-    assert _outcome(sin_point, lo, p) == _outcome(_fraction_sin_point, lo, p)
+    point = _outcome(sin_point, lo, p)
+    assert point == _outcome(_fraction_sin_point, lo, p)
     x = RealEnclosure(lo, hi, p)
-    assert (_outcome(enclose_op, "sinr", [x], p)
-            == _outcome(_fraction_sin_enclosure, x, p))
+    out = _outcome(enclose_op, "sinr", [x], p)
+    assert out == _outcome(_fraction_sin_enclosure, x, p)
+    # both lie on the 2^-p grid
+    assert all(type(e) is str or e.den == 1 << p for e in (point, out))
 
 
 def _margin_sin_enclosure(x, p):

@@ -11,17 +11,20 @@ from approxc.families import (
     BOOL_A, FL, NAT_A, ApproxCtx, Pi, PiTy, TyTriple, ValTriple, VarBase,
     _base_check, _verdict, aeq_check, appr_member, approx_ty,
     check_approx_axioms, ctx_exact, err_ty, exact_ty, family_from_type,
-    family_source, fn_family, instantiate_poly, member_trials, plus_apply,
+    family_source, fn_family, instantiate_poly, join_apply, member_trials,
+    plus_apply,
     plus_lambda, sample_member_triple, same_family, weaken_err_expr,
     zero_expr,
 )
 from approxc.floats import nearest_float, to_fraction
-from approxc.interp import EvalConfig, eval_error, eval_exact, bound_of
+from approxc.interp import (
+    DIVERGED, EvalConfig, eval_error, eval_exact, bound_of,
+)
 from approxc.parser import parse
 from approxc.sampling import trial_rng
 from approxc.syntax import (
-    ERRREAL, NAT, REAL, App, Arrow, ErrLit, FloatLit, Forall, NatLit,
-    RealLit, to_source,
+    ERRREAL, NAT, REAL, App, Arrow, Builtin, ErrLit, FloatLit, Forall, Lam,
+    NatLit, RealLit, to_source,
 )
 from approxc.typecheck import TyCtx, infer_type
 from test_random_programs import programs
@@ -370,3 +373,35 @@ def test_shared_table_keeps_random_program_records(case):
     shared, fresh = _shared_and_fresh(
         lambda: _member_records(e, r, 10, 7, CFG))
     assert shared == fresh, to_source(e)
+
+
+def _fuel_spent(e) -> int:
+    """The least fuel at which the error program e converges."""
+    lo, hi = 1, 1 << 16
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if eval_error(e, cfg=EvalConfig(fuel=mid)) is DIVERGED:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_nat_join_evaluates_the_synthesized_error_once():
+    fam = compile_program(parse("(lam (n Nat) (+n n 2))"), CompileOpts()).family
+    q1 = parse("(lam (n Nat) (lam (n_q Nat) (*n (+n n_q 1) (+n n 2))))")
+    q2 = parse("(lam (n Nat) (lam (n_q Nat) (-n 40 (*n n n))))")
+    join = join_apply(fam, q1, q2)
+    assert to_source(join) == (
+        "(lam (n Nat) (lam (n_q Nat) (app (lam (j Nat) (+n j (-n (-n 40 "
+        "(*n n n)) j))) (*n (+n n_q 1) (+n n 2)))))")
+    # the form before: q1 + (q2 - q1), which evaluates q1 twice
+    a, b = join.body.body.arg, join.body.body.fn.body.args[1].args[0]
+    old = Lam("n", NAT, Lam("n_q", NAT, Builtin("+n", (a, Builtin(
+        "-n", (b, a))))))
+    rng = trial_rng(3, 0)
+    for _ in range(12):
+        x, _, xq = sample_member_triple(fam.fam, rng)
+        new_e, old_e = App(App(join, x), xq), App(App(old, x), xq)
+        assert eval_error(new_e, cfg=CFG) == eval_error(old_e, cfg=CFG)
+        assert _fuel_spent(new_e) < _fuel_spent(old_e)

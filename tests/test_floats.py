@@ -5,11 +5,18 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from approxc.enclosure import RealEnclosure
 from approxc.floats import (
     MAXFLOAT, MAXFLOAT_FRAC, float_bits, float_interval_op_err, ieee_div,
     nearest_float, round_down_float, round_up_float, sin_f64, to_fraction,
 )
 from approxc.sampling import trial_rng
+
+
+def _op_err(op, xe, xq, ye, yq):
+    """float_interval_op_err on enclosures given as (lo, hi) pairs."""
+    return float_interval_op_err(op, RealEnclosure(*xe, 53), xq,
+                                 RealEnclosure(*ye, 53), yq)
 
 
 def test_nearest_float_matches_division():
@@ -91,21 +98,20 @@ def test_interval_op_err_point_cases():
     z = (Fraction(0), Fraction(0))
     h = (Fraction(1, 2), Fraction(1, 2))
     # 1 + 2 with no input error: 3.0 exact, bound 0
-    lo, hi = float_interval_op_err("+", one, z, two, z)
+    lo, hi = _op_err("+", one, z, two, z)
     assert lo == hi == 0
     # widen both by 1/2: interval [2, 4], all representable, max distance 1
-    lo, hi = float_interval_op_err("+", one, h, two, h)
+    lo, hi = _op_err("+", one, h, two, h)
     assert lo == hi == 1
 
 
 def test_interval_op_err_overflow_and_zero_divisor():
     big = (MAXFLOAT_FRAC, MAXFLOAT_FRAC)
     z = (Fraction(0), Fraction(0))
-    lo, hi = float_interval_op_err("*", big, z, big, z)
+    lo, hi = _op_err("*", big, z, big, z)
     assert hi is None
-    lo, hi = float_interval_op_err("/", (Fraction(1), Fraction(1)), z,
-                                   (Fraction(1), Fraction(1)),
-                                   (Fraction(2), Fraction(2)))
+    lo, hi = _op_err("/", (Fraction(1), Fraction(1)), z,
+                     (Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
     assert hi is None  # divisor interval [-1, 3] contains zero
 
 
@@ -316,7 +322,7 @@ def test_integer_rounding_matches_fraction_rounding(q):
 def test_integer_op_err_matches_fraction_op_err(op, xe, xq, ye, yq, near0):
     if near0 is not None:
         ye, yq = near0
-    got = float_interval_op_err(op, xe, xq, ye, yq)
+    got = _op_err(op, xe, xq, ye, yq)
     want = _fraction_float_interval_op_err(op, xe, xq, ye, yq)
     assert got == want
     assert all(type(v) is Fraction for v in got if v is not None)

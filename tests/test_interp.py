@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -483,9 +484,16 @@ def test_staged_and_curried_builtins_agree(op, args):
     ("leqr", (NatLit(1), NatLit(2))), ("leqr", (_r(1), _F(2.0))),
     ("sinf", (NatLit(1),)), ("sinf", (_r(1),)),
     ("leqf", (NatLit(1), NatLit(2))), ("leqf", (_F(1.0), _r(2))),
+    # the Nat rules, whose values a host operator would take as they come
+    ("+n", (_F(0.5), NatLit(2))), ("-n", (NatLit(3), _r(1))),
+    ("*n", (NatLit(2), _F(2.0))), ("dn", (_r(1), NatLit(2))),
+    ("leqn", (_F(1.0), NatLit(2))), ("floorK", (_F(7.0), NatLit(2))),
+    ("ceilK", (NatLit(7), _F(2.0))), ("nat2real", (_F(2.0),)),
+    ("nat2float", (_r(2),)), ("nat2err", (_F(0.5),)),
+    ("n2rerr", (NatLit(3), _F(1.0))),
 ])
 def test_oracle_rules_refuse_ill_typed_operands(op, args):
-    with pytest.raises(interp.EvalError, match=f"{op} applied to"):
+    with pytest.raises(interp.EvalError, match=f"{re.escape(op)} applied to"):
         eval_exact(Builtin(op, args), cfg=CFG)
 
 
