@@ -50,10 +50,10 @@ from .syntax import (
     ERRREAL, FLOAT64, NAT, NESTING_STACK_LIMIT, REAL,
     App, Arrow, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
-    Var, children, free_vars, fresh_name, map_children, to_source,
+    Var, children, free_vars, fresh_name, map_children, to_source, unshared,
     with_stack_limit,
 )
-from .typecheck import TyCtx, TypeMismatch, infer_type
+from .typecheck import SharedNode, TyCtx, TypeMismatch, infer_type
 
 T = TypeVar("T")
 
@@ -782,10 +782,14 @@ def _compile(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
 def _compile_typed(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
                    opts: CompileOpts) -> CompileResult:
     # the one typing pass: the rules read each node's recorded type.  The
-    # table tells nodes apart by identity, so one node object at two places
-    # of e must have the same type at both, as in every tree the parser builds
+    # table tells nodes apart by identity, so a program that shares a node
+    # object between places of different types is compiled from a fresh copy
     types: Dict[int, Ty] = {}
-    got = infer_type(ctx_exact(ctx), e, types)
+    try:
+        got = infer_type(ctx_exact(ctx), e, types)
+    except SharedNode:
+        e, types = unshared(e), {}
+        got = infer_type(ctx_exact(ctx), e, types)
     if target is None:
         target = _family_of(got, {})
     elif got != exact_ty(target):

@@ -24,7 +24,7 @@ from . import enclosure as enc
 from .enclosure import from_rational
 from .floats import nearest_float, to_fraction
 from .interp import (
-    DIVERGED, EvalConfig, OracleInconclusive, VErr, VFloat,
+    DIVERGED, EvalConfig, OracleInconclusive, VFloat,
     bound_of, eval_approx, eval_error, eval_exact,
 )
 from .parser import parse
@@ -442,11 +442,6 @@ def precisions(cfg: EvalConfig):
         p *= 2
 
 
-def _err_interval_strings(q: VErr) -> List[str]:
-    return ["inf" if q.lo is None else str(q.lo),
-            "inf" if q.hi is None else str(q.hi)]
-
-
 # ---------------------------------------------------------------------------
 # the distance check: membership and approximate equality
 #
@@ -488,23 +483,24 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     """
     if not approx and e == other:
         return ("pass", {"note": "identical expressions"})
-    cutoff = Fraction(1, 1 << (cfg.precision_bits + _TIGHT_CUTOFF_BITS))
+    cutoff_bits = cfg.precision_bits + _TIGHT_CUTOFF_BITS
     try:
         av = eval_approx(other, cfg=cfg) if approx else None
         for p in precisions(cfg):
             cfgp, calls = cfg.at_precision(p), {}
             qv = bound_of(eval_error(q, cfg=cfgp, calls=calls))
-            if qv.lo is None:
+            ql, qh, qd = qv
+            if ql is None:
                 return ("pass", {"bound": ["inf", "inf"]})
             ev = eval_exact(e, cfg=cfgp, calls=calls)
             ov = av if approx else eval_exact(other, cfg=cfgp, calls=calls)
             if ev is DIVERGED or ov is DIVERGED:
                 return _diverged(fam, ev, ov, approx)
-            rec = {"bound": _err_interval_strings(qv)}
+            rec = {"bound": [str(qv.lo), "inf" if qh is None else str(qv.hi)]}
             if not isinstance(fam, FlBase):
-                d = Fraction(abs(ev.value - ov.value))
+                d = abs(ev.value - ov.value)
                 rec["measured"] = [str(d), str(d)]
-                return ("pass" if qv.hi is None or d <= qv.hi else "fail", rec)
+                return ("pass" if qh is None or d * qd <= qh else "fail", rec)
             if approx:
                 if not isinstance(ov, VFloat) or not math.isfinite(ov.value):
                     return ("fail", {"note": f"approximate value {ov!r} has no "
@@ -513,23 +509,28 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
                 oenc = from_rational(to_fraction(ov.value), p)
             else:
                 oenc = ov.enc
-            d = enc.enclose_op("dr", [ev.enc, oenc], p, cfg.max_precision_bits)
-            dlo, dhi = d.lo, d.hi
-            rec["measured"] = [str(dlo), str(dhi)]
-            if qv.hi is None:
+            # the distance [dl, dh] / dd against the bound [ql, qh] / qd, on
+            # cross-multiplied numerators
+            dl, dh, dd, _ = enc.enclose_op("dr", [ev.enc, oenc], p,
+                                           cfg.max_precision_bits)
+            rec["measured"] = [str(Fraction(dl, dd)), str(Fraction(dh, dd))]
+            if qh is None:
                 # bound might be infinite; cannot be refuted
-                return ("pass", {**rec, "slack": str(dhi - dlo)})
-            if dhi <= qv.lo:
+                return ("pass", {**rec, "slack": str(Fraction(dh - dl, dd))})
+            if dh * qd <= ql * dd:
                 return ("pass", {**rec, "slack": "0",
-                                 "tight": bool(2 * dhi - dlo >= qv.lo)})
-            if dlo > qv.hi:
-                return ("fail", {**rec, "excess": str(dlo - qv.hi)})
-            slack = (dhi - dlo) + (qv.hi - qv.lo)
-            if slack <= cutoff * max(Fraction(1), qv.hi):
+                                 "tight": (2 * dh - dl) * qd >= ql * dd})
+            if dl * qd > qh * dd:
+                return ("fail", {**rec, "excess": str(Fraction(
+                    dl * qd - qh * dd, dd * qd))})
+            # the combined width against 2^-cutoff_bits * max(1, bound)
+            slack = (dh - dl) * qd + (qh - ql) * dd
+            if slack << cutoff_bits <= max(qd, qh) * dd:
                 break
     except OracleInconclusive as ex:
         return ("inconclusive", {"note": str(ex)})
-    return ("pass", {**rec, "slack": str(slack), "tight": True})
+    return ("pass", {**rec, "slack": str(Fraction(slack, dd * qd)),
+                     "tight": True})
 
 
 def _check_once(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,

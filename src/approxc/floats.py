@@ -6,8 +6,8 @@ Everything here is exact arithmetic over ints and Fractions, so results
 are identical across platforms; the machine's libm is never consulted.
 Rounding to binary64 is CPython's int true division and int-to-float
 conversion, both correctly rounded to nearest-even, and the rounding-error
-bound runs on integer numerators: it reads the enclosures' numerators as
-they are, and builds a Fraction only for the two endpoints it returns.
+bound runs on integer numerators: it reads the enclosures' and the input
+errors' numerators as they are, and returns its bound as numerators too.
 """
 from __future__ import annotations
 
@@ -129,10 +129,10 @@ def sin_f64(x: float) -> float:
 # ---------------------------------------------------------------------------
 # interval rounding-error bound for the lowered binary64 ops
 
-ErrIv = Tuple[Fraction, Optional[Fraction]]  # (lo, hi); hi None means infinity
+# [lo/den, hi/den] as (lo, hi, den), hi None for infinity; an interp.VErr
+ErrIv = Tuple[Optional[int], Optional[int], int]
 
-_ZERO = Fraction(0)
-_INF: ErrIv = (_ZERO, None)
+_UNBOUNDED: ErrIv = (0, None, 1)
 
 
 def _op_interval(op: str, xlo: int, xhi: int, ylo: int,
@@ -162,27 +162,27 @@ def float_interval_op_err(op: str, xe: RealEnclosure, xq: ErrIv,
     rounds it outward to binary64, and measures the worst distance from
     the rounded endpoints to the exact result.  Overflow at or beyond
     MAXFLOAT, and division by an interval containing zero, give the
-    infinite bound.  Inputs are enclosures, so the result is itself an
-    interval containing the true bound value.
+    infinite bound, (0, None, 1).  Inputs are enclosures, so the result is
+    itself an interval containing the true bound value.
 
-    The rule runs on integers: the enclosures' numerators and the four
-    error endpoints become numerators over their least common
-    denominator, and only the two returned endpoints are built as
-    Fractions.
+    The rule runs on integers: the enclosures' and the errors' numerators
+    are read over their least common denominator, and the bound is
+    returned as numerators over one positive denominator, not in lowest
+    terms.
     """
-    if xq[1] is None or yq[1] is None:
-        return _INF
-    qs = (xq[0], xq[1], yq[0], yq[1])
+    xq_lo, xq_hi, xq_d = xq
+    yq_lo, yq_hi, yq_d = yq
+    if xq_hi is None or yq_hi is None:
+        return _UNBOUNDED
     # the errors' denominators are usually small and the enclosures' one
     # power of two, so each lcm is taken only where it changes the result
     xd, yd = xe.den, ye.den
     den = xd if xd == yd else math.lcm(xd, yd)
-    q_den = math.lcm(qs[0].denominator, qs[1].denominator,
-                     qs[2].denominator, qs[3].denominator)
+    q_den = xq_d if xq_d == yq_d else math.lcm(xq_d, yq_d)
     if den % q_den:
         den = math.lcm(den, q_den)
-    xq_lo, xq_hi, yq_lo, yq_hi = [q.numerator * (den // q.denominator)
-                                  for q in qs]
+    xs, ys = den // xq_d, den // yq_d
+    xq_lo, xq_hi, yq_lo, yq_hi = xq_lo * xs, xq_hi * xs, yq_lo * ys, yq_hi * ys
     xs, ys = den // xd, den // yd
     xl, xh = xe.lo_num * xs, xe.hi_num * xs
     yl, yh = ye.lo_num * ys, ye.hi_num * ys
@@ -190,7 +190,7 @@ def float_interval_op_err(op: str, xe: RealEnclosure, xq: ErrIv,
     # widest input box (outer) and the exact-result enclosure
     oxl, oxh, oyl, oyh = xl - xq_hi, xh + xq_hi, yl - yq_hi, yh + yq_hi
     if op == "/" and oyl <= 0 <= oyh:
-        return _INF
+        return _UNBOUNDED
     i_lo, i_hi, i_den = _op_interval(op, oxl, oxh, oyl, oyh, den)
     r_lo, r_hi, r_den = _op_interval(op, xl, xh, yl, yh, den)
 
@@ -199,7 +199,7 @@ def float_interval_op_err(op: str, xe: RealEnclosure, xq: ErrIv,
     b = _round_up(i_hi, i_den)
     if (math.isinf(a) or math.isinf(b)
             or abs(a) >= MAXFLOAT or abs(b) >= MAXFLOAT):
-        return _INF
+        return _UNBOUNDED
 
     # narrowest input box (inner), for the lower end of the bound value;
     # [c, d] is the span every realized rounded interval must cover.  The
@@ -237,6 +237,4 @@ def float_interval_op_err(op: str, xe: RealEnclosure, xq: ErrIv,
         # indeterminate rounding: any realized rounded interval still
         # spans the inner floats, giving a half-width floor
         lo = (d - c) // 2 if c <= d else 0
-    lo = max(0, min(lo, hi))
-    # an exact operation's bound is zero, the one Fraction not built anew
-    return (Fraction(lo, s) if lo else _ZERO), (Fraction(hi, s) if hi else _ZERO)
+    return max(0, min(lo, hi)), hi, s

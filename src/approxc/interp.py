@@ -2,10 +2,12 @@
 
 One call-by-value core serves the exact evaluator (reals as dyadic
 enclosures), the approximate evaluator (bit-exact binary64), and the
-error evaluator (nonnegative rationals with infinity); the builtin
-namespaces of the three worlds are disjoint, so one table, `_DELTA`,
-holds one rule per builtin for all of them.  Error expressions may embed
-exact-real subterms, whose evaluation delegates to the enclosure oracle.
+error evaluator (intervals of nonnegative rationals with infinity, as
+integer numerators over one denominator in lowest terms, like the
+enclosures'); the builtin namespaces of the three worlds are disjoint,
+so one table, `_DELTA`, holds one rule per builtin for all of them.
+Error expressions may embed exact-real subterms, whose evaluation
+delegates to the enclosure oracle.
 
 Evaluation is staged: each node is turned once into a closure over its
 children's closures, cached on the node, and runs read the machine (fuel,
@@ -29,9 +31,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Dict, Optional, Tuple, Union
 
 from . import enclosure as enc
@@ -97,33 +100,65 @@ class VBool:
     value: bool
 
 
-@dataclass(frozen=True)
-class VErr:
-    """An evaluated error bound: an interval of nonnegative rationals,
-    with None endpoints meaning infinity.  Point bounds have lo == hi;
-    width appears when a bound expression embeds irrational reals."""
+class VErr(namedtuple("VErr", "lo_num hi_num den")):
+    """An evaluated error bound: the interval [lo_num/den, hi_num/den] of
+    nonnegative rationals, den > 0; lo_num None is the infinite bound and
+    hi_num None alone an infinite upper end.  Kept in lowest terms, so
+    values compare and hash by value.  Fractions are built and read only
+    at the edge: `VErr(lo, hi)`, `VErr.point(q)`, `lo` and `hi`."""
 
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo is None and self.hi is not None:
-            raise ValueError("infinite lower endpoint with finite upper")
-        if self.lo is not None and self.lo < 0:
-            raise ValueError("negative error")
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError("inverted error interval")
+    def __new__(cls, lo: Optional[Fraction], hi: Optional[Fraction]):
+        if lo is None:
+            if hi is not None:
+                raise ValueError("infinite lower endpoint with finite upper")
+            return ERR_INF
+        if lo < 0 or (hi is not None and lo > hi):
+            raise ValueError(f"not an error interval: [{lo}, {hi}]")
+        a, b = Fraction(lo), Fraction(0 if hi is None else hi)
+        return err_over(a.numerator * b.denominator,
+                        None if hi is None else b.numerator * a.denominator,
+                        a.denominator * b.denominator)
+
+    def __getnewargs__(self):
+        return self.lo, self.hi
 
     @staticmethod
     def point(q: Optional[Fraction]) -> "VErr":
-        return VErr(q, q)
+        """The point bound q, a Fraction or an int, or None for infinity."""
+        if q is None:
+            return ERR_INF
+        n = q.numerator
+        if n < 0:
+            raise ValueError("negative error")
+        return _tuple(VErr, (n, n, q.denominator))
+
+    @property
+    def lo(self) -> Optional[Fraction]:
+        return None if self.lo_num is None else Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Optional[Fraction]:
+        return None if self.hi_num is None else Fraction(self.hi_num, self.den)
 
     @property
     def is_infinite(self) -> bool:
-        return self.lo is None
+        return self.lo_num is None
 
 
-ERR_INF = VErr(None, None)
+_tuple = tuple.__new__
+ERR_INF = _tuple(VErr, (None, None, 1))
+ERR_ZERO = _tuple(VErr, (0, 0, 1))
+
+
+def err_over(lo: int, hi: Optional[int], den: int) -> VErr:
+    """[lo/den, hi/den] in lowest terms, for 0 <= lo <= hi and den > 0;
+    hi None is an infinite upper end."""
+    g = math.gcd(lo, den) if hi is None else math.gcd(lo, hi, den)
+    if g == 1:
+        return _tuple(VErr, (lo, hi, den))
+    return _tuple(VErr, (lo // g, None if hi is None else hi // g, den // g))
 
 
 @dataclass(frozen=True)
@@ -190,18 +225,20 @@ Env = Dict[str, Value]
 # ---------------------------------------------------------------------------
 # error-interval arithmetic
 
-def err_add(a: VErr, b: VErr) -> VErr:
-    if a.is_infinite or b.is_infinite:
+def _endwise(f, a: VErr, b: VErr) -> VErr:
+    """f, monotone in both arguments, on the lower ends of a and b and on
+    their upper ends, read over the product of the denominators; an
+    infinite end absorbs."""
+    al, ah, ad = a
+    bl, bh, bd = b
+    if al is None or bl is None:
         return ERR_INF
-    hi = None if (a.hi is None or b.hi is None) else a.hi + b.hi
-    return VErr(a.lo + b.lo, hi)
+    hi = None if ah is None or bh is None else f(ah * bd, bh * ad)
+    return err_over(f(al * bd, bl * ad), hi, ad * bd)
 
 
-def err_max(a: VErr, b: VErr) -> VErr:
-    if a.is_infinite or b.is_infinite:
-        return ERR_INF
-    hi = None if (a.hi is None or b.hi is None) else max(a.hi, b.hi)
-    return VErr(max(a.lo, b.lo), hi)
+err_add = partial(_endwise, operator.add)
+err_max = partial(_endwise, max)
 
 
 def float_op_err(op: str, xe: RealEnclosure, xq: VErr,
@@ -209,18 +246,18 @@ def float_op_err(op: str, xe: RealEnclosure, xq: VErr,
     """Worst-case distance between the exact op and its rounded float
     counterpart over the input error box; infinity on overflow or on a
     divisor interval containing zero."""
-    lo, hi = float_interval_op_err(op, xe, (xq.lo, xq.hi), ye, (yq.lo, yq.hi))
-    if hi is None and lo == 0:
-        return ERR_INF
-    return VErr(lo, hi)
+    lo, hi, s = float_interval_op_err(op, xe, xq, ye, yq)
+    return ERR_INF if hi is None else err_over(lo, hi, s)
 
 
 def err_mul(a: VErr, b: VErr) -> VErr:
     # infinity absorbs, including 0 * inf: the top is always sound
-    if a.is_infinite or b.is_infinite:
+    al, ah, ad = a
+    bl, bh, bd = b
+    if al is None or bl is None:
         return ERR_INF
-    hi = None if (a.hi is None or b.hi is None) else a.hi * b.hi
-    return VErr(a.lo * b.lo, hi)
+    return err_over(al * bl, None if ah is None or bh is None else ah * bh,
+                    ad * bd)
 
 
 def err_of_value(v: Value) -> VErr:
@@ -228,7 +265,7 @@ def err_of_value(v: Value) -> VErr:
     if isinstance(v, VErr):
         return v
     if isinstance(v, VNat):
-        return VErr.point(Fraction(v.value))
+        return err_over(v.value, v.value, 1)
     raise EvalError(f"not an error value: {v!r}")
 
 
@@ -335,7 +372,7 @@ class _Machine:
         if isinstance(v, VNat):
             return VNat(0)
         if isinstance(v, VErr):
-            return VErr.point(Fraction(0))
+            return ERR_ZERO
         raise EvalError(f"redseq over a carrier without a zero: {v!r}")
 
 
@@ -450,15 +487,14 @@ def _float_err(op: str):
 
 
 def _sinerr(m, xe, xq):
-    q = err_of_value(xq)
-    if q.is_infinite:
+    lo, hi, d = err_of_value(xq)
+    if lo is None:
         return ERR_INF
     # |sin e - sin a| <= min(|e-a|, 2); the vendored sine is correctly
     # rounded, adding at most 2^-53
-    ulp = Fraction(1, 1 << 53)
-    lo = min(q.lo, Fraction(2)) + ulp
-    hi = None if q.hi is None else min(q.hi, Fraction(2)) + ulp
-    return VErr(lo, hi)
+    two = 2 * d
+    return err_over((min(lo, two) << 53) + d,
+                    None if hi is None else (min(hi, two) << 53) + d, d << 53)
 
 
 def _n2rerr(m, n, k) -> VErr:
@@ -473,7 +509,7 @@ def _n2rerr(m, n, k) -> VErr:
         if math.isinf(f):
             return ERR_INF
         worst = max(worst, abs(n - int(f)))
-    return VErr.point(Fraction(worst))
+    return err_over(worst, worst, 1) if worst else ERR_ZERO
 
 
 _DELTA = {
@@ -481,7 +517,7 @@ _DELTA = {
     "-r": _real2("-r", VReal),
     "*r": _real2("*r", VReal),
     "/r": _real2("/r", VReal),
-    "dr": _real2("dr", lambda out: VErr(out.lo, out.hi)),
+    "dr": _real2("dr", lambda out: err_over(out.lo_num, out.hi_num, out.den)),
     "sinr": _sinr,
     "absr": _real1("absr"),
     "leqr": _leqr,
@@ -501,7 +537,7 @@ _DELTA = {
     "leqn": _nat2("leqn", operator.le, VBool),
     "floorK": _modulus("floorK", lambda a, b: b * (a // b)),
     "ceilK": _modulus("ceilK", lambda a, b: b * ((a + b - 1) // b)),
-    "nat2err": _nat1("nat2err", lambda m, n: VErr.point(Fraction(n))),
+    "nat2err": _nat1("nat2err", lambda m, n: err_over(n, n, 1)),
     "+q": lambda m, x, y: err_add(err_of_value(x), err_of_value(y)),
     "maxq": lambda m, x, y: err_max(err_of_value(x), err_of_value(y)),
     "*q": lambda m, x, y: err_mul(err_of_value(x), err_of_value(y)),

@@ -17,8 +17,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .enclosure import from_rational
 from .interp import (
-    EvalConfig, Value, VClosure, VErr, VFix, VReal, apply_value,
-    bound_of, err_add, err_of_value,
+    ERR_ZERO, EvalConfig, Value, VClosure, VErr, VFix, VReal, apply_value,
+    bound_of, err_add, err_over, err_of_value,
 )
 from .sampling import (
     sample_err_fraction, sample_real_fraction, trial_rng,
@@ -62,13 +62,15 @@ def scalar_err_leq(a: VErr, b: VErr) -> LeqVerdict:
     """Compare evaluated bounds.  Point values decide exactly; interval
     values (bounds that embed irrational reals) say yes or no only when
     certain, and otherwise report the unrefuted weaker verdict."""
-    if b.is_infinite:
+    al, ah, ad = a
+    bl, bh, bd = b
+    if bl is None:
         return LeqVerdict.YES
-    if a.is_infinite:
+    if al is None:
         return LeqVerdict.NO
-    if a.hi is not None and b.lo is not None and a.hi <= b.lo:
+    if ah is not None and ah * bd <= bl * ad:
         return LeqVerdict.YES
-    if b.hi is not None and (a.hi is None or a.lo > b.hi):
+    if bh is not None and (ah is None or al * bd > bh * ad):
         return LeqVerdict.NO
     return LeqVerdict.YES_ON_SAMPLES
 
@@ -88,7 +90,7 @@ def q_nonneg_reals() -> QuantInstance:
     return QuantInstance(
         name="nonneg-reals",
         carrier=ERRREAL,
-        zero=VErr.point(Fraction(0)),
+        zero=ERR_ZERO,
         plus=lambda a, b: err_add(err_of_value(a), err_of_value(b)),
         leq=_scalar_leq,
         sample=sample_err_value,
@@ -178,15 +180,11 @@ def _real_arg(rng: random.Random) -> Value:
     return VReal(from_rational(sample_real_fraction(rng), _LIFT_CFG.precision_bits))
 
 
-def _err_arg(rng: random.Random) -> Value:
-    return sample_err_value(rng)
-
-
 def fn_err_instance(probes: int = 4) -> QuantInstance:
     """Errors for approximations of real functions: exact input and its
     input error map to an output error (the scalar instance lifted
     twice, pointwise)."""
-    return lifted_instance([(REAL, _real_arg), (ERRREAL, _err_arg)],
+    return lifted_instance([(REAL, _real_arg), (ERRREAL, sample_err_value)],
                            name="real-fn-errors", probes=probes)
 
 
@@ -249,7 +247,7 @@ def _value_source(v: Value) -> str:
     if isinstance(v, VErr):
         if v.is_infinite:
             return "inf"
-        if v.lo == v.hi:
+        if v.lo_num == v.hi_num:
             return to_source(ErrLit(v.lo))
         return f"(err-interval {v.lo} {v.hi})"
     if isinstance(v, VClosure):
@@ -270,16 +268,15 @@ def _value_source(v: Value) -> str:
 
 def _shrink_scalar(v: Value, still_fails) -> Value:
     """Greedy shrink of a failing scalar witness: try zero, then halve."""
-    if not isinstance(v, VErr) or v.is_infinite or v.lo is None:
+    if not isinstance(v, VErr) or v.is_infinite:
         return v
-    zero = VErr.point(Fraction(0))
-    if still_fails(zero):
-        return zero
+    if still_fails(ERR_ZERO):
+        return ERR_ZERO
     cur = v
     for _ in range(200):
-        if cur.lo == 0:
+        if cur.lo_num == 0:
             break
-        cand = VErr.point(cur.lo / 2)
+        cand = err_over(cur.lo_num, cur.lo_num, 2 * cur.den)
         if still_fails(cand):
             cur = cand
             continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, TypeVar, Union
 
@@ -404,6 +404,11 @@ def free_vars(e: Expr) -> set:
 
 
 _FRESH_SEP = "%"
+
+
+def unshared(e: Expr) -> Expr:
+    """A copy of e whose every node is a new object."""
+    return map_children(e, unshared) if children(e) else replace(e)
 
 
 def fresh_name(base: str, avoid: set) -> str:

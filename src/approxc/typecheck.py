@@ -45,6 +45,10 @@ class TypeMismatch(TypeError_):
         self.location = location
 
 
+class SharedNode(TypeError_):
+    """One node object at two places of different types."""
+
+
 @dataclass(frozen=True)
 class TyCtx:
     """Ordered bindings; lookup respects shadowing by the latest binding."""
@@ -95,7 +99,8 @@ def kind_ok(ctx: TyCtx, t: Ty) -> bool:
 def infer_type(ctx: TyCtx, e: Expr,
                types: Optional[Dict[int, Ty]] = None) -> Ty:
     """The type of e under ctx; given a table, the type of e and of each
-    of its subterms is recorded in it too, keyed by id(node)."""
+    of its subterms is recorded in it too, keyed by id(node).  A node
+    object that two places of different types share raises SharedNode."""
     if isinstance(e, Var):
         t = ctx.lookup(e.name)
         if t is None:
@@ -172,5 +177,7 @@ def infer_type(ctx: TyCtx, e: Expr,
     else:
         raise TypeError_(f"not an expression: {e!r}")
     if types is not None:
-        types[id(e)] = t
+        u = types.setdefault(id(e), t)
+        if u is not t and u != t:
+            raise SharedNode(f"one {type(e).__name__} node typed {u} and {t}")
     return t

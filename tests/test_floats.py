@@ -10,13 +10,17 @@ from approxc.floats import (
     MAXFLOAT, MAXFLOAT_FRAC, float_bits, float_interval_op_err, ieee_div,
     nearest_float, round_down_float, round_up_float, sin_f64, to_fraction,
 )
+from approxc.interp import VErr
 from approxc.sampling import trial_rng
 
 
 def _op_err(op, xe, xq, ye, yq):
-    """float_interval_op_err on enclosures given as (lo, hi) pairs."""
-    return float_interval_op_err(op, RealEnclosure(*xe, 53), xq,
-                                 RealEnclosure(*ye, 53), yq)
+    """float_interval_op_err on enclosures and errors given as (lo, hi)
+    pairs of Fractions, its integer bound read back as such a pair."""
+    lo, hi, s = float_interval_op_err(op, RealEnclosure(*xe, 53), VErr(*xq),
+                                      RealEnclosure(*ye, 53), VErr(*yq))
+    assert all(type(v) is int for v in (lo, hi, s) if v is not None)
+    return Fraction(lo, s), None if hi is None else Fraction(hi, s)
 
 
 def test_nearest_float_matches_division():

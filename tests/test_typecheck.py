@@ -10,8 +10,8 @@ from approxc.syntax import (
     TyVar, Var, subst,
 )
 from approxc.typecheck import (
-    KindError, TyCtx, TypeMismatch, UnboundTypeVariable, UnboundVariable,
-    infer_type, kind_check, kind_ok,
+    KindError, SharedNode, TyCtx, TypeMismatch, UnboundTypeVariable,
+    UnboundVariable, infer_type, kind_check, kind_ok,
 )
 
 
@@ -127,3 +127,26 @@ def test_substitution_lemma(data):
     assert infer_type(ctx, e) == ty2
     assert infer_type(TyCtx(), v) == ty1
     assert infer_type(TyCtx(), subst(e, "hole", v)) == ty2
+
+
+def test_a_node_shared_under_binders_of_different_types_compiles():
+    from approxc.compiler import compile_program
+    from approxc.syntax import to_source
+
+    src = ("(+r (app (lam (y Real) (app (lam (z Real) z) y)) 1/1) "
+           "(nat2real (app (lam (y Nat) (app (lam (z Nat) z) y)) 1)))")
+    # the same program with one Var("y") object under both binders
+    y = Var("y")
+    shared = Builtin("+r", (
+        App(Lam("y", REAL, App(Lam("z", REAL, Var("z")), y)),
+            RealLit(Fraction(1))),
+        Builtin("nat2real", (
+            App(Lam("y", NAT, App(Lam("z", NAT, Var("z")), y)), NatLit(1)),)),
+    ))
+    assert shared == parse(src)
+    want, got = compile_program(parse(src)), compile_program(shared)
+    assert to_source(got.approx) == to_source(want.approx)
+    assert to_source(got.err) == to_source(want.err)
+    # the table records the shared node's two types only as a conflict
+    with pytest.raises(SharedNode):
+        infer_type(TyCtx(), shared, {})
