@@ -9,6 +9,11 @@ so one table, `_DELTA`, holds one rule per builtin for all of them.
 Error expressions may embed exact-real subterms, whose evaluation
 delegates to the enclosure oracle.
 
+Values are tuples with namedtuple field getters, so building one in
+the inner loop is a `tuple.__new__`; the shared Bool values are TRUE and
+FALSE.  Their equality is class-aware: a VNat and a VBool over the same
+payload differ, as the call table's keys need.
+
 Evaluation is staged: each node is turned once into a closure over its
 children's closures, cached on the node, and runs read the machine (fuel,
 precision, call table) only through the arguments the closure is given.
@@ -80,27 +85,42 @@ class EvalConfig:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
-class VReal:
-    enc: RealEnclosure
+class _Value(tuple):
+    """An evaluated value: a tuple whose equality holds within one class
+    only.  As plain tuples VNat(1), VBool(True) and VFloat(1.0) would be
+    equal, and a call table would answer one with another's result."""
+
+    __slots__ = ()
+
+    def __eq__(a, b):
+        return type(a) is type(b) and tuple.__eq__(a, b)
+
+    def __ne__(a, b):
+        return type(a) is not type(b) or tuple.__ne__(a, b)
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class VFloat:
-    value: float
+def _value_class(name: str, fields: str, **kw) -> type:
+    return type(name, (_Value, namedtuple(name, fields, **kw)),
+                {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class VNat:
-    value: int
+VReal = _value_class("VReal", "enc")
+VFloat = _value_class("VFloat", "value")
+VNat = _value_class("VNat", "value")
 
 
-@dataclass(frozen=True)
-class VBool:
-    value: bool
+class VBool(_Value, namedtuple("VBool", "value")):
+    """One of the two shared values TRUE and FALSE."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: bool):
+        return TRUE if value else FALSE
 
 
-class VErr(namedtuple("VErr", "lo_num hi_num den")):
+class VErr(_Value, namedtuple("VErr", "lo_num hi_num den")):
     """An evaluated error bound: the interval [lo_num/den, hi_num/den] of
     nonnegative rationals, den > 0; lo_num None is the infinite bound and
     hi_num None alone an infinite upper end.  Kept in lowest terms, so
@@ -148,6 +168,7 @@ class VErr(namedtuple("VErr", "lo_num hi_num den")):
 
 
 _tuple = tuple.__new__
+TRUE, FALSE = _tuple(VBool, (True,)), _tuple(VBool, (False,))
 ERR_INF = _tuple(VErr, (None, None, 1))
 ERR_ZERO = _tuple(VErr, (0, 0, 1))
 
@@ -161,32 +182,16 @@ def err_over(lo: int, hi: Optional[int], den: int) -> VErr:
     return _tuple(VErr, (lo // g, None if hi is None else hi // g, den // g))
 
 
-@dataclass(frozen=True)
-class VClosure:
-    binder: str
-    body: Expr
-    env: Tuple[Tuple[str, "Value"], ...]
+VClosure = _value_class("VClosure", "binder body env")
+VTyClosure = _value_class("VTyClosure", "tyvar body env")
+VBuiltin = _value_class("VBuiltin", "op args", defaults=((),))
 
 
-@dataclass(frozen=True)
-class VTyClosure:
-    tyvar: str
-    body: Expr
-    env: Tuple[Tuple[str, "Value"], ...]
-
-
-@dataclass(frozen=True)
-class VBuiltin:
-    op: str
-    args: Tuple["Value", ...] = ()
-
-
-@dataclass(frozen=True)
-class VFix:
+class VFix(_Value, namedtuple("VFix", "fn")):
     """The self-reference that `fix fn` passes to fn: applying it to an
     argument applies `fix fn` to that argument."""
 
-    fn: "Value"
+    __slots__ = ()
 
 
 Value = Union[VReal, VFloat, VNat, VBool, VErr, VClosure, VTyClosure,
@@ -298,18 +303,19 @@ class _Machine:
             raise _Diverge()
         t = type(fn)
         if t is VClosure:
-            env = dict(fn.env)
-            env[fn.binder] = arg
+            binder, body, env = fn
+            env = dict(env)
+            env[binder] = arg
             try:
                 # staged with its lambda, unless built outside the evaluator
-                code = fn.body.__dict__[_CODE]
+                code = body.__dict__[_CODE]
             except KeyError:
-                code = _code(fn.body)
+                code = _code(body)
             return code(self, env)
         if t is VBuiltin:
             args = fn.args + (arg,)
             if len(args) < builtin_arity(fn.op):
-                return VBuiltin(fn.op, args)
+                return _tuple(VBuiltin, (fn.op, args))
             # the saturating application, then the rule's own tick
             self._tick()
             return _DELTA[fn.op](self, *args)
@@ -342,12 +348,12 @@ class _Machine:
             raise EvalError("fix of a non-function value")
         if type(fn) is VClosure and type(fn.body) is Lam:
             self._tick()
-            return VFix(fn)
+            return _tuple(VFix, (fn,))
         return self._unroll(fn)
 
     def _unroll(self, fn: Value) -> Value:
         self._tick()
-        return self.apply(fn, VFix(fn))
+        return self.apply(fn, _tuple(VFix, (fn,)))
 
     def redseq(self, f, n, g, env: Env) -> Value:
         # the operands are evaluated here rather than by the caller, so a
@@ -360,7 +366,7 @@ class _Machine:
         first = self.apply(g, VNat(0))
         acc = self._zero_like(first)
         for i in range(n.value):
-            elem = first if i == 0 else self.apply(g, VNat(i))
+            elem = first if i == 0 else self.apply(g, _tuple(VNat, (i,)))
             acc = self.apply(self.apply(f, elem), acc)
         return acc
 
@@ -390,7 +396,8 @@ def _nat_float(m: int) -> float:
 # positionally.  Kernels are named through module globals at call time, so
 # rebinding one (as a tracer does) reaches every staged node
 
-def _real2(op: str, box):
+def _real2(op: str, box=None):
+    # box(enclosure) is the result; a VReal without one
     def rule(m, x, y):
         if type(x) is not VReal:
             raise EvalError(f"{op} applied to {x!r}")
@@ -401,7 +408,7 @@ def _real2(op: str, box):
                                  m.cfg.max_precision_bits)
         except enc.DivisorStraddlesZero as ex:
             raise OracleInconclusive(str(ex))
-        return box(out)
+        return _tuple(VReal, (out,)) if box is None else box(out)
     return rule
 
 
@@ -409,8 +416,8 @@ def _real1(op: str):
     def rule(m, x):
         if type(x) is not VReal:
             raise EvalError(f"{op} applied to {x!r}")
-        return VReal(enc.enclose_op(op, [x.enc], m.cfg.precision_bits,
-                                    m.cfg.max_precision_bits))
+        return _tuple(VReal, (enc.enclose_op(
+            op, [x.enc], m.cfg.precision_bits, m.cfg.max_precision_bits),))
     return rule
 
 
@@ -423,7 +430,8 @@ def _sinr(m, x):
     key = ("sinr", x.enc, p)
     v = m.calls.get(key)
     if v is None:
-        v = VReal(enc.enclose_op("sinr", [x.enc], p, m.cfg.max_precision_bits))
+        v = _tuple(VReal, (enc.enclose_op("sinr", [x.enc], p,
+                                          m.cfg.max_precision_bits),))
         if len(m.calls) < _CALL_TABLE_MAX:
             m.calls[key] = v
     return v
@@ -438,15 +446,18 @@ def _leqr(m, x, y):
     if r is Tern.UNKNOWN:
         raise OracleInconclusive(
             f"comparison undecided at {m.cfg.precision_bits} bits")
-    return VBool(r is Tern.YES)
+    return TRUE if r is Tern.YES else FALSE
 
 
 def _binary(op: str, t: type, what: str, f, box):
-    # f on the values of two operands of type t
+    # f on the values of two operands of type t, boxed in class box
     def rule(m, x, y):
         if not (type(x) is t and type(y) is t):
             raise EvalError(f"{op} applied to non-{what}")
-        return box(f(x.value, y.value))
+        r = f(x.value, y.value)
+        if box is VBool:
+            return TRUE if r else FALSE
+        return _tuple(box, (r,))
     return rule
 
 
@@ -470,7 +481,7 @@ def _nat1(op: str, f):
 def _sinf(m, x):
     if type(x) is not VFloat:
         raise EvalError(f"sinf applied to {x!r}")
-    return VFloat(sin_f64(x.value))
+    return _tuple(VFloat, (sin_f64(x.value),))
 
 
 def _modulus(op: str, f):
@@ -513,23 +524,24 @@ def _n2rerr(m, n, k) -> VErr:
 
 
 _DELTA = {
-    "+r": _real2("+r", VReal),
-    "-r": _real2("-r", VReal),
-    "*r": _real2("*r", VReal),
-    "/r": _real2("/r", VReal),
+    "+r": _real2("+r"),
+    "-r": _real2("-r"),
+    "*r": _real2("*r"),
+    "/r": _real2("/r"),
     "dr": _real2("dr", lambda out: err_over(out.lo_num, out.hi_num, out.den)),
     "sinr": _sinr,
     "absr": _real1("absr"),
     "leqr": _leqr,
-    "nat2real": _nat1("nat2real", lambda m, n: VReal(
-        from_rational(n, m.cfg.precision_bits))),
+    "nat2real": _nat1("nat2real", lambda m, n: _tuple(VReal, (
+        from_rational(n, m.cfg.precision_bits),))),
     "+f": _float2("+f", operator.add),
     "-f": _float2("-f", operator.sub),
     "*f": _float2("*f", operator.mul),
     "/f": _float2("/f", lambda a, b: ieee_div(a, b)),
     "sinf": _sinf,
     "leqf": _float2("leqf", operator.le, VBool),
-    "nat2float": _nat1("nat2float", lambda m, n: VFloat(_nat_float(n))),
+    "nat2float": _nat1("nat2float",
+                       lambda m, n: _tuple(VFloat, (_nat_float(n),))),
     "+n": _nat2("+n", operator.add),
     "-n": _nat2("-n", lambda a, b: max(0, a - b)),
     "*n": _nat2("*n", operator.mul),
@@ -602,14 +614,15 @@ def _stage_lam(e: Lam):
     binder, body = e.binder, e.body
     # a closed lambda is one value per node: a closed fix keys the same
     # call-table entries in every program and run that evaluates it
-    closed = VClosure(binder, body, ())
-    return lambda m, env: VClosure(binder, body, tuple(env.items())) \
-        if env else closed
+    closed = _tuple(VClosure, (binder, body, ()))
+    return lambda m, env: _tuple(
+        VClosure, (binder, body, tuple(env.items()))) if env else closed
 
 
 def _stage_tylam(e: TyLam):
     tyvar, body = e.tyvar, e.body
-    return lambda m, env: VTyClosure(tyvar, body, tuple(env.items()))
+    return lambda m, env: _tuple(VTyClosure,
+                                 (tyvar, body, tuple(env.items())))
 
 
 def _stage_app(e: App):
@@ -639,9 +652,11 @@ def _stage_if(e: If):
 
     def run(m, env):
         c = cond(m, env)
-        if type(c) is not VBool:
-            raise EvalError("if condition did not evaluate to a boolean")
-        return (then_e if c.value else else_e)(m, env)
+        if c is TRUE:
+            return then_e(m, env)
+        if c is FALSE:
+            return else_e(m, env)
+        raise EvalError("if condition did not evaluate to a boolean")
     return run
 
 
@@ -649,7 +664,8 @@ def _stage_real(e: RealLit):
     # the precision is read at run time: escalation evaluates one node at
     # several precisions
     q = e.value
-    return lambda m, env: VReal(from_rational(q, m.cfg.precision_bits))
+    return lambda m, env: _tuple(VReal, (
+        from_rational(q, m.cfg.precision_bits),))
 
 
 def _constant(v: Value):
@@ -660,7 +676,8 @@ def _stage_builtin(e: Builtin):
     op = e.op
     args = tuple(_code(a) for a in e.args)
     if len(args) < builtin_arity(op):
-        return lambda m, env: VBuiltin(op, tuple(a(m, env) for a in args))
+        return lambda m, env: _tuple(
+            VBuiltin, (op, tuple(a(m, env) for a in args)))
     # the rule is picked here, once per node; the closure evaluates the
     # operands, spends the one tick and calls it, so a nested builtin costs
     # the host stack one frame, like a level of an if chain

@@ -405,3 +405,32 @@ def test_nat_join_evaluates_the_synthesized_error_once():
         new_e, old_e = App(App(join, x), xq), App(App(old, x), xq)
         assert eval_error(new_e, cfg=CFG) == eval_error(old_e, cfg=CFG)
         assert _fuel_spent(new_e) < _fuel_spent(old_e)
+
+
+# a recursion that calls itself on its own argument: it runs out of fuel
+# (or of host stack) without ever answering
+_LOOP = "(app (fix (lam (f (-> Nat {0})) (lam (n Nat) (app f n)))) 0)"
+_DIVERGING = EvalConfig(fuel=10_000)
+
+
+@pytest.mark.parametrize("fam, q, a, e, status, note", [
+    (FL, "(err 1/1)", _LOOP.format("Float64"), "1/1", "fail",
+     "approximation diverges under a finite bound"),
+    (FL, "(err 1/1)", "1.0", _LOOP.format("Real"), "fail",
+     "exact diverges, approximation does not"),
+    (FL, "(err 1/1)", _LOOP.format("Float64"), _LOOP.format("Real"), "pass",
+     "both sides diverge"),
+    (NAT_A, "1", _LOOP.format("Nat"), "1", "fail",
+     "one side diverges under a finite bound"),
+], ids=["float-side", "exact-side", "both-sides", "nat"])
+def test_membership_verdicts_on_a_diverging_side(fam, q, a, e, status, note):
+    (o,) = member_trials(fam, parse(q), parse(a), parse(e), 1, 42,
+                         _DIVERGING)
+    assert (o.status, o.record["note"]) == (status, note)
+
+
+def test_equality_with_a_diverging_side_is_inconclusive():
+    v = aeq_check(FL, parse("(err 1/1)"), parse(_LOOP.format("Real")),
+                  parse("1/1"), trials=1, cfg=_DIVERGING)
+    assert (v.status, v.reason) == ("inconclusive",
+                                    "divergence in equality operands")

@@ -12,15 +12,16 @@ from approxc.compiler import compile_program
 from approxc.enclosure import from_rational
 from approxc.floats import MAXFLOAT, float_bits
 from approxc.interp import (
-    DIVERGED, ERR_INF, EvalConfig, OracleInconclusive, VBool, VErr, VFloat,
-    VNat, VReal, apply_value, bound_of, err_add, eval_approx, eval_error,
-    eval_exact,
+    DIVERGED, ERR_INF, EvalConfig, OracleInconclusive, VBool, VBuiltin,
+    VClosure, VErr, VFix, VFloat, VNat, VReal, VTyClosure, apply_value,
+    bound_of, err_add, eval_approx, eval_error, eval_exact,
 )
 from approxc.parser import parse
 from approxc.syntax import (
     BUILTINS, FLOAT64, NAT, App, Arrow, BoolLit, Builtin, ErrLit, Fix,
     FloatLit, If, Lam, NatLit, RealLit, RedSeq, Var, to_source,
 )
+from approxc.typecheck import TyCtx, infer_type
 from test_random_programs import programs
 
 CFG = EvalConfig(fuel=200_000, precision_bits=128)
@@ -545,3 +546,59 @@ def test_staged_builtins_reach_kernels_through_module_globals(monkeypatch):
     assert eval_error(e, cfg=CFG) == want
     assert eval_approx(a, cfg=CFG) == want_a
     assert sorted(seen) == ["dr", "float_interval_op_err", "sin_f64", "sinr"]
+
+
+def test_values_are_equal_only_within_their_class():
+    # values are tuples, but a Nat, a Bool and a float over one payload, or
+    # a closure and a type closure over one body, are different values
+    body = Var("x")
+    pairs = [(VNat(1), VBool(True)), (VFloat(1.0), VNat(1)),
+             (VFloat(0.0), VBool(False)), (VNat(0), VFloat(-0.0)),
+             (VClosure("x", body, ()), VTyClosure("x", body, ())),
+             (VFix(VNat(1)), VNat(1))]
+    for a, b in pairs:
+        assert a != b and b != a and not a == b and not b == a
+    assert len({VNat(1), VBool(True), VFloat(1.0)}) == 3
+
+
+def test_equal_values_hash_equal():
+    third = Fraction(1, 3)
+    for a, b in [(VNat(7), VNat(7)), (VFloat(0.5), VFloat(0.5)),
+                 (VReal(from_rational(third, 64)),
+                  VReal(from_rational(third, 64))),
+                 (VClosure("x", Var("x"), (("y", VNat(2)),)),
+                  VClosure("x", Var("x"), (("y", VNat(2)),))),
+                 (VBuiltin("+r"), VBuiltin("+r", ())),
+                 (VFix(VBuiltin("+r")), VFix(VBuiltin("+r"))),
+                 (VErr.point(third), VErr(third, third))]:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert VBool(True) is VBool(1) and VBool(False) is VBool(0)
+
+
+def test_value_reprs_name_their_fields():
+    # reprs appear in records and error messages
+    assert [repr(v) for v in (
+        VNat(3), VBool(False), VFloat(0.5), VBuiltin("+r", (VNat(1),)),
+        VFix(VBuiltin("+r")),
+        VClosure("x", Var("x"), (("y", VNat(2)),)),
+        VTyClosure("a", Var("x"), ()),
+        VReal(from_rational(Fraction(1, 2), 4)))] == [
+        "VNat(value=3)", "VBool(value=False)", "VFloat(value=0.5)",
+        "VBuiltin(op='+r', args=(VNat(value=1),))",
+        "VFix(fn=VBuiltin(op='+r', args=()))",
+        "VClosure(binder='x', body=Var(name='x'), "
+        "env=(('y', VNat(value=2)),))",
+        "VTyClosure(tyvar='a', body=Var(name='x'), env=())",
+        "VReal(enc=RealEnclosure(lo=Fraction(1, 2), hi=Fraction(1, 2), "
+        "precision_bits=4))"]
+
+
+def test_call_table_tells_a_nat_from_a_bool():
+    # one closed fix, called at Bool true and then at Nat 1: the two
+    # arguments hash alike, and the table must not answer the second call
+    # with the first call's result
+    e = parse("(app (lam (p (forall a (-> a a)))"
+              " (if (app (tyapp p Bool) true) (app (tyapp p Nat) 1) 0))"
+              " (tlam a (fix (lam (f (-> a a)) (lam (x a) x)))))")
+    assert infer_type(TyCtx(), e) == NAT
+    assert repr(eval_exact(e, cfg=CFG)) == "VNat(value=1)"

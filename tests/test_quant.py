@@ -1,10 +1,16 @@
 import dataclasses
 from fractions import Fraction
 
-from approxc.interp import ERR_INF, VClosure, VErr
+from approxc import interp, quant
+from approxc.enclosure import from_rational
+from approxc.families import FL, check_approx_axioms
+from approxc.interp import (
+    ERR_INF, VBool, VBuiltin, VClosure, VErr, VFix, VFloat, VNat, VReal,
+    err_of_value,
+)
 from approxc.quant import (
-    AXIOM_NAMES, LeqVerdict, check_quant_axioms, fn_err_instance,
-    lifted_instance, q_leq, q_nonneg_reals, q_plus,
+    AXIOM_NAMES, LeqVerdict, _value_source, check_quant_axioms,
+    fn_err_instance, lifted_instance, q_leq, q_nonneg_reals, q_plus,
 )
 from approxc.syntax import ERRREAL, Builtin, ErrLit, Var
 
@@ -82,3 +88,41 @@ def test_report_json_is_deterministic():
     r2 = check_quant_axioms(q_nonneg_reals(), trials=50, seed=42).to_json()
     assert r1 == r2
     assert '"schema": "axiom-report/v1"' in r1
+
+
+def _failures(report) -> dict:
+    return {r.name: r.witness for r in report.results if r.status == "fail"}
+
+
+def test_a_plus_that_drops_its_second_operand_fails_both_suites(monkeypatch):
+    monkeypatch.setitem(interp._DELTA, "+q",
+                        lambda m, x, y: err_of_value(x))
+    assert _failures(check_approx_axioms(FL, trials=10)) == {
+        "Error Addition": "41/50000000",
+        "Approximate Equality": "41/50000000",
+        "Triangle Inequality": "533953657/524288",
+    }
+    assert _failures(check_quant_axioms(fn_err_instance(), trials=10)) == {
+        "Commutativity": "(lam (%x0 _) (lam (%x1 ErrReal) %x1))"}
+
+
+def test_a_plus_that_adds_an_eighth_fails_identity_at_zero(monkeypatch):
+    # the witness shrinks from the sampled one down to zero
+    eighth = VErr.point(Fraction(1, 8))
+    add = quant.err_add
+    monkeypatch.setattr(quant, "err_add",
+                        lambda a, b: add(add(a, b), eighth))
+    assert _failures(check_quant_axioms(q_nonneg_reals(), trials=10)) == {
+        "Identity": "(err 0/1)"}
+
+
+def test_witness_source_of_each_value_class():
+    half = Fraction(1, 2)
+    ident = VClosure("x", Var("x"), ())
+    assert [_value_source(v) for v in (
+        VNat(3), VBool(True), VBool(False), VFloat(0.5),
+        VReal(from_rational(half, 8)), VErr.point(half), VErr(half, 1),
+        ERR_INF, ident, VFix(ident), VBuiltin("+r"))] == [
+        "3", "true", "false", "0.5", "[1/2, 1/2]", "(err 1/2)",
+        "(err-interval 1/2 1)", "inf", "(lam (x _) x)",
+        "(fix (lam (x _) x))", "VBuiltin(op='+r', args=())"]
