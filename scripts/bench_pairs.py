@@ -4,7 +4,8 @@ Each pair runs perfbench/run.py once in the parent tree and once in the
 change tree, one run at a time; pairs alternate which side runs first.
 Every run's metadata and result lines (the last two lines run.py prints)
 are appended to the output file, whose "summary" is recomputed from all
-of its runs after each call:
+of its runs after each call, and whose "src_lines" gives each tree's total
+line count of src/approxc/*.py:
 
     python scripts/bench_pairs.py --parent P --change C --workload check-fix \\
         --seeds 11,23 --pairs 5 --out BENCH_10.json
@@ -33,6 +34,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> 
         cwd=tree, capture_output=True, text=True, check=True)
     meta, result = out.stdout.strip().splitlines()[-2:]
     return {"metadata": json.loads(meta), "result": json.loads(result)}
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(p.read_text().splitlines())
+               for p in (tree / "src" / "approxc").glob("*.py"))
 
 
 def _quartiles(xs):
@@ -89,6 +95,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     trees = {"parent": args.parent, "change": args.change}
+    doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     # byte-compile both trees first: a tree without a bytecode cache sets
     # up about 0.1 s slower, so its first run would read a higher setup_s
     for tree in trees.values():

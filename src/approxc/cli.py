@@ -131,13 +131,13 @@ def _run_compile(args, do_check: bool) -> int:
             e = parse(src)
             result = compile_program(e, opts)
             texts = _texts(args.emit, path.stem, result)
+            sites = nesting_guarded(lambda: label_sites(e))
         except (ParseError, CompileError, TypeError_) as ex:
             print(f"approxc: {inp}: {type(ex).__name__}: {ex}", file=sys.stderr)
             return 2
         stem = path.stem
         emitted = {kind: str(_emit(args, path, name, text))
                    for kind, (name, text) in texts.items()}
-        sites = label_sites(e)
         _jsonl(args, {"schema": "compile/v1", "input": str(path),
                       "emitted": emitted,
                       "sites": {lbl: src_ for lbl, src_ in sites}})
@@ -158,20 +158,24 @@ def _run_compile(args, do_check: bool) -> int:
     return status
 
 
+def axiom_reports(trials: int, seed: int, cfg: EvalConfig) -> dict:
+    """Each axiom suite's report, by name: the quantification axioms of
+    scalar and of function errors, then the approximation axioms at Fl and
+    at Fl -> Fl, which evaluate under cfg."""
+    def approx(fam, most):
+        return check_approx_axioms(fam, trials=min(trials, most), seed=seed,
+                                   cfg=cfg)
+    return {"quant_scalar": check_quant_axioms(q_nonneg_reals(), trials, seed),
+            "quant_fn": check_quant_axioms(fn_err_instance(), trials, seed),
+            "approx_fl": approx(FL, 300),
+            "approx_flfl": approx(fn_family(FL, FL), 200)}
+
+
 def _run_axioms(args) -> int:
     cfg = EvalConfig(fuel=args.fuel, precision_bits=args.precision_bits)
-    reports = [
-        check_quant_axioms(q_nonneg_reals(), trials=args.trials,
-                           seed=args.seed),
-        check_quant_axioms(fn_err_instance(), trials=args.trials,
-                           seed=args.seed),
-        check_approx_axioms(FL, trials=min(args.trials, 300),
-                            seed=args.seed, cfg=cfg),
-        check_approx_axioms(fn_family(FL, FL), trials=min(args.trials, 200),
-                            seed=args.seed, cfg=cfg),
-    ]
+    reports = axiom_reports(args.trials, args.seed, cfg)
     ok = True
-    for rep in reports:
+    for rep in reports.values():
         if args.json:
             print(rep.to_json())
         else:
@@ -186,8 +190,7 @@ def _run_axioms(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        names = ["quant_scalar", "quant_fn", "approx_fl", "approx_flfl"]
-        for name, rep in zip(names, reports):
+        for name, rep in reports.items():
             (out_dir / f"axioms.{name}.json").write_text(rep.to_json() + "\n")
     return 0 if ok else 1
 

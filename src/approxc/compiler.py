@@ -34,7 +34,7 @@ from typing import (
 
 from .families import (
     BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
-    NatBase, Pi, PiTy, TyTriple, ValTriple, VarBase, Verdict, approx_ty,
+    NatBase, Pi, PiTy, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
     family_source, instantiate_poly, join_apply, plus_apply, plus_lambda,
     precisions, sample_member_triple, same_family, zero_expr,
@@ -48,7 +48,7 @@ from .quant import LeqVerdict, scalar_err_leq
 from .sampling import trial_rng
 from .syntax import (
     ERRREAL, FLOAT64, NAT, NESTING_STACK_LIMIT, REAL,
-    App, Arrow, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
+    App, Arrow, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
     Var, children, free_vars, fresh_name, map_children, to_source, unshared,
     with_stack_limit,
@@ -134,9 +134,9 @@ class Derivation:
     def to_doc(self) -> dict:
         doc = {
             "rule": self.rule,
-            "exact": _src(self.exact),
-            "approx": _src(self.approx),
-            "err": _src(self.err),
+            "exact": to_source(self.exact),
+            "approx": to_source(self.approx),
+            "err": to_source(self.err),
             "family": family_source(self.family),
             "premises": [p.to_doc() for p in self.premises],
         }
@@ -145,16 +145,9 @@ class Derivation:
         if self.side_conditions:
             doc["side_conditions"] = [
                 {"description": sc.description,
-                 "verdict": json.loads(sc.verdict.to_json())}
+                 "verdict": sc.verdict.to_doc()}
                 for sc in self.side_conditions]
         return doc
-
-
-def _src(e: Expr) -> str:
-    try:
-        return to_source(e)
-    except ValueError:
-        return "<bottom>"
 
 
 @dataclass
@@ -394,10 +387,11 @@ def _leaf_err(leaf: _Leaf, actuals: Sequence[Expr]) -> Expr:
 # the compiler
 
 class Compiler:
-    def __init__(self, opts: CompileOpts, types: Dict[int, Ty]):
+    def __init__(self, opts: CompileOpts, types: Dict[int, Ty],
+                 sites: Dict[int, str]):
         self.opts = opts
         self.types = types  # id(node): exact type, from the one typing pass
-        self._site_counter = 0
+        self.sites = sites  # id(reduction node): its label_sites label
         self._fresh_counter = 0
 
     # -- naming ------------------------------------------------------------
@@ -413,17 +407,12 @@ class Compiler:
             xq = f"{base}_q{self._fresh_counter}"
         return xa, xq
 
-    def _next_site(self) -> str:
-        label = f"L{self._site_counter}"
-        self._site_counter += 1
-        return label
-
     # -- entry point ---------------------------------------------------------
 
     def compile(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> CompileResult:
         rule = _RULES.get(type(e))
         if rule is None:
-            raise NoRuleApplies(f"no rule for {type(e).__name__}", _src(e))
+            raise NoRuleApplies(f"no rule for {type(e).__name__}", to_source(e))
         return rule(self, ctx, e, target)
 
     # -- structural rules -----------------------------------------------------
@@ -438,13 +427,11 @@ class Compiler:
         d = Derivation("A-Var", e, Var(trip.xa), Var(trip.xq), target)
         return CompileResult(d.approx, d.err, target, d)
 
-    def _lam(self, ctx: ApproxCtx, e: Lam, target: ApproxTy,
-             pin: Optional[Tuple[Optional[Expr], Optional[Expr], Optional[Expr]]] = None
-             ) -> CompileResult:
+    def _lam(self, ctx: ApproxCtx, e: Lam, target: ApproxTy) -> CompileResult:
         if not isinstance(target, Pi):
-            raise TypeMismatch("a function family", family_source(target), _src(e))
+            raise TypeMismatch("a function family", family_source(target), to_source(e))
         xa, xq = self._names_for(e.binder, ctx, free_vars(e.body))
-        trip = ValTriple(e.binder, xa, xq, target.fam, pinned=pin)
+        trip = ValTriple(e.binder, xa, xq, target.fam)
         inner = self.compile(ctx.extend(trip), e.body, target.body)
         approx = Lam(xa, approx_ty(target.fam), inner.approx)
         err = Lam(e.binder, exact_ty(target.fam),
@@ -473,8 +460,8 @@ class Compiler:
     def _tylam(self, ctx: ApproxCtx, e: TyLam, target: ApproxTy) -> CompileResult:
         if not isinstance(target, PiTy) or target.xe != e.tyvar:
             raise TypeMismatch("a polymorphic family matching the binder",
-                               family_source(target), _src(e))
-        entry = TyTriple(target.xe, target.xa, target.xq, target.z0, target.zp)
+                               family_source(target), to_source(e))
+        entry = VarBase(target.xe, target.xa, target.xq, target.z0, target.zp)
         inner = self.compile(ctx.extend(entry), e.body, target.body)
         approx = TyLam(target.xa, inner.approx)
         qv = TyVar(target.xq)
@@ -492,7 +479,7 @@ class Compiler:
         out_fam = instantiate_poly(pt, fam)
         if not same_family(out_fam, target):
             raise TypeMismatch(family_source(target), family_source(out_fam),
-                               _src(e))
+                               to_source(e))
         approx = TyApp(r1.approx, approx_ty(fam))
         err = App(App(TyApp(TyApp(r1.err, exact_ty(fam)), err_ty(fam)),
                       zero_expr(fam)), plus_lambda(fam))
@@ -501,11 +488,7 @@ class Compiler:
         return CompileResult(approx, err, target, d)
 
     def _tymap(self, ctx: ApproxCtx) -> Dict[str, VarBase]:
-        out: Dict[str, VarBase] = {}
-        for en in ctx.entries:
-            if isinstance(en, TyTriple):
-                out[en.xe] = VarBase(en.xe, en.xa, en.xq, en.z0, en.zp)
-        return out
+        return {en.xe: en for en in ctx.entries if isinstance(en, VarBase)}
 
     def _concrete_family(self, ty: Ty) -> ApproxTy:
         try:
@@ -519,9 +502,7 @@ class Compiler:
         # variable equals the fixpoint being built
         if not isinstance(e.expr, Lam):
             raise Unsupported("fix is supported on literal lambdas")
-        pin = (e, None, None)  # exact side is known up front
-        inner = self._lam(ctx, e.expr, Pi("x", "x_a", "x_q", target, target),
-                          pin=pin)
+        inner = self._lam(ctx, e.expr, Pi("x", "x_a", "x_q", target, target))
         approx = Fix(inner.approx)
         err = Fix(App(inner.err, e))
         d = Derivation("A-Fix", e, approx, err, target,
@@ -564,7 +545,7 @@ class Compiler:
 
     def _real_lit(self, ctx: ApproxCtx, e: RealLit, target: ApproxTy) -> CompileResult:
         if not isinstance(target, FlBase):
-            raise TypeMismatch("Fl", family_source(target), _src(e))
+            raise TypeMismatch("Fl", family_source(target), to_source(e))
         a = nearest_float(e.value)
         if math.isinf(a):
             raise Unsupported(f"real literal {e.value} overflows binary64")
@@ -572,15 +553,10 @@ class Compiler:
         d = Derivation("R-Lit", e, FloatLit.of(a), q, target)
         return CompileResult(d.approx, d.err, target, d)
 
-    def _bottom(self, ctx: ApproxCtx, e: Bottom, target: ApproxTy) -> CompileResult:
-        d = Derivation("R-Lit", e, Bottom(approx_ty(target)),
-                       zero_expr(target), target)
-        return CompileResult(d.approx, d.err, target, d)
-
     def _scalar_lit(self, ctx: ApproxCtx, e: Expr, target: ApproxTy,
                     fam: ApproxTy) -> CompileResult:
         if not same_family(target, fam):
-            raise TypeMismatch(family_source(fam), family_source(target), _src(e))
+            raise TypeMismatch(family_source(fam), family_source(target), to_source(e))
         d = Derivation("R-Lit", e, e, NatLit(0), target)
         return CompileResult(e, NatLit(0), target, d)
 
@@ -611,7 +587,7 @@ class Compiler:
             actuals += (arg, r.err)
             fam = fam.body
         if not same_family(fam, target):
-            raise TypeMismatch(family_source(target), family_source(fam), _src(e))
+            raise TypeMismatch(family_source(target), family_source(fam), to_source(e))
         # one derivation for the leaf and the applications to its arguments
         err = _leaf_err(leaf, actuals)
         d = Derivation(leaf.rule, e, approx, err, fam, premises=premises)
@@ -624,7 +600,7 @@ class Compiler:
 
     def _compare(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> CompileResult:
         if not isinstance(target, BoolBase):
-            raise TypeMismatch("Bool", family_source(target), _src(e))
+            raise TypeMismatch("Bool", family_source(target), to_source(e))
         arg_fam = FL if e.op == "leqr" else NAT_A
         lower = "leqf" if e.op == "leqr" else "leqn"
         r1 = self.compile(ctx, e.args[0], arg_fam)
@@ -646,7 +622,7 @@ class Compiler:
     def _redseq(self, ctx: ApproxCtx, e: RedSeq, target: ApproxTy) -> CompileResult:
         """The float lowering of a reduction, perforated by the factor k
         given for its site; k = 1 is the plain loop."""
-        site = self._next_site()
+        site = self.sites[id(e)]
         k = self.opts.perforation.get(site, 1)
         if not isinstance(target, FlBase):
             raise Unsupported("perforation targets scalar real reductions")
@@ -733,7 +709,6 @@ _RULES = {
     BoolLit: lambda c, ctx, e, t: c._scalar_lit(ctx, e, t, BOOL_A),
     Builtin: Compiler._builtin,
     RedSeq: Compiler._redseq,
-    Bottom: Compiler._bottom,
 }
 
 
@@ -742,37 +717,43 @@ _RULES = {
 
 def label_sites(e: Expr) -> List[Tuple[str, str]]:
     """Reduction sites in pre-order: (label, source) pairs."""
-    out: List[Tuple[str, str]] = []
-    _collect_sites(e, out)
-    return out
+    return [(f"L{i}", to_source(t)) for i, t in enumerate(_reductions(e, []))]
+
+
+def _site_labels(e: Expr) -> Dict[int, str]:
+    """Each reduction node's label_sites label, keyed by node identity; a
+    node that stands at two sites raises SharedNode."""
+    nodes = _reductions(e, [])
+    labels = {id(t): f"L{i}" for i, t in enumerate(nodes)}
+    if len(labels) < len(nodes):
+        raise SharedNode("one redseq node at two sites")
+    return labels
 
 
 # a module-level walk: a nested recursive function would leave one
 # reference cycle per compile for the collector
-def _collect_sites(t: Expr, out: List[Tuple[str, str]]) -> None:
+def _reductions(t: Expr, out: List[RedSeq]) -> List[RedSeq]:
+    """The reduction nodes under t, in pre-order, appended to out."""
     if type(t) is RedSeq:
-        out.append((f"L{len(out)}", to_source(t)))
+        out.append(t)
     for c in children(t):
-        _collect_sites(c, out)
+        _reductions(c, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
-def compile_expr(ctx: ApproxCtx, e: Expr, target: ApproxTy,
-                 opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Compile under an approximation context toward a target family."""
-    return _compile(ctx, e, target, opts)
-
-
 def compile_program(e: Expr, opts: CompileOpts = CompileOpts()) -> CompileResult:
     """Compile a closed program; the target family is derived from its
     exact type."""
-    return _compile(ApproxCtx(), e, None, opts)
+    return compile_expr(ApproxCtx(), e, None, opts)
 
 
-def _compile(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
-             opts: CompileOpts) -> CompileResult:
+def compile_expr(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
+                 opts: CompileOpts = CompileOpts()) -> CompileResult:
+    """Compile under an approximation context toward a target family, or
+    toward the family of e's exact type when target is None."""
     result = nesting_guarded(lambda: _compile_typed(ctx, e, target, opts))
     if opts.weaken_to is not None:
         result = weaken(result, opts.weaken_to, opts)
@@ -787,20 +768,21 @@ def _compile_typed(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
     types: Dict[int, Ty] = {}
     try:
         got = infer_type(ctx_exact(ctx), e, types)
+        sites = _site_labels(e)
     except SharedNode:
         e, types = unshared(e), {}
         got = infer_type(ctx_exact(ctx), e, types)
+        sites = _site_labels(e)
     if target is None:
         target = _family_of(got, {})
     elif got != exact_ty(target):
         raise TypeMismatch(exact_ty(target), got, "program")
-    sites = [label for label, _ in label_sites(e)]
-    unknown = sorted(set(opts.perforation) - set(sites))
+    unknown = sorted(set(opts.perforation) - set(sites.values()))
     if unknown:
         raise CompileError(
             f"unknown perforation site {', '.join(unknown)}; the program's "
-            f"reduction sites are: {', '.join(sites) or 'none'}")
-    return Compiler(opts, types).compile(ctx, e, target)
+            f"reduction sites are: {', '.join(sites.values()) or 'none'}")
+    return Compiler(opts, types, sites).compile(ctx, e, target)
 
 
 def _family_of(ty: Ty, tymap: Dict[str, VarBase]) -> ApproxTy:

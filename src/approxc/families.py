@@ -331,24 +331,11 @@ class ValTriple:
     xa: str
     xq: str
     family: ApproxTy
-    pinned: Optional[Tuple[Expr, Expr, Expr]] = None
 
 
-@dataclass(frozen=True)
-class TyTriple:
-    xe: str
-    xa: str
-    xq: str
-    z0: str
-    zp: str
-
-
-@dataclass(frozen=True)
-class Constraint:
-    description: str
-
-
-CtxEntry = Union[ValTriple, TyTriple, Constraint]
+# a type variable's entry is the family variable that a polymorphic
+# descriptor binds for it
+CtxEntry = Union[ValTriple, VarBase]
 
 
 @dataclass(frozen=True)
@@ -356,24 +343,15 @@ class ApproxCtx:
     entries: Tuple[CtxEntry, ...] = ()
 
     def extend(self, entry: CtxEntry) -> "ApproxCtx":
-        names = self.names()
-        if isinstance(entry, ValTriple):
-            fresh = {entry.xe, entry.xa, entry.xq}
-        elif isinstance(entry, TyTriple):
-            fresh = {entry.xe, entry.xa, entry.xq, entry.z0, entry.zp}
-        else:
-            fresh = set()
-        if names & fresh:
-            raise ValueError(f"context names collide: {names & fresh}")
+        clash = self.names() & _entry_names(entry)
+        if clash:
+            raise ValueError(f"context names collide: {clash}")
         return ApproxCtx(self.entries + (entry,))
 
     def names(self) -> set:
         out = set()
         for en in self.entries:
-            if isinstance(en, ValTriple):
-                out |= {en.xe, en.xa, en.xq}
-            elif isinstance(en, TyTriple):
-                out |= {en.xe, en.xa, en.xq, en.z0, en.zp}
+            out |= _entry_names(en)
         return out
 
     def lookup(self, xe: str) -> Optional[ValTriple]:
@@ -383,6 +361,12 @@ class ApproxCtx:
         return None
 
 
+def _entry_names(en: CtxEntry) -> set:
+    if isinstance(en, ValTriple):
+        return {en.xe, en.xa, en.xq}
+    return {en.xe, en.xa, en.xq, en.z0, en.zp}
+
+
 def ctx_exact(ctx: ApproxCtx):
     """|ctx| projected to the exact world as a typing context."""
     from .typecheck import TyCtx
@@ -390,7 +374,7 @@ def ctx_exact(ctx: ApproxCtx):
     for en in ctx.entries:
         if isinstance(en, ValTriple):
             t = t.bind(en.xe, exact_ty(en.family))
-        elif isinstance(en, TyTriple):
+        else:
             t = t.bind_tyvar(en.xe)
     return t
 
@@ -412,7 +396,7 @@ class Verdict:
     def ok(self) -> bool:
         return self.status == "pass"
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
         doc = {"schema": "verdict/v1", "status": self.status,
                "trials": self.trials, "passes": self.passes,
                "inconclusive": self.inconclusive,
@@ -421,7 +405,10 @@ class Verdict:
             doc["reason"] = self.reason
         if self.counterexample is not None:
             doc["counterexample"] = self.counterexample
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 @dataclass
@@ -617,8 +604,6 @@ def member_trials(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
 def member_trial(fam: ApproxTy, q: Expr, a: Expr, e: Expr,
                  trial: int, seed: int, cfg: EvalConfig) -> TrialOutcome:
     """The outcome member_trials reports for one trial, from one check."""
-    if isinstance(fam, _BASES):
-        return _relabel(_trial(fam, q, e, a, True, 0, seed, cfg), trial)
     return _trial(fam, q, e, a, True, trial, seed, cfg)
 
 

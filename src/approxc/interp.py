@@ -19,7 +19,9 @@ children's closures, cached on the node, and runs read the machine (fuel,
 precision, call table) only through the arguments the closure is given.
 A builtin node's rule is picked when the node is staged, so a run neither
 dispatches on the op nor collects the operands.  Fuel is spent by
-application, fix, type application and builtin rules.
+application, fix, type application and builtin rules.  A run out of fuel,
+or of the host frames `syntax.with_stack_limit` allows it above its
+caller's, diverges.
 
 Every call of a fix on a keyed argument is memoized in a call table,
 the top-level call included: `fix` of a lambda returns its
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,7 @@ from .floats import (
     float_interval_op_err, ieee_div, sin_f64,
 )
 from .syntax import (
-    App, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
+    App, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
     If, Lam, NatLit, RealLit, RedSeq, TyApp, TyLam, Var, builtin_arity,
     children, with_stack_limit,
 )
@@ -717,12 +718,6 @@ def _stage_redseq(e: RedSeq):
     return lambda m, env: m.redseq(f, n, g, env)
 
 
-def _stage_bottom(e: Bottom):
-    def run(m, env):
-        raise _Diverge()
-    return run
-
-
 _STAGERS = {
     Var: _stage_var,
     Lam: _stage_lam,
@@ -738,7 +733,6 @@ _STAGERS = {
     ErrLit: lambda e: _constant(VErr.point(e.value)),
     Builtin: _stage_builtin,
     RedSeq: _stage_redseq,
-    Bottom: _stage_bottom,
 }
 
 
@@ -755,31 +749,13 @@ _EVAL_STACK_LIMIT = 2500
 _CALL_TABLE_MAX = 1 << 14
 
 
-_depth_hint = 0
-
-
-def _stack_depth() -> int:
-    """The number of host frames under this one.  Evaluations mostly start
-    at about the depth of the last one, so the count starts there when the
-    stack is that deep."""
-    global _depth_hint
-    try:
-        f, n = sys._getframe(_depth_hint), _depth_hint
-    except ValueError:
-        f, n = sys._getframe(), 0
-    while f.f_back is not None:
-        f, n = f.f_back, n + 1
-    _depth_hint = n
-    return n
-
-
 def _guarded(run) -> Union[Value, Diverged]:
     # deep fix unrollings recurse through the host stack; exhausting it
     # counts as divergence (the fuel budget usually bites first).  The
     # limit sits a fixed number of frames above the caller's depth, so
     # whether a program diverges does not depend on who evaluates it
     try:
-        return with_stack_limit(_stack_depth() + _EVAL_STACK_LIMIT, run)
+        return with_stack_limit(_EVAL_STACK_LIMIT, run)
     except (_Diverge, RecursionError):
         return DIVERGED
 

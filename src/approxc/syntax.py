@@ -14,6 +14,11 @@ win.  A closure is a local function, so a node that carries one does not
 pickle.  Beside it, the compiler's constant folder caches the node's folded
 error form (``compiler.fold_err``, key ``_fold``; None when the node folds
 to itself), so each error node is folded once however many errors share it.
+
+Parsing, compiling, printing and evaluating walk a program on the host
+stack.  One guard, `with_stack_limit`, bounds them all: a walk may use a
+fixed number of frames above its caller's depth, so how deeply a program
+may nest does not depend on who parses, compiles or evaluates it.
 """
 from __future__ import annotations
 
@@ -239,17 +244,10 @@ class RedSeq:
     generator: "Expr"
 
 
-@dataclass(frozen=True)
-class Bottom:
-    """Divergence marker.  Internal only; no surface form."""
-
-    annot: Ty
-
-
 Expr = Union[
     Var, Lam, App, TyLam, TyApp, Fix, If,
     RealLit, NatLit, BoolLit, FloatLit, ErrLit,
-    Builtin, RedSeq, Bottom,
+    Builtin, RedSeq,
 ]
 
 
@@ -370,19 +368,33 @@ def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
 
 #: host frames that parsing, compiling and printing a program may use; they
 #: recurse one to a few frames per level of nesting, so a right-nested
-#: chain of +r compiles to about 700 levels and parses to about 1,500
+#: chain of +r compiles to about 750 levels and parses to about 1,500
 NESTING_STACK_LIMIT = 1500
+
+_depth_hint = 0
+
+
+def _stack_depth() -> int:
+    """The number of host frames under this one.  Walks mostly start at
+    about the depth of the last one, so the count starts there when the
+    stack is that deep."""
+    global _depth_hint
+    try:
+        f, n = sys._getframe(_depth_hint), _depth_hint
+    except ValueError:
+        f, n = sys._getframe(), 0
+    while f.f_back is not None:
+        f, n = f.f_back, n + 1
+    _depth_hint = n
+    return n
 
 
 def with_stack_limit(frames: int, run: Callable[[], T]) -> T:
-    """run() with the host recursion limit raised to at least `frames`.
-
-    The caller turns the RecursionError of a walk that still runs out
-    into its own typed outcome."""
+    """run() with the host recursion limit set `frames` frames above the
+    caller's depth.  The caller turns the RecursionError of a walk that
+    still runs out into its own typed outcome."""
     old = sys.getrecursionlimit()
-    if old >= frames:
-        return run()
-    sys.setrecursionlimit(frames)
+    sys.setrecursionlimit(_stack_depth() + frames)
     try:
         return run()
     finally:
@@ -437,10 +449,6 @@ def subst(e: Expr, name: str, repl: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing back to surface syntax
 
-def ty_to_source(t: Ty) -> str:
-    return str(t)
-
-
 def _frac_to_source(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -455,13 +463,13 @@ def to_source(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Lam):
-        return f"(lam ({e.binder} {ty_to_source(e.annot)}) {to_source(e.body)})"
+        return f"(lam ({e.binder} {e.annot}) {to_source(e.body)})"
     if isinstance(e, App):
         return f"(app {to_source(e.fn)} {to_source(e.arg)})"
     if isinstance(e, TyLam):
         return f"(tlam {e.tyvar} {to_source(e.body)})"
     if isinstance(e, TyApp):
-        return f"(tyapp {to_source(e.expr)} {ty_to_source(e.ty)})"
+        return f"(tyapp {to_source(e.expr)} {e.ty})"
     if isinstance(e, Fix):
         return f"(fix {to_source(e.expr)})"
     if isinstance(e, If):
@@ -485,6 +493,4 @@ def to_source(e: Expr) -> str:
     if isinstance(e, RedSeq):
         return (f"(redseq {to_source(e.combiner)} {to_source(e.count)} "
                 f"{to_source(e.generator)})")
-    if isinstance(e, Bottom):
-        raise ValueError("bottom has no surface form")
     raise TypeError(f"not an expression: {e!r}")

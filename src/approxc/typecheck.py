@@ -10,7 +10,7 @@ from typing import Dict, Optional, Tuple
 
 from .syntax import (
     BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, REAL,
-    App, Arrow, BoolLit, Bottom, Builtin, ErrLit, Expr, Fix, FloatLit,
+    App, Arrow, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
     Var, subst_ty,
 )
@@ -171,9 +171,6 @@ def infer_type(ctx: TyCtx, e: Expr,
         ft = infer_type(ctx, e.combiner, types)
         if ft != Arrow(t, Arrow(t, t)):
             raise TypeMismatch(Arrow(t, Arrow(t, t)), ft, "redseq combiner")
-    elif isinstance(e, Bottom):
-        kind_check(ctx, e.annot)
-        t = e.annot
     else:
         raise TypeError_(f"not an expression: {e!r}")
     if types is not None:

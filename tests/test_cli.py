@@ -101,6 +101,18 @@ def test_deep_nesting_is_a_typed_error(tmp_path, capsys, depth, error):
     assert not list(tmp_path.glob("deep.*.*"))
 
 
+def test_deep_reduction_site_is_listed(tmp_path, capsys):
+    # the site list prints each reduction, which recurses as deep as
+    # compiling it, so it runs under the same stack guard
+    s = "(nat2real i)"
+    for _ in range(600):
+        s = f"(+r (nat2real i) {s})"
+    p = tmp_path / "deep.ax"
+    p.write_text(f"(redseq +r 2 (lam (i Nat) {s}))")
+    assert main(["compile", str(p), "--emit", "approx"]) == 0
+    assert "(sites: L0)" in capsys.readouterr().out
+
+
 def test_argument_of_universal_type_exit_two(tmp_path, capsys):
     p = tmp_path / "poly_arg.ax"
     p.write_text("(app (lam (f (forall X (-> X X))) (app (tyapp f Real) 1/1)) "

@@ -17,7 +17,7 @@ import approxc.compiler
 import approxc.typecheck
 
 from approxc.compiler import (
-    CompileError, CompileOpts, NoRuleApplies, OrderingUndecidable,
+    CompileError, CompileOpts, NestingTooDeep, NoRuleApplies, OrderingUndecidable,
     SideConditionFailed, Unsupported, compile_expr, compile_program, float_op_err, fold_err,
     label_sites, weaken,
 )
@@ -34,7 +34,7 @@ from approxc.interp import (
     eval_error, eval_exact,
 )
 from approxc.checker import _instantiations, load_sidecar_opts
-from approxc.parser import parse
+from approxc.parser import ParseError, parse
 from approxc.sampling import trial_rng
 from approxc.syntax import (
     REAL, App, BoolLit, Builtin, ErrLit, FloatLit, If, Lam, NatLit, RealLit,
@@ -542,6 +542,25 @@ def test_site_labels_preorder():
     assert "4" in sites[0][1] and "2" in sites[1][1]
 
 
+def _sites(d):
+    """The site labels in a derivation, in pre-order."""
+    own = [d.site] if d.site is not None else []
+    return own + [s for p in d.premises for s in _sites(p)]
+
+
+def test_site_labels_number_compiled_reductions():
+    # each compiled reduction carries the label label_sites gives its
+    # place, also where one node object stands at two places
+    e = parse("(+r (redseq +r 4 (lam (i Nat) (nat2real i))) "
+              "(redseq +r 6 (lam (i Nat) (nat2real i))))")
+    twice = Builtin("+r", (e.args[0], e.args[0]))
+    for prog, counts in ((e, [4, 3]), (twice, [4, 2])):
+        r = compile_program(prog, dataclasses.replace(OPTS, perforation={"L1": 2}))
+        assert _sites(r.derivation) == ["L0", "L1"]
+        # only the second float loop is perforated, to ceil(n/2) steps
+        assert [a.count.value for a in r.approx.args] == counts
+
+
 # -- the fold cache ---------------------------------------------------------------
 
 def _plain(e):
@@ -783,13 +802,54 @@ print(json.dumps([deepest(plus_chain), deepest(app_chain)]))
 
 
 def test_deepest_compilable_nesting_does_not_fall():
-    # the depth left for the compile depends on the caller's own stack, so
-    # it is measured from a fresh interpreter, as a script or the CLI runs
+    # measured from a fresh interpreter, as a script or the CLI runs; the
+    # depth does not depend on the caller's own stack (see the next test)
     out = subprocess.run([sys.executable, "-c", _DEEPEST], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     plus, app = json.loads(out.stdout)
     assert plus >= 740 and app >= 740, (plus, app)
+
+
+def _plus_chain(n):
+    t = Var("x")
+    for _ in range(n):
+        t = Builtin("+r", (Var("x"), t))
+    return Lam("x", REAL, t)
+
+
+def _deepest_nesting(run, too_deep):
+    """The largest n below 3000 for which run(n) does not raise too_deep,
+    by bisection."""
+    lo, hi = 0, 3000
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            lo = mid
+        except too_deep:
+            hi = mid
+    return lo
+
+
+def test_nesting_limits_do_not_depend_on_the_caller():
+    # parsing and compiling may use a fixed number of host frames above
+    # their caller's depth, so 300 more frames under the caller leave the
+    # deepest right-nested +r chain that parses, and that compiles, as is
+    def limits():
+        parsed = _deepest_nesting(
+            lambda n: parse("(lam (x Real) " + "(+r x " * n + "x" + ")" * n + ")"),
+            ParseError)
+        compiled = _deepest_nesting(
+            lambda n: compile_program(_plus_chain(n)), NestingTooDeep)
+        return parsed, compiled
+
+    def nested(k):
+        return limits() if k == 0 else nested(k - 1)
+
+    here, deeper = limits(), nested(300)
+    assert here == deeper, (here, deeper)
+    assert here[0] >= 1400 and here[1] >= 700, here
 
 
 # -- leaf saturation ---------------------------------------------------------------
