@@ -97,16 +97,17 @@ def _emit(args, path: Path, name: str, text: str):
 
 def _texts(emit: str, stem: str, result) -> dict:
     """File name and text of each emitted output, by kind.  Printing
-    recurses as deep as compiling, so it runs under the same guard."""
+    recurses as deep as compiling, so it runs under the same guard.  The
+    outputs share subterms, so they print through one memo."""
     def render() -> dict:
-        out = {}
+        out, memo = {}, {}
         if emit in ("approx", "all"):
-            out["approx"] = (f"{stem}.approx.ax", to_source(result.approx))
+            out["approx"] = (f"{stem}.approx.ax", to_source(result.approx, memo))
         if emit in ("err", "all"):
-            out["err"] = (f"{stem}.err.ax", to_source(result.err))
+            out["err"] = (f"{stem}.err.ax", to_source(result.err, memo))
         if emit in ("derivation", "all"):
             out["derivation"] = (f"{stem}.derivation.json",
-                                 result.derivation_json())
+                                 result.derivation_json(memo))
         return out
     return nesting_guarded(render)
 

@@ -131,14 +131,16 @@ class Derivation:
     side_conditions: List[SideCondition] = field(default_factory=list)
     site: Optional[str] = None
 
-    def to_doc(self) -> dict:
+    def to_doc(self, memo: Dict[int, str]) -> dict:
+        """The derivation as a JSON document, its expressions printed
+        through memo (see to_source)."""
         doc = {
             "rule": self.rule,
-            "exact": to_source(self.exact),
-            "approx": to_source(self.approx),
-            "err": to_source(self.err),
+            "exact": to_source(self.exact, memo),
+            "approx": to_source(self.approx, memo),
+            "err": to_source(self.err, memo),
             "family": family_source(self.family),
-            "premises": [p.to_doc() for p in self.premises],
+            "premises": [p.to_doc(memo) for p in self.premises],
         }
         if self.site is not None:
             doc["site"] = self.site
@@ -157,9 +159,11 @@ class CompileResult:
     family: ApproxTy
     derivation: Derivation
 
-    def derivation_json(self) -> str:
-        return json.dumps({"schema": "derivation/v1",
-                           "derivation": self.derivation.to_doc()},
+    def derivation_json(self, memo: Optional[Dict[int, str]] = None) -> str:
+        """derivation.json's text; memo is to_source's, shared with the
+        other texts printed from this result."""
+        doc = self.derivation.to_doc({} if memo is None else memo)
+        return json.dumps({"schema": "derivation/v1", "derivation": doc},
                           sort_keys=True)
 
 
@@ -716,8 +720,11 @@ _RULES = {
 # site labeling (for perforation targeting from the command line)
 
 def label_sites(e: Expr) -> List[Tuple[str, str]]:
-    """Reduction sites in pre-order: (label, source) pairs."""
-    return [(f"L{i}", to_source(t)) for i, t in enumerate(_reductions(e, []))]
+    """Reduction sites in pre-order: (label, source) pairs.  A site nested
+    in another is printed once, through one memo."""
+    memo: Dict[int, str] = {}
+    return [(f"L{i}", to_source(t, memo))
+            for i, t in enumerate(_reductions(e, []))]
 
 
 def _site_labels(e: Expr) -> Dict[int, str]:

@@ -78,9 +78,15 @@ class EvalConfig:
             raise ValueError("fuel must be >= 1")
         if self.precision_bits < 1:
             raise ValueError("precision_bits must be >= 1")
+        # this budget at each precision a check steps to, built once; kept
+        # outside the fields, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_steps", {})
 
     def at_precision(self, p: int) -> "EvalConfig":
-        return EvalConfig(self.fuel, p, self.max_precision_bits)
+        cfg = self._steps.get(p)
+        if cfg is None:
+            cfg = self._steps[p] = EvalConfig(self.fuel, p, self.max_precision_bits)
+        return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import struct
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -453,44 +453,58 @@ def _frac_to_source(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def to_source(e: Expr) -> str:
+def to_source(e: Expr, memo: Optional[Dict[int, str]] = None) -> str:
     """Render an expression in the s-expression surface grammar.
 
     Rational literals print as p/q so they re-parse exactly.  Float
     literals print as the shortest round-trip decimal; errors print as
     (err p/q) or inf.
+
+    Each node object is printed once per memo, which maps its id to its
+    text.  A caller that prints one document of several expressions passes
+    one memo and keeps every printed node alive while the memo is in use,
+    so no id is reused.  The walk takes one host frame per nesting level.
     """
-    if isinstance(e, Var):
+    t = type(e)
+    if t is Var:
         return e.name
-    if isinstance(e, Lam):
-        return f"(lam ({e.binder} {e.annot}) {to_source(e.body)})"
-    if isinstance(e, App):
-        return f"(app {to_source(e.fn)} {to_source(e.arg)})"
-    if isinstance(e, TyLam):
-        return f"(tlam {e.tyvar} {to_source(e.body)})"
-    if isinstance(e, TyApp):
-        return f"(tyapp {to_source(e.expr)} {e.ty})"
-    if isinstance(e, Fix):
-        return f"(fix {to_source(e.expr)})"
-    if isinstance(e, If):
-        return f"(if {to_source(e.cond)} {to_source(e.then_e)} {to_source(e.else_e)})"
-    if isinstance(e, RealLit):
-        return _frac_to_source(e.value)
-    if isinstance(e, NatLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, FloatLit):
-        return repr(e.value)
-    if isinstance(e, ErrLit):
-        if e.value is None:
-            return "inf"
-        return f"(err {_frac_to_source(e.value)})"
-    if isinstance(e, Builtin):
-        if not e.args:
-            return e.op
-        return "(" + " ".join([e.op] + [to_source(a) for a in e.args]) + ")"
-    if isinstance(e, RedSeq):
-        return (f"(redseq {to_source(e.combiner)} {to_source(e.count)} "
-                f"{to_source(e.generator)})")
-    raise TypeError(f"not an expression: {e!r}")
+    if memo is None:
+        memo = {}
+    s = memo.get(id(e))
+    if s is not None:
+        return s
+    if t is Builtin:
+        parts = [e.op]
+        for a in e.args:
+            parts.append(to_source(a, memo))
+        s = f"({' '.join(parts)})" if e.args else e.op
+    elif t is RealLit:
+        s = _frac_to_source(e.value)
+    elif t is Lam:
+        s = f"(lam ({e.binder} {e.annot}) {to_source(e.body, memo)})"
+    elif t is App:
+        s = f"(app {to_source(e.fn, memo)} {to_source(e.arg, memo)})"
+    elif t is FloatLit:
+        s = repr(e.value)
+    elif t is ErrLit:
+        s = "inf" if e.value is None else f"(err {_frac_to_source(e.value)})"
+    elif t is NatLit:
+        s = str(e.value)
+    elif t is RedSeq:
+        s = (f"(redseq {to_source(e.combiner, memo)} {to_source(e.count, memo)} "
+             f"{to_source(e.generator, memo)})")
+    elif t is If:
+        s = (f"(if {to_source(e.cond, memo)} {to_source(e.then_e, memo)} "
+             f"{to_source(e.else_e, memo)})")
+    elif t is Fix:
+        s = f"(fix {to_source(e.expr, memo)})"
+    elif t is TyLam:
+        s = f"(tlam {e.tyvar} {to_source(e.body, memo)})"
+    elif t is TyApp:
+        s = f"(tyapp {to_source(e.expr, memo)} {e.ty})"
+    elif t is BoolLit:
+        s = "true" if e.value else "false"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[id(e)] = s
+    return s

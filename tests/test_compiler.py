@@ -19,7 +19,7 @@ import approxc.typecheck
 from approxc.compiler import (
     CompileError, CompileOpts, NestingTooDeep, NoRuleApplies, OrderingUndecidable,
     SideConditionFailed, Unsupported, compile_expr, compile_program, float_op_err, fold_err,
-    label_sites, weaken,
+    label_sites, nesting_guarded, weaken,
 )
 from approxc.enclosure import RealEnclosure, from_rational
 from approxc.families import (
@@ -705,6 +705,47 @@ def test_fold_work_grows_linearly_with_nesting(monkeypatch):
     assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
 
 
+class _CountingMemo(dict):
+    """A to_source memo that lists the id of every node it formats."""
+
+    def __init__(self):
+        super().__init__()
+        self.formatted = []
+
+    def __setitem__(self, key, text):
+        self.formatted.append(key)
+        super().__setitem__(key, text)
+
+
+def _derivation_nodes(d, seen):
+    """Every node of every expression in a derivation, by id."""
+    for e in (d.exact, d.approx, d.err):
+        stack = [e]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(children(t))
+    for p in d.premises:
+        _derivation_nodes(p, seen)
+    return seen
+
+
+def test_printing_work_grows_linearly_with_nesting():
+    counts = []
+    for depth in (50, 100, 200):
+        r = compile_program(_plus_chain(depth), OPTS)
+        memo = _CountingMemo()
+        r.derivation_json(memo)
+        # each distinct node but a variable is formatted once; printing
+        # every premise's expressions afresh formats O(depth^3) nodes
+        distinct = [t for t in _derivation_nodes(r.derivation, {}).values()
+                    if type(t) is not Var]
+        assert sorted(memo.formatted) == sorted(map(id, distinct)), depth
+        counts.append(len(memo.formatted))
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
+
+
 def test_deep_chain_compiles_quickly():
     e = _plus_chain(300)
     t0 = time.perf_counter()
@@ -836,16 +877,25 @@ def test_nesting_limits_do_not_depend_on_the_caller():
     # parsing and compiling may use a fixed number of host frames above
     # their caller's depth, so 300 more frames under the caller leave the
     # deepest right-nested +r chain that parses, and that compiles, as is
-    def limits():
+    def limits(printed=False):
         parsed = _deepest_nesting(
             lambda n: parse("(lam (x Real) " + "(+r x " * n + "x" + ")" * n + ")"),
             ParseError)
         compiled = _deepest_nesting(
             lambda n: compile_program(_plus_chain(n)), NestingTooDeep)
+        if printed:
+            # printing takes one frame per level, as parsing does, so
+            # whatever parses or compiles also prints under the same guard.
+            # The error program nests one level deeper than the float one
+            # through the same node kinds (lam, builtin), but its memo
+            # would keep about 470 MB of text at this depth
+            r, memo = compile_program(_plus_chain(compiled)), {}
+            nesting_guarded(lambda: [to_source(_plus_chain(parsed)),
+                                     to_source(r.approx, memo)])
         return parsed, compiled
 
     def nested(k):
-        return limits() if k == 0 else nested(k - 1)
+        return limits(printed=True) if k == 0 else nested(k - 1)
 
     here, deeper = limits(), nested(300)
     assert here == deeper, (here, deeper)

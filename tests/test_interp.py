@@ -169,6 +169,21 @@ def test_config_rejects_nonpositive_budgets(kwargs):
         EvalConfig(**kwargs)
 
 
+def test_each_precision_step_has_one_config():
+    cfg = EvalConfig(fuel=5000, precision_bits=64)
+    step = cfg.at_precision(256)
+    assert cfg.at_precision(256) is step and cfg.at_precision(64) is not step
+    assert step == EvalConfig(fuel=5000, precision_bits=256)
+    # the kept steps are not fields: equality, hashing and repr ignore them
+    assert cfg == EvalConfig(fuel=5000, precision_bits=64)
+    assert hash(cfg) == hash(EvalConfig(fuel=5000, precision_bits=64))
+    assert "_steps" not in repr(cfg)
+    # a refused precision is not kept: asking again is refused again
+    for p in (0, -5, 0):
+        with pytest.raises(ValueError):
+            cfg.at_precision(p)
+
+
 def test_monotone_refinement():
     src = "(sinr (+r 1/3 1/7))"
     lo = eval_exact(parse(src), cfg=EvalConfig(fuel=1000, precision_bits=64))

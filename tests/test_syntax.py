@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import approxc.compiler
+from approxc.checker import load_sidecar_opts
+from approxc.compiler import CompileOpts, compile_program
 from approxc.parser import ParseError, UnknownBuiltin, parse, parse_ty
 from approxc.syntax import (
     BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, REAL, UNIT,
-    App, Arrow, BoolLit, Builtin, ErrLit, Fix, Forall, If, Lam, NatLit,
+    App, Arrow, BoolLit, Builtin, ErrLit, Fix, FloatLit, Forall, If, Lam, NatLit,
     RealLit, RedSeq, TyApp, TyLam, TyVar, Var, children, free_vars,
     map_children, subst, to_source,
 )
@@ -133,6 +136,99 @@ def test_substitution_eliminates_the_variable(e):
     assert "x" not in free_vars(out)
     if "x" in free_vars(e):
         assert "y" in free_vars(out)
+
+
+# -- printing each node once ---------------------------------------------------------
+
+def _to_source_reference(e):
+    """The printer as it was before it kept each node's text: an isinstance
+    chain that prints every occurrence of a shared node again."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Lam):
+        return f"(lam ({e.binder} {e.annot}) {_to_source_reference(e.body)})"
+    if isinstance(e, App):
+        return f"(app {_to_source_reference(e.fn)} {_to_source_reference(e.arg)})"
+    if isinstance(e, TyLam):
+        return f"(tlam {e.tyvar} {_to_source_reference(e.body)})"
+    if isinstance(e, TyApp):
+        return f"(tyapp {_to_source_reference(e.expr)} {e.ty})"
+    if isinstance(e, Fix):
+        return f"(fix {_to_source_reference(e.expr)})"
+    if isinstance(e, If):
+        return (f"(if {_to_source_reference(e.cond)} {_to_source_reference(e.then_e)} "
+                f"{_to_source_reference(e.else_e)})")
+    if isinstance(e, RealLit):
+        return f"{e.value.numerator}/{e.value.denominator}"
+    if isinstance(e, NatLit):
+        return str(e.value)
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, FloatLit):
+        return repr(e.value)
+    if isinstance(e, ErrLit):
+        if e.value is None:
+            return "inf"
+        return f"(err {e.value.numerator}/{e.value.denominator})"
+    if isinstance(e, Builtin):
+        if not e.args:
+            return e.op
+        return "(" + " ".join([e.op] + [_to_source_reference(a) for a in e.args]) + ")"
+    if isinstance(e, RedSeq):
+        return (f"(redseq {_to_source_reference(e.combiner)} {_to_source_reference(e.count)} "
+                f"{_to_source_reference(e.generator)})")
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _shared_exprs(depth=3):
+    """_exprs in which one drawn node may stand at several places."""
+    if depth == 0:
+        return _exprs(0)
+    sub = _shared_exprs(depth - 1)
+    return st.one_of(
+        _exprs(depth),
+        st.floats(allow_nan=False).map(FloatLit.of),
+        sub.map(lambda a: App(a, a)),
+        st.tuples(sub, sub).map(lambda p: If(p[0], p[1], p[1])),
+        st.tuples(sub, sub).map(lambda p: Builtin("+r", (p[0], App(p[1], p[0])))),
+        st.tuples(_names, sub).map(lambda p: Lam(p[0], REAL, RedSeq(p[1], p[1], p[1]))),
+    )
+
+
+def _node_ids(e, seen):
+    """The id of every node under e but the variables, added to seen."""
+    if type(e) is not Var:
+        seen.add(id(e))
+    for c in children(e):
+        _node_ids(c, seen)
+    return seen
+
+
+@given(st.lists(_shared_exprs(), min_size=1, max_size=3))
+def test_printing_matches_the_reference(es):
+    es = es + [App(es[0], es[-1])]  # a document whose expressions share nodes
+    want = [_to_source_reference(e) for e in es]
+    assert [to_source(e) for e in es] == want
+    memo = {}
+    assert [to_source(e, memo) for e in es] == want
+    # one memo entry per distinct node: a shared node is printed once
+    seen = set()
+    for e in es:
+        _node_ids(e, seen)
+    assert set(memo) == seen
+
+
+def test_corpus_texts_match_the_reference(corpus_dir, monkeypatch):
+    for path in sorted(corpus_dir.glob("*.ax")):
+        r = compile_program(parse(path.read_text()),
+                            load_sidecar_opts(path, CompileOpts()))
+        got = to_source(r.approx), to_source(r.err), r.derivation_json()
+        with monkeypatch.context() as mp:
+            mp.setattr(approxc.compiler, "to_source",
+                       lambda e, memo: _to_source_reference(e))
+            want = (_to_source_reference(r.approx),
+                    _to_source_reference(r.err), r.derivation_json())
+        assert got == want, path.name
 
 
 # -- child table -----------------------------------------------------------------
