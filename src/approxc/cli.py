@@ -37,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="approximating compiler with validated error bounds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--trials", type=positive_int, default=1000)
-        sp.add_argument("--seed", type=int, default=42)
+    def common(sp, samples: bool):
+        if samples:
+            sp.add_argument("--trials", type=positive_int, default=1000)
+            sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--precision-bits", type=positive_int, default=128)
         sp.add_argument("--fuel", type=positive_int, default=10**6)
         sp.add_argument("--out", type=str, default=None,
@@ -58,10 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="surface-syntax error expression to weaken to")
         sp.add_argument("--emit", choices=["approx", "err", "derivation", "all"],
                         default="all")
-        common(sp)
+        common(sp, samples=name == "check")
 
     sp = sub.add_parser("axioms")
-    common(sp)
+    common(sp, samples=True)
     return p
 
 
@@ -77,12 +78,14 @@ def _parse_perforation(items) -> dict:
 
 def _opts_from_args(args) -> CompileOpts:
     cfg = EvalConfig(fuel=args.fuel, precision_bits=args.precision_bits)
-    weaken = parse(args.weaken_to) if getattr(args, "weaken_to", None) else None
+    try:
+        weaken = parse(args.weaken_to) if args.weaken_to else None
+    except ParseError as ex:
+        raise ValueError(f"--weaken-to: ParseError: {ex}") from None
     return CompileOpts(
-        enable_sin_subst=getattr(args, "subst_sin", False),
-        perforation=_parse_perforation(getattr(args, "perforate", [])),
+        enable_sin_subst=args.subst_sin,
+        perforation=_parse_perforation(args.perforate),
         weaken_to=weaken,
-        seed=args.seed,
         cfg=cfg,
     )
 

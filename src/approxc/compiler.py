@@ -13,12 +13,13 @@ error expression built from the premises' errors and exact subterms, so
 it is sound by construction: a conditional whose condition may disagree
 adds the exact distance between its branches, and a reduction chains the
 rounding error of each float addition and adds the exact drift of a
-perforated loop.  Compilation evaluates nothing, except that weakening
-to a caller-supplied bound checks the ordering, on sampled inputs at
-function families; there, and where the comparison stays undecided at the
-precision cap, the emitted error is the pointwise join of the synthesized
-error and the bound.  Bounds the oracle cannot evaluate even at the cap
-refuse the weakening with OrderingUndecidable.
+perforated loop.  Compilation samples nothing.  It evaluates nothing
+either, except that weakening to a caller-supplied bound at a base family
+compares the two evaluated bounds; at a function family, and where that
+comparison stays undecided at the precision cap, the emitted error is the
+pointwise join of the synthesized error and the bound.  Bounds the oracle
+cannot evaluate even at the cap refuse the weakening with
+OrderingUndecidable.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .families import (
     NatBase, Pi, PiTy, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
     family_source, instantiate_poly, join_apply, plus_apply, plus_lambda,
-    precisions, sample_member_triple, same_family, zero_expr,
+    precisions, same_family, zero_expr,
 )
 from .floats import nearest_float, to_fraction
 from .interp import (
@@ -45,7 +46,6 @@ from .interp import (
     float_op_err,  # re-exported: part of this module's public surface
 )
 from .quant import LeqVerdict, scalar_err_leq
-from .sampling import trial_rng
 from .syntax import (
     ERRREAL, FLOAT64, NAT, NESTING_STACK_LIMIT, REAL,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
@@ -105,7 +105,6 @@ class CompileOpts:
     enable_sin_subst: bool = False
     perforation: Mapping[str, int] = field(default_factory=dict)
     weaken_to: Optional[Expr] = None
-    seed: int = 42
     cfg: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
@@ -445,13 +444,9 @@ class Compiler:
         return CompileResult(approx, err, fam, d)
 
     def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> CompileResult:
-        ty = self.types[id(e.arg)]
-        try:
-            arg_fam = family_from_type(ty, self._tymap(ctx))
-        except TypeError:
-            # a universal type, alone or inside an arrow, has no family
-            raise Unsupported(f"an argument of type {ty} has no "
-                              "approximation family") from None
+        # a universal type, alone or inside an arrow, has no family here
+        arg_fam = _family(self.types[id(e.arg)], self._tymap(ctx),
+                          "an argument of type")
         fn_target = Pi("x", "x_a", "x_q", arg_fam, target)
         r1 = self.compile(ctx, e.fn, fn_target)
         r2 = self.compile(ctx, e.arg, arg_fam)
@@ -796,27 +791,31 @@ def _family_of(ty: Ty, tymap: Dict[str, VarBase]) -> ApproxTy:
     """The family of an exact type whose type variables tymap maps; a
     universal type gets the polymorphic family named after its variable."""
     if not isinstance(ty, Forall):
-        return family_from_type(ty, tymap)
+        return _family(ty, tymap)
     xa, xq = ty.var + "_a", ty.var + "_q"
     z0, zp = "z0_" + ty.var, "zp_" + ty.var
     vb = VarBase(ty.var, xa, xq, z0, zp)
     return PiTy(ty.var, xa, xq, z0, zp,
-                family_from_type(ty.body, tymap | {ty.var: vb}))
+                _family(ty.body, tymap | {ty.var: vb}))
 
 
-# sampled inputs for the ordering check of a weakening at a function family
-_WEAKEN_SAMPLES = 32
+def _family(ty: Ty, tymap: Dict[str, VarBase], what: str = "type") -> ApproxTy:
+    """family_from_type, refusing with Unsupported a type that has none:
+    Unit, Float64, ErrReal, or a universal type under an arrow."""
+    try:
+        return family_from_type(ty, tymap)
+    except TypeError:
+        raise Unsupported(f"{what} {ty} has no approximation family") from None
 
 
 def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileResult:
-    """Final weakening to a caller-supplied error, with the ordering
-    side condition checked.  At a base family the check escalates the
-    precision until it decides, and the target is emitted.  Where it does
-    not decide, at a function family (it samples inputs) or at a base
-    family still undecided at the precision cap, it only checks: the
-    emitted error is the pointwise join of the synthesized error and the
-    target, which is sound whatever the check missed and equals the target
-    wherever the ordering holds."""
+    """Final weakening to a caller-supplied error.  At a base family the
+    ordering side condition is decided on the evaluated bounds, escalating
+    the precision: a target provably above is emitted, and one provably
+    below is refused.  At a function family, and at a base family still
+    undecided at the precision cap, the emitted error is the pointwise join
+    of the synthesized error and the target, which is sound whatever the
+    ordering and equals the target wherever the ordering holds."""
     fam = result.family
     want = err_ty(fam)
     got = infer_type(TyCtx(), q_weak)
@@ -825,13 +824,22 @@ def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileRes
     if isinstance(fam, PiTy):
         raise Unsupported("weakening at a polymorphic family: its error "
                           "carrier has no expressible join")
-    verdict = _err_leq_verdict(fam, result.err, q_weak, opts)
-    if verdict.status == "fail":
-        raise SideConditionFailed(
-            "weakening target is not an upper bound of the synthesized error",
-            verdict.counterexample)
-    err = fold_err(join_apply(fam, result.err, q_weak)) \
-        if verdict.on_samples else q_weak
+    # a free type variable in the family would have failed the typing above
+    if isinstance(fam, Pi):
+        undecided = "the ordering is not checked at a function family"
+    else:
+        r, p, bounds = _base_err_leq(result.err, q_weak, opts.cfg)
+        if r is LeqVerdict.NO:
+            raise SideConditionFailed("weakening target is not an upper "
+                                      "bound of the synthesized error", bounds)
+        undecided = None if r is LeqVerdict.YES else \
+            f"comparison undecided at {p} bits"
+    if undecided is None:
+        err, verdict = q_weak, Verdict(status="pass", trials=1, passes=1)
+    else:
+        err = fold_err(join_apply(fam, result.err, q_weak))
+        verdict = Verdict(status="pass",
+                          reason=f"pointwise join emitted: {undecided}")
     d = Derivation("A-Weak", result.derivation.exact, result.approx, err,
                    fam, premises=[result.derivation],
                    side_conditions=[SideCondition(
@@ -840,53 +848,28 @@ def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileRes
     return CompileResult(result.approx, err, fam, d)
 
 
-def _err_leq_verdict(fam: ApproxTy, q1: Expr, q2: Expr,
-                     opts: CompileOpts) -> Verdict:
-    cfg = opts.cfg
-    if isinstance(fam, (FlBase, NatBase, BoolBase)):
-        # bounds that embed irrational reals are enclosures, which may
-        # overlap at one precision and separate at a higher one; each step
-        # evaluates both on one call table.  A step whose evaluation meets
-        # an undecided comparison is undecided too
-        for p in precisions(cfg):
-            cfgp, calls = cfg.at_precision(p), {}
-            try:
-                v1 = bound_of(eval_error(q1, cfg=cfgp, calls=calls))
-                v2 = bound_of(eval_error(q2, cfg=cfgp, calls=calls))
-            except OracleInconclusive as ex:
-                undecided = ex
-                continue
-            undecided = None
-            r = scalar_err_leq(v1, v2)
-            if r is not LeqVerdict.YES_ON_SAMPLES:
-                break
-        if undecided is not None:
-            raise OrderingUndecidable(
-                f"the weakening check cannot evaluate its bounds at the "
-                f"{p}-bit cap: {undecided}")
-        if r is LeqVerdict.NO:
-            return Verdict(status="fail",
-                           counterexample={"lhs": str(v1.lo), "rhs": str(v2.hi)})
-        if r is LeqVerdict.YES:
-            return Verdict(status="pass", trials=1, passes=1)
-        return Verdict(status="pass", trials=1, passes=1, on_samples=True,
-                       reason=f"comparison undecided at {p} bits")
-    if isinstance(fam, Pi):
-        passes = 0
-        for t in range(_WEAKEN_SAMPLES):
-            rng = trial_rng(opts.seed, 7919 + t)
-            trip = sample_member_triple(fam.fam, rng)
-            if trip is None:
-                continue
-            ee, _, eq = trip
-            inner = _err_leq_verdict(fam.body, App(App(q1, ee), eq),
-                                     App(App(q2, ee), eq), opts)
-            if inner.status == "fail":
-                inner.counterexample = dict(inner.counterexample or {})
-                inner.counterexample["input"] = to_source(ee)
-                return inner
-            passes += 1
-        return Verdict(status="pass", trials=passes, passes=passes,
-                       on_samples=True)
-    return Verdict(status="inconclusive",
-                   reason="no ordering check for this family")
+def _base_err_leq(q1: Expr, q2: Expr,
+                  cfg: EvalConfig) -> Tuple[LeqVerdict, int, dict]:
+    """Whether base-family error q1 is below q2, the precision at which the
+    comparison stopped, and the two bounds compared there.  Bounds that
+    embed irrational reals are enclosures, which may overlap at one
+    precision and separate at a higher one; each step evaluates both on one
+    call table.  A step whose evaluation meets an undecided comparison is
+    undecided too; undecided at the cap, it raises OrderingUndecidable."""
+    for p in precisions(cfg):
+        cfgp, calls = cfg.at_precision(p), {}
+        try:
+            v1 = bound_of(eval_error(q1, cfg=cfgp, calls=calls))
+            v2 = bound_of(eval_error(q2, cfg=cfgp, calls=calls))
+        except OracleInconclusive as ex:
+            undecided = ex
+            continue
+        undecided = None
+        r = scalar_err_leq(v1, v2)
+        if r is not LeqVerdict.YES_ON_SAMPLES:
+            break
+    if undecided is not None:
+        raise OrderingUndecidable(
+            f"the weakening check cannot evaluate its bounds at the "
+            f"{p}-bit cap: {undecided}")
+    return r, p, {"lhs": str(v1.lo), "rhs": str(v2.hi)}

@@ -88,14 +88,6 @@ def kind_check(ctx: TyCtx, t: Ty) -> None:
     # base types are always well-kinded
 
 
-def kind_ok(ctx: TyCtx, t: Ty) -> bool:
-    try:
-        kind_check(ctx, t)
-        return True
-    except UnboundTypeVariable:
-        return False
-
-
 def infer_type(ctx: TyCtx, e: Expr,
                types: Optional[Dict[int, Ty]] = None) -> Ty:
     """The type of e under ctx; given a table, the type of e and of each

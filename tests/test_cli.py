@@ -18,7 +18,7 @@ def _write_pi(tmp_path: Path) -> Path:
 
 def test_compile_emits_three_files(tmp_path, capsys):
     p = _write_pi(tmp_path)
-    rc = main(["compile", str(p), "--trials", "5"])
+    rc = main(["compile", str(p)])
     assert rc == 0
     approx = (tmp_path / "pi.approx.ax").read_text().strip()
     assert approx == "3.141592653589793"
@@ -122,6 +122,34 @@ def test_argument_of_universal_type_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Unsupported: an argument of type (forall X (-> X X))" in err, err
     assert not list(tmp_path.glob("poly_arg.*.*"))
+
+
+@pytest.mark.parametrize("src,ty", [
+    ("(lam (x Unit) x)", "(-> Unit Unit)"),
+    ("(err 1/2)", "ErrReal"),
+    ("(lam (x Float64) x)", "(-> Float64 Float64)"),
+    ("(tlam X (lam (x X) (err 1/2)))", "(-> X ErrReal)"),
+    ("(lam (f (forall X (-> X X))) 1/2)", "(-> (forall X (-> X X)) Real)"),
+])
+def test_type_without_a_family_exit_two(src, ty, tmp_path, capsys):
+    p = tmp_path / "nofam.ax"
+    p.write_text(src)
+    rc = main(["compile", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"approxc: {p}: Unsupported: type {ty} has no "
+                   "approximation family\n"), err
+    assert not list(tmp_path.glob("nofam.*.*"))
+
+
+def test_malformed_weakening_target_exit_two(tmp_path, capsys):
+    p = _write_pi(tmp_path)
+    rc = main(["compile", str(p), "--weaken-to", "(err"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("approxc: --weaken-to: ParseError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not list(tmp_path.glob("pi.*.*"))
 
 
 def test_undecidable_weakening_target_exit_two(tmp_path, capsys):

@@ -24,6 +24,7 @@ from approxc.compiler import (
 from approxc.enclosure import RealEnclosure, from_rational
 from approxc.families import (
     FL, ApproxCtx, Pi, approx_ty, err_ty, family_source, sample_member_triple,
+    weaken_err_expr,
 )
 from approxc.floats import (
     MAXFLOAT_FRAC, float_bits, nearest_float, round_down_float,
@@ -33,7 +34,7 @@ from approxc.interp import (
     DIVERGED, EvalConfig, OracleInconclusive, VErr, bound_of, eval_approx,
     eval_error, eval_exact,
 )
-from approxc.checker import _instantiations, load_sidecar_opts
+from approxc.checker import _instantiations, check_soundness, load_sidecar_opts
 from approxc.parser import ParseError, parse
 from approxc.sampling import trial_rng
 from approxc.syntax import (
@@ -345,11 +346,13 @@ def test_weaken_escalates_an_undecided_base_comparison():
     with pytest.raises(SideConditionFailed):
         compile_program(e, dataclasses.replace(opts, weaken_to=ErrLit(lo)))
     # a target equal to the bound stays undecided at the cap: the join is
-    # emitted, sound whichever way the comparison goes
+    # emitted, sound whichever way the comparison goes; nothing is sampled
     r = compile_program(e, dataclasses.replace(opts, weaken_to=r0.err))
     sc = r.derivation.side_conditions[0]
     assert r.err == Builtin("maxq", (r0.err, r0.err))
-    assert sc.verdict.status == "pass" and sc.verdict.on_samples
+    assert sc.verdict.status == "pass" and not sc.verdict.on_samples
+    assert sc.verdict.reason == \
+        "pointwise join emitted: comparison undecided at 4096 bits"
 
 
 def test_weaken_escalates_past_an_undecided_comparison_in_the_target():
@@ -365,12 +368,17 @@ def test_weaken_to_an_undecidable_target_is_refused():
     target = parse("(if (leqr 1/3 1/3) (err 1/1) (err 2/1))")
     with pytest.raises(OrderingUndecidable, match="at the 4096-bit cap"):
         compile_program(parse("1/3"), CompileOpts(weaken_to=target, cfg=CFG))
-    # at a function family, where the check samples inputs, too
+    # at a function family compilation evaluates nothing: the join is
+    # emitted, and evaluating it is the checker's concern
     target = parse("(lam (x Real) (lam (x_q ErrReal) "
                    "(if (leqr 1/3 1/3) (err 1/1) (err 2/1))))")
-    with pytest.raises(OrderingUndecidable, match="at the 4096-bit cap"):
-        compile_program(parse("(lam (x Real) x)"),
+    r = compile_program(parse("(lam (x Real) x)"),
                         CompileOpts(weaken_to=target, cfg=CFG))
+    assert to_source(r.err) == (
+        "(lam (x Real) (lam (x_q ErrReal) "
+        "(maxq x_q (if (leqr 1/3 1/3) (err 1/1) (err 2/1)))))")
+    with pytest.raises(OracleInconclusive):
+        _err_at(r.err, 1)
 
 
 _BIG = 2 ** 200
@@ -390,12 +398,30 @@ def test_weaken_at_a_function_family_does_not_rest_on_samples():
                         CompileOpts(weaken_to=target, cfg=CFG))
     sc = r.derivation.side_conditions[0]
     assert r.derivation.rule == "A-Weak" and r.derivation.err == r.err
-    assert sc.verdict.status == "pass" and sc.verdict.on_samples
+    assert sc.verdict.status == "pass" and not sc.verdict.on_samples
+    assert sc.verdict.reason == "pointwise join emitted: the ordering is " \
+        "not checked at a function family"
     x = 2 ** 32 + 1
     assert _err_at(r.err, x).lo >= 1
     assert abs(Fraction(x * x) - to_fraction(float(x) * float(x))) == 1
     # where the target is above, the join is the target
     assert _err_at(r.err, 3) == _err_at(target, 3) == VErr.point(_BIG)
+
+
+def test_weaken_at_a_function_family_below_the_error_emits_the_join():
+    # the target is below the synthesized error at every input with error,
+    # so a sampled ordering check would refuse it; the join is the
+    # synthesized error there, and a check of the claim passes
+    e = parse("(lam (x Real) (*r x x))")
+    r0 = compile_program(e, OPTS)
+    target = parse("(lam (x Real) (lam (x_q ErrReal) (err 0/1)))")
+    r = compile_program(e, CompileOpts(weaken_to=target, cfg=CFG))
+    assert to_source(r.err) == \
+        "(lam (x Real) (lam (x_q ErrReal) (*err x x_q x x_q)))"
+    for x, xq in ((Fraction(1, 3), Fraction(0)), (Fraction(7), Fraction(1, 8))):
+        assert _err_at(r.err, x, xq) == _err_at(r0.err, x, xq)
+    rep = check_soundness(e, r, trials=200, seed=42, cfg=CFG)
+    assert rep.ok and rep.passes == 200
 
 
 def test_weaken_at_a_function_family_joins_pointwise():
@@ -501,10 +527,28 @@ def test_no_compile_time_side_condition_rests_on_samples(corpus_dir):
     for name, e, r in _corpus_results(corpus_dir):
         for d in walk(r.derivation):
             for sc in d.side_conditions:
-                if sc.verdict.on_samples:
-                    # only a weakening at a function family samples inputs
-                    assert d.rule == "A-Weak" and isinstance(d.family, Pi), \
-                        (name, d.rule, sc.description)
+                assert not sc.verdict.on_samples, \
+                    (name, d.rule, sc.description)
+
+
+def test_compilation_samples_nothing(corpus_dir, monkeypatch):
+    def sampled(*args):
+        raise AssertionError("compilation sampled an input")
+    # every binding of the samplers, in their modules and any importer's
+    samplers = (sample_member_triple, trial_rng)
+    for mod in [m for n, m in sys.modules.items() if n.startswith("approxc")]:
+        for attr, val in list(vars(mod).items()):
+            if any(val is f for f in samplers):
+                monkeypatch.setattr(mod, attr, sampled)
+    weakened = 0
+    for name, e, r in _corpus_results(corpus_dir):
+        if isinstance(r.family, Pi):
+            target = weaken_err_expr(r.family, r.err, Fraction(1, 1000))
+            opts = load_sidecar_opts(Path(corpus_dir) / name, OPTS)
+            w = compile_program(e, dataclasses.replace(opts, weaken_to=target))
+            assert w.derivation.rule == "A-Weak", name
+            weakened += 1
+    assert weakened >= 10
 
 
 def test_no_rule_for_unregistered_transform():
