@@ -159,6 +159,8 @@ def _run_compile(args, do_check: bool) -> int:
                       f"{rep.inconclusive} inconclusive")
             if rep.failures:
                 status = 1
+            elif rep.passes == 0 and status == 0:
+                status = 3  # every trial inconclusive
     return status
 
 

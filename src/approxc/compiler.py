@@ -37,8 +37,8 @@ from .families import (
     BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
     NatBase, Pi, PiTy, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
-    family_source, instantiate_poly, join_apply, plus_apply, plus_lambda,
-    precisions, same_family, zero_expr,
+    family_source, join_apply, monomorphize, plus_apply, precisions,
+    same_family,
 )
 from .floats import nearest_float, to_fraction
 from .interp import (
@@ -475,13 +475,11 @@ class Compiler:
         # the typing pass refused a type application of a non-universal type
         pt = _family_of(self.types[id(e.expr)], self._tymap(ctx))
         r1 = self.compile(ctx, e.expr, pt)
-        out_fam = instantiate_poly(pt, fam)
+        _, approx, err, out_fam = monomorphize(pt, fam, e.expr, r1.approx,
+                                               r1.err)
         if not same_family(out_fam, target):
             raise TypeMismatch(family_source(target), family_source(out_fam),
                                to_source(e))
-        approx = TyApp(r1.approx, approx_ty(fam))
-        err = App(App(TyApp(TyApp(r1.err, exact_ty(fam)), err_ty(fam)),
-                      zero_expr(fam)), plus_lambda(fam))
         d = Derivation("A-TApp", e, approx, err, target,
                        premises=[r1.derivation])
         return CompileResult(approx, err, target, d)

@@ -9,7 +9,10 @@ inputs; polymorphic descriptors abstract a whole base family.
 
 Membership at function descriptors is checked by sampling input triples
 that are members by construction, so a passing verdict there means
-pass-on-samples, never proof.
+pass-on-samples, never proof.  A trial applies the programs' values to
+its drawn inputs, so each program is staged once, not once per trial; a
+base family draws nothing and seeds no generator.  Records are formatted
+when read.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import enclosure as enc
@@ -413,9 +417,27 @@ class Verdict:
 
 @dataclass
 class TrialOutcome:
+    """A trial's status, and its record, formatted when first read."""
+
     index: int
     status: str  # "pass" | "fail" | "inconclusive"
-    record: dict
+    raw: dict
+
+    @cached_property
+    def record(self) -> dict:
+        return {k: _formatted(v) for k, v in self.raw.items()}
+
+
+def _formatted(v):
+    """A raw record value as reported: a ratio (num, den) as a fraction, a
+    float by repr, an input node as source text, a list elementwise."""
+    if isinstance(v, (str, int)):
+        return v
+    if type(v) is tuple:
+        return str(Fraction(*v))
+    if type(v) is list:
+        return [_formatted(x) for x in v]
+    return repr(v) if type(v) is float else to_source(v)
 
 
 def precisions(cfg: EvalConfig):
@@ -455,8 +477,9 @@ def _diverged(fam: ApproxTy, ev, ov, approx: bool) -> Tuple[str, dict]:
 
 
 def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
-                cfg: EvalConfig) -> Tuple[str, dict]:
-    """Decide distance <= bound at a base family.
+                cfg: EvalConfig, q_in=(), e_in=(), o_in=()) -> Tuple[str, dict]:
+    """Decide distance <= bound at a base family, for q, e and other applied
+    to the inputs q_in, e_in and o_in (see interp.eval_exact).
 
     Each precision step evaluates q, e and (for equality) other once, on
     one call table, and takes the infinite-bound and divergence shortcuts
@@ -466,33 +489,34 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     escalation stops once the enclosures agree to 48 bits beyond the
     starting precision (a tight bound met exactly) or at the precision
     cap.  An undecided comparison inside any of the programs makes the
-    trial inconclusive.
+    trial inconclusive.  The record holds numbers, formatted when read.
     """
-    if not approx and e == other:
+    if not approx and e == other and e_in == o_in:
         return ("pass", {"note": "identical expressions"})
     cutoff_bits = cfg.precision_bits + _TIGHT_CUTOFF_BITS
     try:
-        av = eval_approx(other, cfg=cfg) if approx else None
+        av = eval_approx(other, cfg=cfg, inputs=o_in) if approx else None
         for p in precisions(cfg):
             cfgp, calls = cfg.at_precision(p), {}
-            qv = bound_of(eval_error(q, cfg=cfgp, calls=calls))
+            qv = bound_of(eval_error(q, cfg=cfgp, calls=calls, inputs=q_in))
             ql, qh, qd = qv
             if ql is None:
                 return ("pass", {"bound": ["inf", "inf"]})
-            ev = eval_exact(e, cfg=cfgp, calls=calls)
-            ov = av if approx else eval_exact(other, cfg=cfgp, calls=calls)
+            ev = eval_exact(e, cfg=cfgp, calls=calls, inputs=e_in)
+            ov = av if approx else eval_exact(other, cfg=cfgp, calls=calls,
+                                              inputs=o_in)
             if ev is DIVERGED or ov is DIVERGED:
                 return _diverged(fam, ev, ov, approx)
-            rec = {"bound": [str(qv.lo), "inf" if qh is None else str(qv.hi)]}
+            rec = {"bound": [(ql, qd), "inf" if qh is None else (qh, qd)]}
             if not isinstance(fam, FlBase):
                 d = abs(ev.value - ov.value)
-                rec["measured"] = [str(d), str(d)]
+                rec["measured"] = [(d, 1), (d, 1)]
                 return ("pass" if qh is None or d * qd <= qh else "fail", rec)
             if approx:
                 if not isinstance(ov, VFloat) or not math.isfinite(ov.value):
                     return ("fail", {"note": f"approximate value {ov!r} has no "
                                              "finite real reading under a finite bound"})
-                rec["approx"] = repr(ov.value)
+                rec["approx"] = ov.value
                 oenc = from_rational(to_fraction(ov.value), p)
             else:
                 oenc = ov.enc
@@ -500,35 +524,40 @@ def _base_check(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
             # cross-multiplied numerators
             dl, dh, dd, _ = enc.enclose_op("dr", [ev.enc, oenc], p,
                                            cfg.max_precision_bits)
-            rec["measured"] = [str(Fraction(dl, dd)), str(Fraction(dh, dd))]
+            rec["measured"] = [(dl, dd), (dh, dd)]
             if qh is None:
                 # bound might be infinite; cannot be refuted
-                return ("pass", {**rec, "slack": str(Fraction(dh - dl, dd))})
+                return ("pass", {**rec, "slack": (dh - dl, dd)})
             if dh * qd <= ql * dd:
                 return ("pass", {**rec, "slack": "0",
                                  "tight": (2 * dh - dl) * qd >= ql * dd})
             if dl * qd > qh * dd:
-                return ("fail", {**rec, "excess": str(Fraction(
-                    dl * qd - qh * dd, dd * qd))})
+                return ("fail", {**rec, "excess": (dl * qd - qh * dd, dd * qd)})
             # the combined width against 2^-cutoff_bits * max(1, bound)
             slack = (dh - dl) * qd + (qh - ql) * dd
             if slack << cutoff_bits <= max(qd, qh) * dd:
                 break
     except OracleInconclusive as ex:
         return ("inconclusive", {"note": str(ex)})
-    return ("pass", {**rec, "slack": str(Fraction(slack, dd * qd)),
-                     "tight": True})
+    return ("pass", {**rec, "slack": (slack, dd * qd), "tight": True})
+
+
+# what monomorphize applies q, e and a to at each base family, built once
+_POLY_INPUTS = {b: ((exact_ty(b), err_ty(b), zero_expr(b), plus_lambda(b)),
+                    (exact_ty(b),), (approx_ty(b),)) for b in (FL, NAT_A)}
 
 
 def _check_once(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
-                rng: random.Random, cfg: EvalConfig,
-                inputs: List[str]) -> Tuple[str, dict]:
+                rng: Optional[random.Random], cfg: EvalConfig, inputs: list,
+                q_in=(), e_in=(), o_in=()) -> Tuple[str, dict]:
     """One trial: draw inputs down the Pi/PiTy spine, then check the base.
 
-    Membership feeds both sides a member triple; equality feeds both the
-    exact input, with an arbitrary error for a real input."""
+    q_in, e_in and o_in collect what q, e and other are applied to, and
+    inputs what the record reports.  Membership feeds both sides a member
+    triple; equality feeds both the exact input, with an arbitrary error
+    for a real input."""
     if isinstance(fam, _BASES):
-        return _base_check(fam, q, e, other, approx, cfg)
+        return _base_check(fam, q, e, other, approx, cfg, q_in, e_in, o_in)
     if isinstance(fam, Pi):
         trip = sample_member_triple(fam.fam, rng)
         if trip is None:
@@ -540,32 +569,28 @@ def _check_once(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
             xa = x
             if isinstance(fam.fam, FlBase):
                 xq = ErrLit(sample_err_fraction(rng))
-        inputs.append(to_source(x))
-        return _check_once(fam.body, App(App(q, x), xq), App(e, x),
-                           App(other, xa), approx, rng, cfg, inputs)
+        inputs.append(x)
+        return _check_once(fam.body, q, e, other, approx, rng, cfg, inputs,
+                           q_in + (x, xq), e_in + (x,), o_in + (xa,))
     if isinstance(fam, PiTy):
         base: ApproxTy = FL if rng.randrange(2) == 0 else NAT_A
-        me, mo, mq, mfam = monomorphize(fam, base, e, other, q)
-        if not approx:
-            mo = TyApp(other, exact_ty(base))
+        tq, te, ta = _POLY_INPUTS[base]
         inputs.append(f"@{family_source(base)}")
-        return _check_once(mfam, mq, me, mo, approx, rng, cfg, inputs)
+        return _check_once(instantiate_poly(fam, base), q, e, other, approx,
+                           rng, cfg, inputs, q_in + tq, e_in + te,
+                           o_in + (ta if approx else te))
     return ("inconclusive", {"note": "free family variable"})
 
 
 def _trial(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
            t: int, seed: int, cfg: EvalConfig) -> TrialOutcome:
-    """Trial t, checked on its own generator trial_rng(seed, t)."""
-    inputs: List[str] = []
-    status, rec = _check_once(fam, q, e, other, approx, trial_rng(seed, t),
-                              cfg, inputs)
+    """Trial t: inputs drawn on its own generator trial_rng(seed, t), which
+    a base family, drawing none, never seeds."""
+    inputs: list = []
+    rng = None if isinstance(fam, _BASES) else trial_rng(seed, t)
+    status, rec = _check_once(fam, q, e, other, approx, rng, cfg, inputs)
     return TrialOutcome(t, status, {"seed": seed, "trial": t,
                                     "inputs": inputs, **rec})
-
-
-def _relabel(o: TrialOutcome, t: int) -> TrialOutcome:
-    """A base family's trial 0 reported as its trial t."""
-    return TrialOutcome(t, o.status, {**o.record, "trial": t, "inputs": []})
 
 
 def _outcomes(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
@@ -577,7 +602,9 @@ def _outcomes(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
         return [_trial(fam, q, e, other, approx, t, seed, cfg)
                 for t in range(n)]
     first = _trial(fam, q, e, other, approx, 0, seed, cfg)
-    return [first] + [_relabel(first, t) for t in range(1, n) if approx]
+    return [first] + [TrialOutcome(t, first.status, {**first.raw, "trial": t,
+                                                     "inputs": []})
+                      for t in range(1, n) if approx]
 
 
 def _verdict(fam: ApproxTy, outcomes: List[TrialOutcome]) -> Verdict:

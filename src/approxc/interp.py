@@ -41,7 +41,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union, get_args
 
 from . import enclosure as enc
 from .enclosure import RealEnclosure, Tern, compare_leq, from_rational
@@ -50,7 +50,7 @@ from .floats import (
 )
 from .syntax import (
     App, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
-    If, Lam, NatLit, RealLit, RedSeq, TyApp, TyLam, Var, builtin_arity,
+    If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, Var, builtin_arity,
     children, with_stack_limit,
 )
 
@@ -347,6 +347,21 @@ class _Machine:
             return v
         raise EvalError(f"application of a non-function value: {fn!r}")
 
+    def tyapply(self, fn: Value) -> Value:
+        if type(fn) is not VTyClosure:
+            raise EvalError("type application of a non-polymorphic value")
+        self._tick()
+        return _code(fn.body)(self, dict(fn.env))
+
+    def apply_input(self, fn: Value, a) -> Value:
+        """fn applied to a type, a closed program or a literal, whose value
+        is read at this machine's precision without staging the node."""
+        if isinstance(a, get_args(Ty)):
+            return self.tyapply(fn)
+        lit = _LITERALS.get(type(a))
+        return self.apply(fn, lit(a.value, self.cfg.precision_bits)
+                          if lit else _code(a)(self, {}))
+
     def fix(self, fn: Value) -> Value:
         # call-by-value fix: fn receives a self-reference, VFix(fn).  A
         # lambda returning a lambda only builds a closure when unrolled, so
@@ -639,14 +654,7 @@ def _stage_app(e: App):
 
 def _stage_tyapp(e: TyApp):
     expr = _code(e.expr)
-
-    def run(m, env):
-        fn = expr(m, env)
-        if type(fn) is not VTyClosure:
-            raise EvalError("type application of a non-polymorphic value")
-        m._tick()
-        return _code(fn.body)(m, dict(fn.env))
-    return run
+    return lambda m, env: m.tyapply(expr(m, env))
 
 
 def _stage_fix(e: Fix):
@@ -675,7 +683,15 @@ def _stage_real(e: RealLit):
         from_rational(q, m.cfg.precision_bits),))
 
 
-def _constant(v: Value):
+# a literal's value at a precision, which only a RealLit reads
+_LITERALS = {RealLit: lambda q, p: _tuple(VReal, (from_rational(q, p),)),
+             NatLit: lambda n, p: VNat(n), BoolLit: lambda b, p: VBool(b),
+             FloatLit: lambda x, p: VFloat(x),
+             ErrLit: lambda q, p: VErr.point(q)}
+
+
+def _constant(e):
+    v = _LITERALS[type(e)](e.value, None)
     return lambda m, env: v
 
 
@@ -733,10 +749,7 @@ _STAGERS = {
     Fix: _stage_fix,
     If: _stage_if,
     RealLit: _stage_real,
-    NatLit: lambda e: _constant(VNat(e.value)),
-    BoolLit: lambda e: _constant(VBool(e.value)),
-    FloatLit: lambda e: _constant(VFloat(e.value)),
-    ErrLit: lambda e: _constant(VErr.point(e.value)),
+    **dict.fromkeys((NatLit, BoolLit, FloatLit, ErrLit), _constant),
     Builtin: _stage_builtin,
     RedSeq: _stage_redseq,
 }
@@ -767,32 +780,38 @@ def _guarded(run) -> Union[Value, Diverged]:
 
 
 def _run(e: Expr, env: Optional[Env], cfg: EvalConfig,
-         calls: Optional[CallTable]) -> Union[Value, Diverged]:
-    return _guarded(lambda: _code(e)(_Machine(cfg, calls), dict(env or {})))
+         calls: Optional[CallTable], inputs: tuple) -> Union[Value, Diverged]:
+    m = _Machine(cfg, calls)
+    return _guarded(lambda: reduce(m.apply_input, inputs,
+                                   _code(e)(m, dict(env or {}))))
 
 
 # each entry point takes an optional call table, which evaluations at the
-# same precision may share; without one a run starts from an empty table
+# same precision may share; without one a run starts from an empty table.
+# e's value is then applied to each input in turn, on the same machine
 
 def eval_exact(e: Expr, env: Optional[Env] = None,
                cfg: EvalConfig = EvalConfig(),
-               calls: Optional[CallTable] = None) -> Union[Value, Diverged]:
+               calls: Optional[CallTable] = None,
+               inputs: tuple = ()) -> Union[Value, Diverged]:
     """Evaluate over exact reals realized as dyadic enclosures."""
-    return _run(e, env, cfg, calls)
+    return _run(e, env, cfg, calls, inputs)
 
 
 def eval_approx(e: Expr, env: Optional[Env] = None,
-                cfg: EvalConfig = EvalConfig()) -> Union[Value, Diverged]:
+                cfg: EvalConfig = EvalConfig(),
+                inputs: tuple = ()) -> Union[Value, Diverged]:
     """Evaluate over binary64 with round-to-nearest-even, bit exactly."""
-    return _run(e, env, cfg, None)
+    return _run(e, env, cfg, None, inputs)
 
 
 def eval_error(e: Expr, env: Optional[Env] = None,
                cfg: EvalConfig = EvalConfig(),
-               calls: Optional[CallTable] = None) -> Union[Value, Diverged]:
+               calls: Optional[CallTable] = None,
+               inputs: tuple = ()) -> Union[Value, Diverged]:
     """Evaluate an error expression; divergence is reported to callers,
     who treat it as the infinite bound."""
-    return _run(e, env, cfg, calls)
+    return _run(e, env, cfg, calls, inputs)
 
 
 def bound_of(result: Union[Value, Diverged]) -> VErr:

@@ -12,6 +12,7 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -114,26 +115,19 @@ def lifted_instance(arg_specs: Sequence[Tuple[Ty, Callable[[random.Random], Valu
     for ty, _ in reversed(specs):
         carrier = Arrow(ty, carrier)
 
-    def _nest(body: Expr, from_level: int) -> Expr:
-        for b, (ty, _) in reversed(list(zip(binders, specs))[from_level:]):
+    def _const(body: Expr) -> VClosure:
+        for b, (ty, _) in reversed(list(zip(binders, specs))[1:]):
             body = Lam(b, ty, body)
-        return body
-
-    def _const(body: Expr, env=()) -> VClosure:
-        return VClosure(binders[0], _nest(body, 1), tuple(env))
-
-    def _apply_chain(fname: str) -> Expr:
-        e: Expr = Var(fname)
-        for b in binders:
-            e = App(e, Var(b))
-        return e
+        return VClosure(binders[0], body, ())
 
     zero = _const(ErrLit(Fraction(0)))
     top = _const(ErrLit(None))
+    # every sum shares one body, staged once; the addends are in its env
+    sum_body = _const(Builtin("+q", tuple(
+        reduce(App, map(Var, binders), Var(f)) for f in ("%f", "%g")))).body
 
     def plus(f: Value, g: Value) -> Value:
-        body = Builtin("+q", (_apply_chain("%f"), _apply_chain("%g")))
-        return VClosure(binders[0], _nest(body, 1), (("%f", f), ("%g", g)))
+        return VClosure(binders[0], sum_body, (("%f", f), ("%g", g)))
 
     def leq(f: Value, g: Value, rng: random.Random):
         for _ in range(probes):

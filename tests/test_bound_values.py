@@ -29,9 +29,11 @@ def _end(q) -> str:
     return "inf" if q is None else str(q)
 
 
-def _bound(e, bits: int):
+def _bound(applied, bits: int):
+    e, inputs = applied
     try:
-        b = bound_of(eval_error(e, cfg=EvalConfig(precision_bits=bits)))
+        b = bound_of(eval_error(e, cfg=EvalConfig(precision_bits=bits),
+                                inputs=inputs))
     except OracleInconclusive:
         return "inconclusive"
     return [_end(b.lo), _end(b.hi)]

@@ -167,6 +167,20 @@ def test_undecidable_weakening_target_exit_two(tmp_path, capsys):
     assert not list(tmp_path.glob("third.*.*"))
 
 
+def test_check_with_every_trial_inconclusive_exits_three(tmp_path, capsys):
+    # a function-family target is not evaluated at compile time, so the
+    # undecidable comparison compiles and makes every trial inconclusive
+    p = tmp_path / "ident.ax"
+    p.write_text("(lam (x Real) x)")
+    rc = main(["check", str(p), "--trials", "20", "--weaken-to",
+               "(lam (x Real) (lam (x_q ErrReal) "
+               "(if (leqr 1/3 1/3) (err 1/1) (err 2/1))))"])
+    out = capsys.readouterr()
+    assert "0/20 passes, 0 failures, 20 inconclusive" in out.out
+    assert rc == 3
+    assert "Traceback" not in out.err
+
+
 def test_bad_perforate_value_exit_two(tmp_path):
     p = _write_pi(tmp_path)
     rc = main(["check", str(p), "--perforate", "L0"])

@@ -1,17 +1,20 @@
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from hypothesis import given
 
-from approxc import enclosure, interp
+from approxc import enclosure, families, interp
 from approxc.checker import _instantiations, load_sidecar_opts
 from approxc.compiler import CompileError, CompileOpts, compile_program
 from approxc.families import (
     BOOL_A, FL, NAT_A, ApproxCtx, Pi, PiTy, ValTriple, VarBase,
     _base_check, _verdict, aeq_check, appr_member, approx_ty,
     check_approx_axioms, ctx_exact, err_ty, exact_ty, family_from_type,
-    family_source, fn_family, instantiate_poly, join_apply, member_trials,
+    family_source, fn_family, instantiate_poly, join_apply, member_trial,
+    member_trials,
     plus_apply,
     plus_lambda, sample_member_triple, same_family, weaken_err_expr,
     zero_expr,
@@ -266,17 +269,27 @@ def test_one_precision_step_evaluates_each_fix_call_once(corpus_dir,
         return enclose_op(op, *args, **kwargs)
     monkeypatch.setattr(enclosure, "enclose_op", spy)
     one_step = EvalConfig(precision_bits=128, max_precision_bits=128)
-    status, _ = _base_check(FL, App(App(r.err, NatLit(n)), NatLit(0)),
-                            App(e, NatLit(n)), App(r.approx, NatLit(n)),
-                            True, one_step)
+    status, _ = _base_check(FL, r.err, e, r.approx, True, one_step,
+                            (NatLit(n), NatLit(0)), (NatLit(n),),
+                            (NatLit(n),))
     assert status == "pass"
     assert sum(adds) <= n + 1
 
 
-def _fresh_tables(mp):
-    """Give every evaluation a machine with its own call table."""
-    machine = interp._Machine
-    mp.setattr(interp, "_Machine", lambda cfg, calls=None: machine(cfg))
+@contextmanager
+def _fresh_tables():
+    """Give every evaluation a machine with its own call table.  At least
+    one machine must be asked to share a table: were the machines built
+    some other way, the comparisons below would hold vacuously."""
+    machine, shared = interp._Machine, []
+
+    def fresh(cfg, calls=None):
+        shared.append(calls is not None)
+        return machine(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp, "_Machine", fresh)
+        yield
+    assert any(shared), "no evaluation built a machine on a shared table"
 
 
 def _member_records(e, r, trials, seed, cfg):
@@ -287,8 +300,7 @@ def _member_records(e, r, trials, seed, cfg):
 
 def _shared_and_fresh(run):
     shared = run()
-    with pytest.MonkeyPatch.context() as mp:
-        _fresh_tables(mp)
+    with _fresh_tables():
         fresh = run()
     return shared, fresh
 
@@ -341,9 +353,8 @@ def test_one_precision_step_takes_each_sine_once(corpus_dir, monkeypatch,
         return enclose_op(op, *args, **kwargs)
     monkeypatch.setattr(enclosure, "enclose_op", spy)
     one_step = EvalConfig(precision_bits=128, max_precision_bits=128)
-    status, _ = _base_check(FL, App(App(r.err, RealLit(x)), xq),
-                            App(e, RealLit(x)), App(r.approx, xa), True,
-                            one_step)
+    status, _ = _base_check(FL, r.err, e, r.approx, True, one_step,
+                            (RealLit(x), xq), (RealLit(x),), (xa,))
     assert status == "pass"
     assert sum(sines) == 1
 
@@ -373,6 +384,74 @@ def test_shared_table_keeps_random_program_records(case):
     shared, fresh = _shared_and_fresh(
         lambda: _member_records(e, r, 10, 7, CFG))
     assert shared == fresh, to_source(e)
+
+
+# -- what a trial builds ----------------------------------------------------
+
+def _count_staging(monkeypatch) -> list:
+    """Record every node interp stages from now on."""
+    staged = []
+    for ty, stage in list(interp._STAGERS.items()):
+        monkeypatch.setitem(interp._STAGERS, ty,
+                            lambda n, stage=stage: (staged.append(n), stage(n))[1])
+    return staged
+
+
+def test_function_check_stages_nothing_after_its_first_trial(monkeypatch):
+    # a trial applies the programs' values to its drawn inputs, so the
+    # programs are staged once and the inputs never
+    e = parse("(lam (x Real) (*r x (sinr x)))")
+    r = compile_program(e, CompileOpts(cfg=CFG))
+    staged = _count_staging(monkeypatch)
+    after = []
+    for t in range(50):
+        assert member_trial(r.family, r.err, r.approx, e, t, 42,
+                            CFG).status == "pass"
+        after.append(len(staged))
+    assert after[0] > 0 and after[-1] == after[0]
+
+
+def test_base_family_checks_seed_no_generator(monkeypatch):
+    seeded = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            seeded.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(random, "Random", Counting)
+    third = RealLit(Fraction(1, 3))
+    a = FloatLit.of(nearest_float(third.value))
+    q = ErrLit(abs(third.value - to_fraction(a.value)))
+    assert appr_member(FL, q, a, third, trials=50, cfg=CFG).ok
+    assert aeq_check(FL, ErrLit(Fraction(1)), third, RealLit(Fraction(1)),
+                     trials=50, cfg=CFG).ok
+    assert appr_member(NAT_A, NatLit(0), NatLit(3), NatLit(3), trials=50).ok
+    assert seeded == []
+    # the spy sees the generator of a family that samples
+    ident = parse("(lam (x Real) x)")
+    assert appr_member(fn_family(FL, FL), parse(
+        "(lam (x Real) (lam (k ErrReal) k))"), parse("(lam (x Float64) x)"),
+        ident, trials=2, cfg=CFG).ok
+    assert len(seeded) == 2
+
+
+def test_passing_trials_format_no_record(monkeypatch):
+    e = parse("(lam (x Real) (sinr x))")
+    r = compile_program(e, CompileOpts(cfg=CFG))
+    formatted = []
+    fraction_str, source = Fraction.__str__, families.to_source
+    monkeypatch.setattr(Fraction, "__str__",
+                        lambda q: (formatted.append(q), fraction_str(q))[1])
+    monkeypatch.setattr(families, "to_source",
+                        lambda x: (formatted.append(x), source(x))[1])
+    outs = member_trials(r.family, r.err, r.approx, e, 40, 42, CFG)
+    base = member_trials(FL, ErrLit(Fraction(1)), FloatLit.of(3.0),
+                         RealLit(PI40), 40, 42, CFG)
+    assert {o.status for o in outs + base} == {"pass"}
+    assert formatted == []
+    # reading a record formats it, once
+    assert all("measured" in o.record for o in outs + base)
+    assert formatted and outs[3].record is outs[3].record
 
 
 def _fuel_spent(e) -> int:

@@ -2,7 +2,8 @@
 
 For every corpus program (and each instantiation of a polymorphic one),
 one fixed member input triple is drawn down its function spine, and the
-exact, approximate and error programs are applied to it.  The smallest
+exact, approximate and error programs are applied to it, as a check
+applies them: through the evaluators' inputs.  The smallest
 fuel at which each of the three evaluations converges is stored in
 tests/golden/fuel_boundaries.json; a test asserts that it still converges
 at that fuel and diverges at one less.  An evaluator change that moves a
@@ -21,7 +22,6 @@ from approxc.interp import (
 )
 from approxc.parser import parse
 from approxc.sampling import trial_rng
-from approxc.syntax import App
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden" / "fuel_boundaries.json"
@@ -31,24 +31,27 @@ WORLDS = {"exact": eval_exact, "approx": eval_approx, "err": eval_error}
 
 
 def _applied(trial: int = 0):
-    """(key, world, expression) for every corpus program instantiation,
-    applied to the inputs drawn at the given trial of seed 42."""
+    """(key, world, (program, inputs)) for every corpus program
+    instantiation and the inputs drawn at the given trial of seed 42."""
     for path in sorted((REPO / "corpus").glob("*.ax")):
         e = parse(path.read_text())
         result = compile_program(e, load_sidecar_opts(path, CompileOpts()))
         for tag, me, ma, mq, fam in _instantiations(result, e):
             rng = trial_rng(SEED, trial)
+            ie, ia, iq = (), (), ()
             while isinstance(fam, Pi):
                 x, xa, xq = sample_member_triple(fam.fam, rng)
-                me, ma, mq = App(me, x), App(ma, xa), App(App(mq, x), xq)
+                ie, ia, iq = ie + (x,), ia + (xa,), iq + (x, xq)
                 fam = fam.body
             key = path.name + tag
-            yield from ((key, "exact", me), (key, "approx", ma),
-                        (key, "err", mq))
+            yield from ((key, "exact", (me, ie)), (key, "approx", (ma, ia)),
+                        (key, "err", (mq, iq)))
 
 
-def _converges(world: str, e, fuel: int) -> bool:
-    return WORLDS[world](e, cfg=EvalConfig(fuel=fuel)) is not DIVERGED
+def _converges(world: str, applied, fuel: int) -> bool:
+    e, inputs = applied
+    return WORLDS[world](e, cfg=EvalConfig(fuel=fuel),
+                         inputs=inputs) is not DIVERGED
 
 
 def fuel_boundary(world: str, e) -> int:
