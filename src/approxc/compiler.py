@@ -170,7 +170,7 @@ class CompileResult:
 # small constant folder for error expressions
 #
 # Each node is folded once: its folded form is cached in its instance dict,
-# beside interp._code's closure, and a fold result is marked as folded too.
+# beside interp._code's function, and a fold result is marked as folded too.
 # A rule's error is built from its premises' folded errors and the exact
 # subterms, both already folded, so folding it walks only its new nodes, and
 # a subterm shared by several errors is walked once.

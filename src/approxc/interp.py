@@ -14,27 +14,31 @@ the inner loop is a `tuple.__new__`; the shared Bool values are TRUE and
 FALSE.  Their equality is class-aware: a VNat and a VBool over the same
 payload differ, as the call table's keys need.
 
-Evaluation is staged: each node is turned once into a closure over its
-children's closures, cached on the node, and runs read the machine (fuel,
-precision, call table) only through the arguments the closure is given.
-A builtin node's rule is picked when the node is staged, so a run neither
-dispatches on the op nor collects the operands.  Fuel is spent by
+Evaluation runs generated code: each lambda body, and each node evaluated
+as a root, becomes one Python function whose statements evaluate the
+body's nodes in order into locals, generated when first needed and cached
+on the node.  It reads the machine (fuel, precision, call table) only
+through its arguments.  Literals and lambdas are lifted out of the source,
+so fresh trees of one shape share one compiled factory.  Fuel is spent by
 application, fix, type application and builtin rules.  A run out of fuel,
 or of the host frames `syntax.with_stack_limit` allows it above its
 caller's, diverges.
 
-Every call of a fix on a keyed argument is memoized in a call table,
-the top-level call included: `fix` of a lambda returns its
-self-reference, so it unrolls on its first call.  A closed lambda is one
-value per node, so a closed fix that two programs embed keys the same
-entries in both.  The same table holds every sine taken, keyed by the
-argument enclosure and the precision, under the same size cap.  A check
-passes one table to the error, exact and equality programs it evaluates
-at one precision, so the error program's calls of the exact recursion
-answer the exact program's, and each sine of one argument is taken once.
+Every call of a fix on a keyed argument is memoized in a call table, the
+top-level call included, and so is every application of a closure such a
+call returned, so a curried recursion's whole argument spine is keyed.
+`fix` of a lambda returns its self-reference; the machine unrolls it once,
+on its first call, and keeps the closure.  A closed lambda is one value
+per node, so a closed fix that two programs embed keys the same entries
+in both.  The same table holds every sine taken, keyed by the argument
+enclosure and the precision, under the same size cap.  A check passes one
+table to the error, exact and equality programs it evaluates at one
+precision, so the error program's calls of the exact recursion answer the
+exact program's, and each sine of one argument is taken once.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -298,6 +302,13 @@ class _Machine:
         # taken.  A result depends on the precision alone, not on fuel, so
         # the evaluations of one precision step may share the table
         self.calls: CallTable = {} if calls is None else calls
+        # id -> each closure a keyed call returned: its calls on keyed
+        # arguments go through the table too, keyed (id, arg, VClosure)
+        # apart from fix calls, so a curried recursion's spine is memoized
+        self.spine: Dict[int, VClosure] = {}
+        # id(fn) -> (fn, binder, code, env) of the closure that fn unrolls
+        # to under fix
+        self.unrolled: Dict[int, tuple] = {}
 
     def _tick(self):
         self.fuel -= 1
@@ -309,43 +320,70 @@ class _Machine:
         if self.fuel <= 0:
             raise _Diverge()
         t = type(fn)
+        key = None
+        if (t is VFix or t is VClosure and id(fn) in self.spine) and \
+                isinstance(arg, _KEYED_ARGS):
+            # a fix call, or a call of a closure that a keyed call returned
+            key = (id(fn.fn), arg) if t is VFix else (id(fn), arg, VClosure)
+            hit = self.calls.get(key)
+            if hit is not None:
+                v = hit[1]
+                if type(v) is VClosure:
+                    self.spine[id(v)] = v
+                return v
         if t is VClosure:
             binder, body, env = fn
             env = dict(env)
             env[binder] = arg
             try:
-                # staged with its lambda, unless built outside the evaluator
+                # generated when the body was first applied
                 code = body.__dict__[_CODE]
             except KeyError:
                 code = _code(body)
-            return code(self, env)
-        if t is VBuiltin:
+            v = code(self, env)
+        elif t is VFix:
+            v = self._fix_call(fn.fn, arg)
+        elif t is VBuiltin:
             args = fn.args + (arg,)
             if len(args) < builtin_arity(fn.op):
                 return _tuple(VBuiltin, (fn.op, args))
             # the saturating application, then the rule's own tick
             self._tick()
             return _DELTA[fn.op](self, *args)
-        if t is VFix:
-            key = (id(fn.fn), arg) if isinstance(arg, _KEYED_ARGS) else None
-            if key is not None:
-                hit = self.calls.get(key)
-                if hit is not None:
-                    return hit[1]
-            f = self._unroll(fn.fn)
-            if type(f) is VClosure:
-                # entered here, not through a nested apply, so a recursive
-                # call costs one host frame fewer than a call of a closure
-                self._tick()
-                env = dict(f.env)
-                env[f.binder] = arg
-                v = _code(f.body)(self, env)
-            else:
-                v = self.apply(f, arg)
-            if key is not None and len(self.calls) < _CALL_TABLE_MAX:
-                self.calls[key] = (fn.fn, v)
+        else:
+            raise EvalError(f"application of a non-function value: {fn!r}")
+        if key is None:
             return v
-        raise EvalError(f"application of a non-function value: {fn!r}")
+        # the entry holds fn, whose id the key holds
+        if len(self.calls) < _CALL_TABLE_MAX:
+            self.calls[key] = (fn, v)
+        if type(v) is VClosure:
+            self.spine[id(v)] = v
+        return v
+
+    def _fix_call(self, fn: Value, arg: Value) -> Value:
+        """(fix fn) applied to arg, after the application's tick."""
+        if type(fn) is not VClosure or type(fn.body) is not Lam:
+            return self.apply(self._unroll(fn), arg)
+        # fn's unrolling is the lambda fn returns, one closure kept for
+        # the run with its body's code: the unrolling's two ticks, and the
+        # tick of entering it, are spent without building it again
+        self.fuel -= 3
+        if self.fuel <= 0:
+            raise _Diverge()
+        u = self.unrolled.get(id(fn))
+        if u is None:
+            env = dict(fn.env)
+            env[fn.binder] = _tuple(VFix, (fn,))
+            lam = fn.body
+            u = self.unrolled[id(fn)] = (fn, lam.binder, _code(lam.body),
+                                         tuple(env.items()))
+        _, binder, code, env = u
+        env = dict(env)
+        env[binder] = arg
+        # entered here, not through a nested apply, so a recursive call
+        # costs one host frame fewer than a call of a closure
+        return code(self, env)
 
     def tyapply(self, fn: Value) -> Value:
         if type(fn) is not VTyClosure:
@@ -355,7 +393,7 @@ class _Machine:
 
     def apply_input(self, fn: Value, a) -> Value:
         """fn applied to a type, a closed program or a literal, whose value
-        is read at this machine's precision without staging the node."""
+        is read at this machine's precision without generating code."""
         if isinstance(a, get_args(Ty)):
             return self.tyapply(fn)
         lit = _LITERALS.get(type(a))
@@ -377,10 +415,7 @@ class _Machine:
         self._tick()
         return self.apply(fn, _tuple(VFix, (fn,)))
 
-    def redseq(self, f, n, g, env: Env) -> Value:
-        # the operands are evaluated here rather than by the caller, so a
-        # nested operand costs two host frames, like any other call nesting
-        f, n, g = f(self, env), n(self, env), g(self, env)
+    def redseq(self, f: Value, n: Value, g: Value) -> Value:
         if not isinstance(n, VNat):
             raise EvalError("redseq count did not evaluate to a natural")
         # fold from the zero of the element carrier; the carrier is read
@@ -416,7 +451,7 @@ def _nat_float(m: int) -> float:
 # ---------------------------------------------------------------------------
 # builtin rules: one function per op, taking the machine and the operands
 # positionally.  Kernels are named through module globals at call time, so
-# rebinding one (as a tracer does) reaches every staged node
+# rebinding one (as a tracer does) reaches all generated code
 
 def _real2(op: str, box=None):
     # box(enclosure) is the result; a VReal without one
@@ -585,102 +620,42 @@ _DELTA = {
 
 
 # ---------------------------------------------------------------------------
-# staged evaluation: each node is compiled once into a closure run(m, env)
-# that evaluates it on machine m; the closure is built from its children's
-# closures and cached on the node, so it captures neither a machine nor a
-# precision and serves every later run over the same tree
+# generated evaluation.  A body's shape is its structure with literals and
+# lambdas left out: those are the arguments of a factory, make(k0, ...),
+# compiled once per shape, which returns the body's function run(m, env).
+# A lambda inside is a closure value, whose body is generated when applied
 
-_CODE = "_code"  # the instance-dict key of a node's closure
+_CODE = "_code"      # the instance-dict key of a node's function
+_CLOSED = "_closed"  # the instance-dict key of a lambda's closed closure
+# shape -> factory; past the cap a new shape is compiled afresh, and the
+# table keeps answering the shapes it holds
+_SHAPES: Dict[tuple, object] = {}
+_SHAPES_MAX = 1 << 10
+# ifs nested deeper than this in one function spill into a helper:
+# CPython refuses more than 100 levels of indentation
+_IF_NEST = 64
 
 
 def _code(e: Expr):
-    """The closure evaluating e, staged on first use and cached on e."""
+    """The function evaluating e, generated on first use and cached on e."""
     try:
         return e.__dict__[_CODE]
     except (KeyError, AttributeError):
         pass
-    # stage in post-order with an explicit stack, so a deep tree costs no
-    # host recursion and a shared subtree is staged once; every stager
-    # finds its children's closures cached
-    stack = [(e, False)]
-    while stack:
-        n, expanded = stack.pop()
-        stage = _STAGERS.get(type(n))
-        if stage is None:
-            raise EvalError(f"cannot evaluate {n!r}")
-        if _CODE in n.__dict__:
-            continue
-        if not expanded:
-            stack.append((n, True))
-            stack.extend((c, False) for c in children(n))
-            continue
-        # a node is immutable, so its closure never goes stale; the
-        # instance dict is written directly, as functools.cached_property
-        # does, since frozen dataclasses refuse setattr
-        n.__dict__[_CODE] = stage(n)
-    return e.__dict__[_CODE]
-
-
-def _stage_var(e: Var):
-    name = e.name
-
-    def run(m, env):
-        try:
-            return env[name]
-        except KeyError:
-            raise EvalError(f"unbound variable at runtime: {name}") from None
+    key, consts, seen, shared = _shape(e)
+    make = _SHAPES.get(key)
+    if make is None:
+        scope: dict = {}
+        exec(compile(_source(e, seen, shared), "<approxc>", "exec"),
+             globals(), scope)
+        make = scope["make"]
+        if len(_SHAPES) < _SHAPES_MAX:
+            _SHAPES[key] = make
+    # a node is immutable, so its function never goes stale; the instance
+    # dict is written directly, as functools.cached_property does, since
+    # frozen dataclasses refuse setattr
+    run = e.__dict__[_CODE] = make(*consts)
     return run
-
-
-def _stage_lam(e: Lam):
-    binder, body = e.binder, e.body
-    # a closed lambda is one value per node: a closed fix keys the same
-    # call-table entries in every program and run that evaluates it
-    closed = _tuple(VClosure, (binder, body, ()))
-    return lambda m, env: _tuple(
-        VClosure, (binder, body, tuple(env.items()))) if env else closed
-
-
-def _stage_tylam(e: TyLam):
-    tyvar, body = e.tyvar, e.body
-    return lambda m, env: _tuple(VTyClosure,
-                                 (tyvar, body, tuple(env.items())))
-
-
-def _stage_app(e: App):
-    fn, arg = _code(e.fn), _code(e.arg)
-    return lambda m, env: m.apply(fn(m, env), arg(m, env))
-
-
-def _stage_tyapp(e: TyApp):
-    expr = _code(e.expr)
-    return lambda m, env: m.tyapply(expr(m, env))
-
-
-def _stage_fix(e: Fix):
-    expr = _code(e.expr)
-    return lambda m, env: m.fix(expr(m, env))
-
-
-def _stage_if(e: If):
-    cond, then_e, else_e = _code(e.cond), _code(e.then_e), _code(e.else_e)
-
-    def run(m, env):
-        c = cond(m, env)
-        if c is TRUE:
-            return then_e(m, env)
-        if c is FALSE:
-            return else_e(m, env)
-        raise EvalError("if condition did not evaluate to a boolean")
-    return run
-
-
-def _stage_real(e: RealLit):
-    # the precision is read at run time: escalation evaluates one node at
-    # several precisions
-    q = e.value
-    return lambda m, env: _tuple(VReal, (
-        from_rational(q, m.cfg.precision_bits),))
 
 
 # a literal's value at a precision, which only a RealLit reads
@@ -688,78 +663,153 @@ _LITERALS = {RealLit: lambda q, p: _tuple(VReal, (from_rational(q, p),)),
              NatLit: lambda n, p: VNat(n), BoolLit: lambda b, p: VBool(b),
              FloatLit: lambda x, p: VFloat(x),
              ErrLit: lambda q, p: VErr.point(q)}
+# a leaf's constant, the factory's argument for it.  A closed lambda is one
+# value per node: a closed fix keys the same call-table entries in every
+# program and run that evaluates it
+_LEAVES = {RealLit: lambda e: e.value, TyLam: lambda e: (e.tyvar, e.body),
+           Lam: lambda e: e.__dict__.setdefault(
+               _CLOSED, _tuple(VClosure, (e.binder, e.body, ()))),
+           **{t: lambda e: _LITERALS[type(e)](e.value, None)
+              for t in (NatLit, BoolLit, FloatLit, ErrLit)}}
+# a leaf's code, given its constant's or its variable's name; a RealLit
+# reads the precision at run time, as escalation runs it at several
+_LEAF_CODE = {
+    Var: "env[{0}]",
+    RealLit: "_tuple(VReal, (from_rational({0}, m.cfg.precision_bits),))",
+    Lam: "_tuple(VClosure, ({0}[0], {0}[1], tuple(env.items())))"
+         " if env else {0}",
+    TyLam: "_tuple(VTyClosure, {0} + (tuple(env.items()),))"}
+# the machine's method each compound node calls, but for if and builtins
+_CALLS = {App: "apply", TyApp: "tyapply", Fix: "fix", RedSeq: "redseq",
+          Builtin: None, If: None}
 
 
-def _constant(e):
-    v = _LITERALS[type(e)](e.value, None)
-    return lambda m, env: v
+def _shape(root: Expr):
+    """root's shape, its constants in walk order, the walk's serial number
+    of each node, and the ids of the nodes it met again, which appear in
+    the shape as their serials."""
+    shape, consts, seen, shared, stack = [], [], {}, set(), [root]
+    while stack:
+        n = stack.pop()
+        s = seen.get(id(n))
+        if s is not None:
+            shape.append(s)
+            shared.add(id(n))
+            continue
+        seen[id(n)] = len(seen)
+        t = type(n)
+        shape.append(t)
+        if t is Var:
+            shape.append(n.name)
+        elif t in _LEAVES:
+            consts.append(_LEAVES[t](n))
+        elif t is Builtin:
+            shape += (n.op, len(n.args))
+            stack.extend(reversed(n.args))
+        elif t in _CALLS:
+            stack.extend(reversed(children(n)))
+        else:
+            raise EvalError(f"cannot evaluate {n!r}")
+    return tuple(shape), consts, seen, shared
 
 
-def _stage_builtin(e: Builtin):
-    op = e.op
-    args = tuple(_code(a) for a in e.args)
-    if len(args) < builtin_arity(op):
-        return lambda m, env: _tuple(
-            VBuiltin, (op, tuple(a(m, env) for a in args)))
-    # the rule is picked here, once per node; the closure evaluates the
-    # operands, spends the one tick and calls it, so a nested builtin costs
-    # the host stack one frame, like a level of an if chain
-    rule = _DELTA[op]
-    if len(args) == 1:
-        (a,) = args
-
-        def run(m, env):
-            x = a(m, env)
-            m.fuel -= 1
-            if m.fuel <= 0:
-                raise _Diverge()
-            return rule(m, x)
-    elif len(args) == 2:
-        a, b = args
-
-        def run(m, env):
-            x, y = a(m, env), b(m, env)
-            m.fuel -= 1
-            if m.fuel <= 0:
-                raise _Diverge()
-            return rule(m, x, y)
-    else:
-        a, b, c, d = args
-
-        def run(m, env):
-            x, y, z, w = a(m, env), b(m, env), c(m, env), d(m, env)
-            m.fuel -= 1
-            if m.fuel <= 0:
-                raise _Diverge()
-            return rule(m, x, y, z, w)
-    return run
+def _unbound(ex: KeyError):
+    # a KeyError raised in the generated function's own frame is its
+    # environment lookup; one from a callee passes through unchanged
+    if ex.__traceback__.tb_next is None:
+        raise EvalError(f"unbound variable at runtime: {ex.args[0]}") from None
+    raise ex
 
 
-def _stage_redseq(e: RedSeq):
-    f, n, g = _code(e.combiner), _code(e.count), _code(e.generator)
-    return lambda m, env: m.redseq(f, n, g, env)
-
-
-_STAGERS = {
-    Var: _stage_var,
-    Lam: _stage_lam,
-    TyLam: _stage_tylam,
-    App: _stage_app,
-    TyApp: _stage_tyapp,
-    Fix: _stage_fix,
-    If: _stage_if,
-    RealLit: _stage_real,
-    **dict.fromkeys((NatLit, BoolLit, FloatLit, ErrLit), _constant),
-    Builtin: _stage_builtin,
-    RedSeq: _stage_redseq,
-}
+def _source(root: Expr, seen: dict, shared: set) -> str:
+    """The factory's source: statements in evaluation order, one local for
+    each value.  A compound node the walk met twice, or an if nested past
+    _IF_NEST, becomes a helper function called where it occurs, so the
+    source is linear in the body's distinct nodes."""
+    params, rules, helpers, vals = set(), {}, {}, []
+    fresh = (f"t{i}" for i in itertools.count())
+    body: list = []
+    funcs = [("run", body)]
+    # tasks, done last in first out: (kind, node or text, lines, depth); a
+    # node leaves its value on vals, and a "pop" task formats it into a line
+    work = [("pop", "return {}", body, 0), ("root", root, body, 0)]
+    while work:
+        kind, n, lines, d = work.pop()
+        if kind == "line":
+            lines.append((d, n))
+        elif kind == "push":
+            vals.append(n)
+        elif kind == "pop":
+            lines.append((d, n.format(vals.pop())))
+        elif kind == "if":
+            c, r = vals.pop(), next(fresh)
+            lines.append((d, f"if {c} is TRUE:"))
+            work += [("push", r, lines, d), ("line", "else: raise EvalError("
+                      "'if condition did not evaluate to a boolean')", lines, d),
+                     ("pop", r + " = {}", lines, d + 1),
+                     ("node", n.else_e, lines, d + 1),
+                     ("line", f"elif {c} is FALSE:", lines, d),
+                     ("pop", r + " = {}", lines, d + 1),
+                     ("node", n.then_e, lines, d + 1)]
+        elif kind == "call":
+            cut = len(vals) - len(children(n))
+            args = ", ".join(vals[cut:])
+            del vals[cut:]
+            r = next(fresh)
+            vals.append(r)
+            if type(n) is not Builtin:
+                lines.append((d, f"{r} = m.{_CALLS[type(n)]}({args})"))
+            elif len(n.args) < builtin_arity(n.op):
+                lines.append((d, f"{r} = _tuple(VBuiltin, ({n.op!r}, "
+                                 f"({args + ',' if args else ''})))"))
+            else:
+                rule = rules.setdefault(n.op, f"d{len(rules)}")
+                # the operands are evaluated, then the one tick, the rule
+                lines += [(d, "m.fuel -= 1"),
+                          (d, "if m.fuel <= 0: raise _Diverge()"),
+                          (d, f"{r} = {rule}(m, {args})")]
+        elif type(n) not in _CALLS:
+            if type(n) is Var:
+                k = repr(n.name)
+            else:
+                params.add(seen[id(n)])
+                k = f"k{seen[id(n)]}"
+            code = _LEAF_CODE.get(type(n))
+            if code is None:
+                vals.append(k)
+            else:
+                vals.append(next(fresh))
+                lines.append((d, f"{vals[-1]} = " + code.format(k)))
+        elif kind == "node" and (id(n) in shared or (
+                type(n) is If and d >= _IF_NEST)):
+            h = helpers.get(id(n))
+            if h is None:
+                h = helpers[id(n)] = f"h{len(helpers)}"
+                funcs.append((h, []))
+                work += [("pop", "return {}", funcs[-1][1], 0),
+                         ("root", n, funcs[-1][1], 0)]
+            vals.append(next(fresh))
+            lines.append((d, f"{vals[-1]} = {h}(m, env)"))
+        elif type(n) is If:
+            work += [("if", n, lines, d), ("node", n.cond, lines, d)]
+        else:
+            work.append(("call", n, lines, d))
+            work += (("node", c, lines, d) for c in reversed(children(n)))
+    out = [f"def make({', '.join(f'k{i}' for i in sorted(params))}):"]
+    out += [f"    {rule} = _DELTA[{op!r}]" for op, rule in rules.items()]
+    for name, lines in funcs:
+        out += [f"    def {name}(m, env):", "        try:"]
+        out += ["            " + "    " * d + text for d, text in lines]
+        out += ["        except KeyError as ex:", "            _unbound(ex)"]
+    out.append("    return run")
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
 # host frames an evaluation may add to its caller's stack; kept modest:
-# each interpreter level spans several host frames, and the limit must trip
+# each call level spans several host frames, and the limit must trip
 # before the C stack is exhausted
 _EVAL_STACK_LIMIT = 2500
 # completed fix calls and sines a table remembers, together; past it, both

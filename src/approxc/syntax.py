@@ -5,15 +5,17 @@ fix, conditionals and reductions are common, and the worlds differ only
 in which literals and builtin operators they use.  Everything here is
 immutable and safe to share across threads.
 
-An expression node that has been evaluated also carries, in its instance
-dict, the closure the evaluator staged for it (``interp._code``).  The
-cache is outside the dataclass fields, so equality, hashing, repr and
-printing ignore it; it never goes stale because the node cannot change.
-Two threads staging one node at once build equal closures, and either may
-win.  A closure is a local function, so a node that carries one does not
-pickle.  Beside it, the compiler's constant folder caches the node's folded
-error form (``compiler.fold_err``, key ``_fold``; None when the node folds
-to itself), so each error node is folded once however many errors share it.
+An expression node that the evaluator has run as a lambda body or a root
+also carries, in its instance dict, the Python function generated for it
+(``interp._code``), and a lambda its closure in the empty environment
+(``interp._CLOSED``).  The caches are outside the dataclass fields, so
+equality, hashing, repr and printing ignore them; they never go stale
+because the node cannot change.  Two threads generating for one node at
+once build equal functions, and either may win.  A generated function is
+local to its factory, so a node that carries one does not pickle.  Beside
+them, the compiler's constant folder caches the node's folded error form
+(``compiler.fold_err``, key ``_fold``; None when the node folds to
+itself), so each error node is folded once however many errors share it.
 
 Parsing, compiling, printing and evaluating walk a program on the host
 stack.  One guard, `with_stack_limit`, bounds them all: a walk may use a

@@ -388,27 +388,72 @@ def test_shared_table_keeps_random_program_records(case):
 
 # -- what a trial builds ----------------------------------------------------
 
-def _count_staging(monkeypatch) -> list:
-    """Record every node interp stages from now on."""
-    staged = []
-    for ty, stage in list(interp._STAGERS.items()):
-        monkeypatch.setitem(interp._STAGERS, ty,
-                            lambda n, stage=stage: (staged.append(n), stage(n))[1])
-    return staged
+def _count_compiles(monkeypatch) -> list:
+    """Record every source interp compiles from now on, starting from an
+    empty table of shapes."""
+    compiled = []
+    monkeypatch.setattr(interp, "_SHAPES", {})
+    monkeypatch.setattr(interp, "compile", lambda src, *args: (
+        compiled.append(src), compile(src, *args))[1], raising=False)
+    return compiled
 
 
 def test_function_check_stages_nothing_after_its_first_trial(monkeypatch):
-    # a trial applies the programs' values to its drawn inputs, so the
-    # programs are staged once and the inputs never
+    # a trial applies the programs' values to its drawn inputs, so each
+    # program's shapes are compiled once and the inputs' never
     e = parse("(lam (x Real) (*r x (sinr x)))")
     r = compile_program(e, CompileOpts(cfg=CFG))
-    staged = _count_staging(monkeypatch)
+    compiled = _count_compiles(monkeypatch)
     after = []
     for t in range(50):
         assert member_trial(r.family, r.err, r.approx, e, t, 42,
                             CFG).status == "pass"
-        after.append(len(staged))
+        after.append(len(compiled))
     assert after[0] > 0 and after[-1] == after[0]
+
+
+def _check_fix_sum(corpus_dir):
+    # the path of a check: parse, compile, and a trial that evaluates the
+    # exact, float and error programs
+    e = parse((corpus_dir / "fix_sum.ax").read_text())
+    r = compile_program(e, CompileOpts(cfg=CFG))
+    return [member_trial(r.family, r.err, r.approx, e, t, 42, CFG).status
+            for t in range(3)]
+
+
+def test_a_second_parse_compiles_no_new_code(corpus_dir, monkeypatch):
+    # every check builds fresh trees; a body's shape leaves its literals
+    # out, so fresh trees of one program reuse the code compiled for the
+    # first, and only the walk and the factory call are paid again
+    compiled = _count_compiles(monkeypatch)
+    first = _check_fix_sum(corpus_dir)
+    assert first == ["pass"] * 3 and compiled
+    n = len(compiled)
+    assert _check_fix_sum(corpus_dir) == first and len(compiled) == n
+
+
+def test_axiom_claims_with_fresh_literals_compile_nothing_new(monkeypatch):
+    # every outer trial of the suite builds claims over freshly sampled
+    # constants; after the first trial their shapes are all known
+    compiled = _count_compiles(monkeypatch)
+    assert check_approx_axioms(FL, trials=1, seed=42, cfg=CFG).ok
+    n = len(compiled)
+    assert n > 0
+    assert check_approx_axioms(FL, trials=30, seed=43, cfg=CFG).ok
+    assert len(compiled) == n
+
+
+def test_shape_table_stops_growing_at_its_cap(corpus_dir, monkeypatch):
+    # past the cap a new shape is compiled afresh every time it is met,
+    # the table holds no more, and the answers do not change
+    want = _check_fix_sum(corpus_dir)
+    compiled = _count_compiles(monkeypatch)
+    monkeypatch.setattr(interp, "_SHAPES_MAX", 2)
+    assert _check_fix_sum(corpus_dir) == want
+    n = len(compiled)
+    assert len(interp._SHAPES) == 2 and n > 2
+    assert _check_fix_sum(corpus_dir) == want
+    assert len(interp._SHAPES) == 2 and len(compiled) == 2 * n - 2
 
 
 def test_base_family_checks_seed_no_generator(monkeypatch):

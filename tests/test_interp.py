@@ -18,10 +18,11 @@ from approxc.interp import (
 )
 from approxc.parser import parse
 from approxc.syntax import (
-    BUILTINS, FLOAT64, NAT, App, Arrow, BoolLit, Builtin, ErrLit, Fix,
+    BUILTINS, FLOAT64, NAT, REAL, App, Arrow, BoolLit, Builtin, ErrLit, Fix,
     FloatLit, If, Lam, NatLit, RealLit, RedSeq, Var, to_source,
 )
 from approxc.typecheck import TyCtx, infer_type
+from test_fuel_boundaries import fuel_boundary
 from test_random_programs import programs
 
 CFG = EvalConfig(fuel=200_000, precision_bits=128)
@@ -124,6 +125,35 @@ def test_fix_calls_on_signed_zeros_stay_apart():
                              App(f, FloatLit.of(-0.0)))))
     rec = Fix(Lam("f", Arrow(FLOAT64, FLOAT64), Lam("x", FLOAT64, body)))
     assert eval_approx(App(rec, FloatLit.of(2.0)), cfg=CFG).value == math.inf
+
+
+# ROADMAP item 16's two recursions, each calling itself twice per level;
+# their error programs are curried fixes over n and then n_q
+_NEWTON = ("(fix (lam (f (-> Nat Real)) (lam (n Nat) (if (leqn n 0) 3/2 "
+           "(*r 1/2 (+r (app f (-n n 1)) (/r 2/1 (app f (-n n 1)))))))))")
+_FIB = ("(fix (lam (f (-> Nat Real)) (lam (n Nat) (if (leqn n 1) 1/3 "
+        "(+r (app f (-n n 1)) (app f (-n n 2)))))))")
+
+
+@pytest.mark.parametrize("src", [_NEWTON, _FIB], ids=["newton", "fib"])
+def test_double_recursion_bound_is_finite_and_sound(src):
+    # the closure a keyed fix call returns is applied to n_q through the
+    # call table too, so each level's second call is answered, not rerun
+    e = parse(src)
+    r = compile_program(e)
+    q = bound_of(eval_error(r.err, inputs=(NatLit(40), NatLit(0))))
+    assert not q.is_infinite
+    exact = eval_exact(e, inputs=(NatLit(40),)).enc
+    approx = Fraction(eval_approx(r.approx, inputs=(NatLit(40),)).value)
+    assert max(abs(approx - exact.lo), abs(approx - exact.hi)) <= q.hi
+
+
+@pytest.mark.parametrize("src", [_NEWTON, _FIB], ids=["newton", "fib"])
+def test_double_recursion_error_fuel_is_linear(src):
+    err = compile_program(parse(src)).err
+    fuel = [fuel_boundary("err", (err, (NatLit(n), NatLit(0))))
+            for n in (10, 20, 40)]
+    assert fuel[1] <= 2.2 * fuel[0] and fuel[2] <= 2.2 * fuel[1], fuel
 
 
 def test_fix_sum_self_loop_still_diverges(corpus_dir):
@@ -288,13 +318,16 @@ def test_fix_results_are_shared_through_one_table(corpus_dir):
     assert v == eval_exact(App(e, NatLit(30)), cfg=CFG)
 
 
-# -- code staged on the nodes ---------------------------------------------
+# -- code generated for the nodes ------------------------------------------
 
 def test_staged_code_leaves_nodes_unchanged(corpus_dir):
     src = (corpus_dir / "fix_sum.ax").read_text()
     e, fresh = parse(src), parse(src)
     assert eval_exact(App(e, NatLit(5)), cfg=CFG).enc.contains(Fraction(15))
-    assert interp._CODE in e.__dict__
+    # the recursion's lambda carries its closed closure, and the body it
+    # returns the function generated for it
+    assert interp._CLOSED in e.expr.__dict__
+    assert interp._CODE in e.expr.body.body.__dict__
     assert e == fresh and hash(e) == hash(fresh)
     assert repr(e) == repr(fresh) and to_source(e) == to_source(fresh)
 
@@ -325,8 +358,9 @@ def test_staged_code_is_reused_faithfully(case):
 
 
 def test_shared_subtrees_are_staged_once():
-    # 2^60 paths through 61 distinct nodes: staging is linear in the
-    # nodes, and evaluation runs out of fuel as it always did
+    # 2^60 paths through 61 distinct nodes: each shared node is one helper
+    # function, so generation is linear in the nodes, and evaluation runs
+    # out of fuel as it always did
     e = RealLit(Fraction(1, 3))
     for _ in range(60):
         e = Builtin("+r", (e, e))
@@ -358,34 +392,39 @@ def _deepest(nest, cfg=CFG):
 
 
 def test_host_stack_frames_per_nesting_level():
-    # a level of an if chain, of nested arguments or of a builtin operand
-    # is one host frame; a level that nests through a call (let body,
-    # redseq operand) is two, so those chains count as divergence at half
-    # the depth
+    # one lambda body is one host function: a level of an if chain, of
+    # nested arguments, of a builtin operand or of a redseq operand costs
+    # no host frame, and an if chain spills into one helper function every
+    # interp._IF_NEST levels, so each of those chains evaluates 3000 levels
+    # deep, where _deepest stops looking.  A level that nests through a
+    # call (let body) costs two frames, the application and the body's
+    # function, so that chain diverges at half the evaluator's frame budget
     one = NatLit(1)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # below the evaluator's own limit
     try:
-        depth_if = _deepest(_chain(lambda e: If(BoolLit(False), one, e), one))
-        one_frame = {
+        flat = {
+            "if": _chain(lambda e: If(BoolLit(False), one, e), one),
             "argument": _chain(lambda e: App(Lam("x", NAT, Var("x")), e), one),
             "builtin": _chain(lambda e: Builtin("+n", (e, one)), one),
             "unary builtin": _chain(lambda e: Builtin("absr", (e,)),
                                     Builtin("nat2real", (one,))),
-        }
-        two_frames = {
-            "let": _chain(lambda e: App(Lam("x", NAT, e), one), Var("x")),
             "redseq": _chain(
                 lambda e: RedSeq(Builtin("+n"), e, Lam("i", NAT, one)), one),
         }
-        ones = {k: _deepest(nest) for k, nest in one_frame.items()}
-        twos = {k: _deepest(nest) for k, nest in two_frames.items()}
+        deep = {k: eval_exact(nest(3000), cfg=CFG) for k, nest in flat.items()}
+        depth_let = _deepest(
+            _chain(lambda e: App(Lam("x", NAT, e), one), Var("x")))
     finally:
         sys.setrecursionlimit(old)
-    for kind, depth in ones.items():
-        assert abs(depth - depth_if) <= 32, (kind, depth, depth_if)
-    for kind, depth in twos.items():
-        assert abs(2 * depth - depth_if) <= 32, (kind, depth, depth_if)
+    assert DIVERGED not in deep.values(), deep
+    assert abs(2 * depth_let - interp._EVAL_STACK_LIMIT) <= 32, depth_let
+
+
+def test_deep_if_chain_evaluates():
+    one = NatLit(1)
+    e = _chain(lambda e: If(BoolLit(False), one, e), NatLit(7))(3000)
+    assert eval_exact(e, cfg=CFG) == VNat(7)
 
 
 def test_deep_builtin_chain_evaluates():
@@ -406,6 +445,25 @@ def _in_thread(run):
     finally:
         threading.stack_size(old)
     return out[0]
+
+
+def test_deepest_compilable_plus_chain_error_evaluates():
+    # a right-nested +r chain as deep as the compiler is pinned to reach
+    # on every supported Python (745 compiles on 3.11, 744 on 3.10): its
+    # error program is one large body, generated and compiled once
+    t = Var("x")
+    for _ in range(740):
+        t = Builtin("+r", (Var("x"), t))
+    # compiled on a fresh thread, as from a script: compiling this deep
+    # takes most of the compiler's own frame budget
+    r = _in_thread(lambda: compile_program(Lam("x", REAL, t)))
+    # the float input and the exact one are the same number, error 0
+    x = RealLit(Fraction(1 / 7))
+    q = bound_of(eval_error(r.err, inputs=(x, ErrLit(Fraction(0)))))
+    assert not q.is_infinite
+    want = eval_exact(Lam("x", REAL, t), inputs=(x,)).enc
+    got = Fraction(eval_approx(r.approx, inputs=(FloatLit.of(1 / 7),)).value)
+    assert max(abs(got - want.lo), abs(got - want.hi)) <= q.hi
 
 
 def test_deepest_fix_sum_does_not_depend_on_the_caller(corpus_dir):
@@ -541,12 +599,13 @@ def test_a_table_kept_across_precisions_answers_each_with_its_own_sine():
 
 
 def test_staged_builtins_reach_kernels_through_module_globals(monkeypatch):
-    # a tracer rebinds the kernels by name; a node staged before the
+    # a tracer rebinds the kernels by name; code generated before the
     # rebinding must call the new binding
     e = parse("(+q (+err 1/3 (err 0/1) 1/7 (err 0/1)) "
               "(dr (sinr 1/3) (nat2real (ceilK 3 2))))")
     a = Builtin("sinf", (FloatLit.of(0.5),))
     want, want_a = eval_error(e, cfg=CFG), eval_approx(a, cfg=CFG)
+    assert interp._CODE in e.__dict__ and interp._CODE in a.__dict__
     seen = []
 
     def spy(module, name):
