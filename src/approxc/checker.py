@@ -2,15 +2,16 @@
 oracle, with replayable failure records and deterministic reports.
 
 Polymorphic results are monomorphized at the real and natural base
-families before checking.  A batch runner compiles and checks a corpus
-directory; parse or compile errors are reported per file without
-aborting the batch.
+families, and each instantiation is checked as a monomorphic claim: the
+only path that checks a polymorphic claim.  A batch runner compiles and
+checks a corpus directory; parse or compile errors are reported per file
+without aborting the batch.
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -60,15 +61,14 @@ class CheckReport:
 
 def _instantiations(result: CompileResult, e: Expr
                     ) -> List[Tuple[str, Expr, Expr, Expr, ApproxTy]]:
+    """The claim's (tag, exact, approx, err, family) at each instantiation:
+    a polymorphic claim's at Fl and at Nat, tagged, or else the claim."""
     fam = result.family
-    if isinstance(fam, PiTy):
-        out = []
-        for base in (FL, NAT_A):
-            me, ma, mq, mfam = monomorphize(fam, base, e, result.approx,
-                                            result.err)
-            out.append((f"@{family_source(base)}", me, ma, mq, mfam))
-        return out
-    return [("", e, result.approx, result.err, fam)]
+    if not isinstance(fam, PiTy):
+        return [("", e, result.approx, result.err, fam)]
+    return [(f"@{family_source(b)}",
+             *monomorphize(fam, b, e, result.approx, result.err))
+            for b in (FL, NAT_A)]
 
 
 def check_soundness(e: Expr, result: CompileResult, trials: int = 1000,
@@ -168,7 +168,6 @@ def load_sidecar_opts(path: Path, base: CompileOpts) -> CompileOpts:
                                  for k, v in doc["perforate"].items()}
     if "weaken_to" in doc:
         kwargs["weaken_to"] = parse(doc["weaken_to"])
-    from dataclasses import replace
     return replace(base, **kwargs)
 
 
@@ -191,12 +190,9 @@ def check_rule_corpus(corpus_dir: str, opts: CompileOpts = CompileOpts(),
             result = compile_program(e, popts)
             rep = check_soundness(e, result, trials=trials, seed=seed,
                                   cfg=cfg, program=name, weaken_by=weaken_by)
-            if rep.failures:
-                report.entries.append(CorpusEntry(name, "fail", rep))
-            elif rep.passes == 0 and rep.inconclusive > 0:
-                report.entries.append(CorpusEntry(name, "inconclusive", rep))
-            else:
-                report.entries.append(CorpusEntry(name, "ok", rep))
+            status = "fail" if rep.failures else "inconclusive" if (
+                rep.passes == 0 and rep.inconclusive > 0) else "ok"
+            report.entries.append(CorpusEntry(name, status, rep))
         except (ParseError, CompileError, TypeError_, OSError) as ex:
             report.entries.append(CorpusEntry(name, "error",
                                               error=f"{type(ex).__name__}: {ex}"))

@@ -3,7 +3,10 @@ programs into float programs together with a machine-evaluable error
 expression and a derivation trace.
 
 A compile types the program once, recording every node's exact type; a
-rule picks a subterm's approximation family from its recorded type.
+rule picks a subterm's approximation family from its recorded type, a type
+argument's from the type itself, and returns its derivation, whose
+premises are its subterms' derivations.  The entry points wrap the root's
+derivation in one CompileResult.
 
 Each structural construct is approximated by itself while its error is
 synthesized compositionally; the leaf transformations are real-to-float
@@ -412,7 +415,7 @@ class Compiler:
 
     # -- entry point ---------------------------------------------------------
 
-    def compile(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> CompileResult:
+    def compile(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> Derivation:
         rule = _RULES.get(type(e))
         if rule is None:
             raise NoRuleApplies(f"no rule for {type(e).__name__}", to_source(e))
@@ -420,17 +423,16 @@ class Compiler:
 
     # -- structural rules -----------------------------------------------------
 
-    def _var(self, ctx: ApproxCtx, e: Var, target: ApproxTy) -> CompileResult:
+    def _var(self, ctx: ApproxCtx, e: Var, target: ApproxTy) -> Derivation:
         trip = ctx.lookup(e.name)
         if trip is None:
             raise NoRuleApplies(f"variable {e.name} has no approximation triple")
         if not same_family(trip.family, target):
             raise TypeMismatch(family_source(target), family_source(trip.family),
                                f"variable {e.name}")
-        d = Derivation("A-Var", e, Var(trip.xa), Var(trip.xq), target)
-        return CompileResult(d.approx, d.err, target, d)
+        return Derivation("A-Var", e, Var(trip.xa), Var(trip.xq), target)
 
-    def _lam(self, ctx: ApproxCtx, e: Lam, target: ApproxTy) -> CompileResult:
+    def _lam(self, ctx: ApproxCtx, e: Lam, target: ApproxTy) -> Derivation:
         if not isinstance(target, Pi):
             raise TypeMismatch("a function family", family_source(target), to_source(e))
         xa, xq = self._names_for(e.binder, ctx, free_vars(e.body))
@@ -439,39 +441,34 @@ class Compiler:
         approx = Lam(xa, approx_ty(target.fam), inner.approx)
         err = Lam(e.binder, exact_ty(target.fam),
                   Lam(xq, err_ty(target.fam), inner.err))
-        fam = Pi(e.binder, xa, xq, target.fam, target.body)
-        d = Derivation("A-Lam", e, approx, err, fam, premises=[inner.derivation])
-        return CompileResult(approx, err, fam, d)
+        return Derivation("A-Lam", e, approx, err,
+                          Pi(e.binder, xa, xq, target.fam, target.body), [inner])
 
-    def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> CompileResult:
+    def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> Derivation:
         # a universal type, alone or inside an arrow, has no family here
         arg_fam = _family(self.types[id(e.arg)], self._tymap(ctx),
                           "an argument of type")
         fn_target = Pi("x", "x_a", "x_q", arg_fam, target)
         r1 = self.compile(ctx, e.fn, fn_target)
         r2 = self.compile(ctx, e.arg, arg_fam)
-        approx = App(r1.approx, r2.approx)
-        err = fold_err(App(App(r1.err, e.arg), r2.err))
-        d = Derivation("A-App", e, approx, err, target,
-                       premises=[r1.derivation, r2.derivation])
-        return CompileResult(approx, err, target, d)
+        return Derivation("A-App", e, App(r1.approx, r2.approx),
+                          fold_err(App(App(r1.err, e.arg), r2.err)), target,
+                          [r1, r2])
 
-    def _tylam(self, ctx: ApproxCtx, e: TyLam, target: ApproxTy) -> CompileResult:
+    def _tylam(self, ctx: ApproxCtx, e: TyLam, target: ApproxTy) -> Derivation:
         if not isinstance(target, PiTy) or target.xe != e.tyvar:
             raise TypeMismatch("a polymorphic family matching the binder",
                                family_source(target), to_source(e))
         entry = VarBase(target.xe, target.xa, target.xq, target.z0, target.zp)
         inner = self.compile(ctx.extend(entry), e.body, target.body)
-        approx = TyLam(target.xa, inner.approx)
         qv = TyVar(target.xq)
         err = TyLam(target.xe, TyLam(target.xq, Lam(
             target.z0, qv, Lam(target.zp, Arrow(qv, Arrow(qv, qv)), inner.err))))
-        d = Derivation("A-TLam", e, approx, err, target,
-                       premises=[inner.derivation])
-        return CompileResult(approx, err, target, d)
+        return Derivation("A-TLam", e, TyLam(target.xa, inner.approx), err,
+                          target, [inner])
 
-    def _tyapp(self, ctx: ApproxCtx, e: TyApp, target: ApproxTy) -> CompileResult:
-        fam = self._concrete_family(e.ty)
+    def _tyapp(self, ctx: ApproxCtx, e: TyApp, target: ApproxTy) -> Derivation:
+        fam = _family(e.ty, {}, "a type argument")
         # the typing pass refused a type application of a non-universal type
         pt = _family_of(self.types[id(e.expr)], self._tymap(ctx))
         r1 = self.compile(ctx, e.expr, pt)
@@ -480,42 +477,29 @@ class Compiler:
         if not same_family(out_fam, target):
             raise TypeMismatch(family_source(target), family_source(out_fam),
                                to_source(e))
-        d = Derivation("A-TApp", e, approx, err, target,
-                       premises=[r1.derivation])
-        return CompileResult(approx, err, target, d)
+        return Derivation("A-TApp", e, approx, err, target, [r1])
 
     def _tymap(self, ctx: ApproxCtx) -> Dict[str, VarBase]:
         return {en.xe: en for en in ctx.entries if isinstance(en, VarBase)}
 
-    def _concrete_family(self, ty: Ty) -> ApproxTy:
-        try:
-            return family_from_type(ty)
-        except TypeError:
-            raise NoRuleApplies(f"type application at {ty} is not the exact "
-                                "type of a known family")
-
-    def _fix(self, ctx: ApproxCtx, e: Fix, target: ApproxTy) -> CompileResult:
+    def _fix(self, ctx: ApproxCtx, e: Fix, target: ApproxTy) -> Derivation:
         # the premise compiles under the assumption that the bound
         # variable equals the fixpoint being built
         if not isinstance(e.expr, Lam):
             raise Unsupported("fix is supported on literal lambdas")
         inner = self._lam(ctx, e.expr, Pi("x", "x_a", "x_q", target, target))
-        approx = Fix(inner.approx)
-        err = Fix(App(inner.err, e))
-        d = Derivation("A-Fix", e, approx, err, target,
-                       premises=[inner.derivation])
-        d.side_conditions.append(SideCondition(
+        assumed = SideCondition(
             "fix premise compiled under the fixpoint-equality assumption",
-            Verdict(status="pass", reason="recorded assumption")))
-        return CompileResult(approx, err, target, d)
+            Verdict(status="pass", reason="recorded assumption"))
+        return Derivation("A-Fix", e, Fix(inner.approx), Fix(App(inner.err, e)),
+                          target, [inner], [assumed])
 
     # -- conditionals ----------------------------------------------------------
 
-    def _if(self, ctx: ApproxCtx, e: If, target: ApproxTy) -> CompileResult:
+    def _if(self, ctx: ApproxCtx, e: If, target: ApproxTy) -> Derivation:
         rc = self.compile(ctx, e.cond, BOOL_A)
         rt = self.compile(ctx, e.then_e, target)
         rf = self.compile(ctx, e.else_e, target)
-        approx = If(rc.approx, rt.approx, rf.approx)
         # a condition error of 0 means both sides take the same branch, so
         # the error follows the exact condition; this also gives recursive
         # errors the same base case as the value recursion
@@ -533,29 +517,25 @@ class Compiler:
                 raise Unsupported("a condition that may disagree needs a "
                                   "scalar family")
             q = If(Builtin("leqn", (rc.err, NatLit(0))), q, cross)
-        q = fold_err(q)
-        d = Derivation("A-If", e, approx, q, target,
-                       premises=[rc.derivation, rt.derivation, rf.derivation])
-        return CompileResult(approx, q, target, d)
+        return Derivation("A-If", e, If(rc.approx, rt.approx, rf.approx),
+                          fold_err(q), target, [rc, rt, rf])
 
     # -- literals and builtins ---------------------------------------------------
 
-    def _real_lit(self, ctx: ApproxCtx, e: RealLit, target: ApproxTy) -> CompileResult:
+    def _real_lit(self, ctx: ApproxCtx, e: RealLit, target: ApproxTy) -> Derivation:
         if not isinstance(target, FlBase):
             raise TypeMismatch("Fl", family_source(target), to_source(e))
         a = nearest_float(e.value)
         if math.isinf(a):
             raise Unsupported(f"real literal {e.value} overflows binary64")
-        q = ErrLit(abs(e.value - to_fraction(a)))
-        d = Derivation("R-Lit", e, FloatLit.of(a), q, target)
-        return CompileResult(d.approx, d.err, target, d)
+        return Derivation("R-Lit", e, FloatLit.of(a),
+                          ErrLit(abs(e.value - to_fraction(a))), target)
 
     def _scalar_lit(self, ctx: ApproxCtx, e: Expr, target: ApproxTy,
-                    fam: ApproxTy) -> CompileResult:
+                    fam: ApproxTy) -> Derivation:
         if not same_family(target, fam):
             raise TypeMismatch(family_source(fam), family_source(target), to_source(e))
-        d = Derivation("R-Lit", e, e, NatLit(0), target)
-        return CompileResult(e, NatLit(0), target, d)
+        return Derivation("R-Lit", e, e, NatLit(0), target)
 
     def _leaf(self, op: str) -> _Leaf:
         if op in _OP_LOWER:
@@ -568,7 +548,7 @@ class Compiler:
             return _nat_op_leaf(op)
         raise NoRuleApplies(f"builtin {op} has no approximation rule")
 
-    def _builtin(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> CompileResult:
+    def _builtin(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> Derivation:
         if e.op in ("leqr", "leqn") and len(e.args) == 2:
             return self._compare(ctx, e, target)
         leaf = self._leaf(e.op)
@@ -580,29 +560,27 @@ class Compiler:
                 raise NoRuleApplies(f"too many arguments for {e.op}")
             r = self.compile(ctx, arg, fam.fam)
             approx = self._apply_approx(approx, r.approx)
-            premises.append(r.derivation)
+            premises.append(r)
             actuals += (arg, r.err)
             fam = fam.body
         if not same_family(fam, target):
             raise TypeMismatch(family_source(target), family_source(fam), to_source(e))
         # one derivation for the leaf and the applications to its arguments
-        err = _leaf_err(leaf, actuals)
-        d = Derivation(leaf.rule, e, approx, err, fam, premises=premises)
-        return CompileResult(approx, err, fam, d)
+        return Derivation(leaf.rule, e, approx, _leaf_err(leaf, actuals), fam,
+                          premises)
 
     def _apply_approx(self, fn: Expr, arg: Expr) -> Expr:
         if isinstance(fn, Builtin):
             return Builtin(fn.op, fn.args + (arg,))
         return App(fn, arg)
 
-    def _compare(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> CompileResult:
+    def _compare(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> Derivation:
         if not isinstance(target, BoolBase):
             raise TypeMismatch("Bool", family_source(target), to_source(e))
         arg_fam = FL if e.op == "leqr" else NAT_A
         lower = "leqf" if e.op == "leqr" else "leqn"
         r1 = self.compile(ctx, e.args[0], arg_fam)
         r2 = self.compile(ctx, e.args[1], arg_fam)
-        approx = Builtin(lower, (r1.approx, r2.approx))
         # with exactly approximated operands the lowered comparison
         # agrees with the exact one; otherwise it may differ
         if e.op == "leqn":
@@ -610,13 +588,12 @@ class Compiler:
         else:
             q = NatLit(0) if (_is_zero_err(r1.err) and _is_zero_err(r2.err)) \
                 else NatLit(1)
-        d = Derivation("R-Op", e, approx, q, target,
-                       premises=[r1.derivation, r2.derivation])
-        return CompileResult(approx, q, target, d)
+        return Derivation("R-Op", e, Builtin(lower, (r1.approx, r2.approx)), q,
+                          target, [r1, r2])
 
     # -- reductions ----------------------------------------------------------------
 
-    def _redseq(self, ctx: ApproxCtx, e: RedSeq, target: ApproxTy) -> CompileResult:
+    def _redseq(self, ctx: ApproxCtx, e: RedSeq, target: ApproxTy) -> Derivation:
         """The float lowering of a reduction, perforated by the factor k
         given for its site; k = 1 is the plain loop."""
         site = self.sites[id(e)]
@@ -628,15 +605,12 @@ class Compiler:
             raise Unsupported(
                 "reduction lowering requires the addition combiner: the "
                 "synthesized bound chains the rounding error of +r")
-        comb_res = self._builtin(ctx, Builtin("+r", ()),
-                                 Pi("xe", "xa", "xq", FL,
-                                    Pi("ye", "ya", "yq", FL, FL)))
+        comb_res = self._builtin(ctx, e.combiner, _binary_real_leaf("+r").fam)
         count_res = self.compile(ctx, e.count, NAT_A)
         if not _is_zero_err(count_res.err):
             raise Unsupported("the iteration count must be exactly "
                               "approximated (zero error)")
-        gen_fam = Pi("i", "i_a", "i_q", NAT_A, FL)
-        gen_res = self.compile(ctx, e.generator, gen_fam)
+        gen_res = self.compile(ctx, e.generator, Pi("i", "i_a", "i_q", NAT_A, FL))
 
         approx = self._perforated_approx(e, gen_res.approx, comb_res.approx, k)
 
@@ -668,12 +642,8 @@ class Compiler:
                 f"the {to_source(e.count)}-fold and the perforated "
                 f"{to_source(n_up)}-fold",
                 Verdict(status="pass", reason="synthesized")))
-        err = fold_err(err)
-        d = Derivation("R-Perforate", e, approx, err, target,
-                       premises=[comb_res.derivation, count_res.derivation,
-                                 gen_res.derivation],
-                       side_conditions=side, site=site)
-        return CompileResult(approx, err, target, d)
+        return Derivation("R-Perforate", e, approx, fold_err(err), target,
+                          [comb_res, count_res, gen_res], side, site)
 
     def _perforated_approx(self, e: RedSeq, a3: Expr, a1: Expr, k: int) -> Expr:
         if k == 1:
@@ -754,14 +724,15 @@ def compile_expr(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
                  opts: CompileOpts = CompileOpts()) -> CompileResult:
     """Compile under an approximation context toward a target family, or
     toward the family of e's exact type when target is None."""
-    result = nesting_guarded(lambda: _compile_typed(ctx, e, target, opts))
+    d = nesting_guarded(lambda: _compile_typed(ctx, e, target, opts))
+    result = CompileResult(d.approx, d.err, d.family, d)
     if opts.weaken_to is not None:
         result = weaken(result, opts.weaken_to, opts)
     return result
 
 
 def _compile_typed(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
-                   opts: CompileOpts) -> CompileResult:
+                   opts: CompileOpts) -> Derivation:
     # the one typing pass: the rules read each node's recorded type.  The
     # table tells nodes apart by identity, so a program that shares a node
     # object between places of different types is compiled from a fresh copy
@@ -838,12 +809,11 @@ def weaken(result: CompileResult, q_weak: Expr, opts: CompileOpts) -> CompileRes
         err = fold_err(join_apply(fam, result.err, q_weak))
         verdict = Verdict(status="pass",
                           reason=f"pointwise join emitted: {undecided}")
-    d = Derivation("A-Weak", result.derivation.exact, result.approx, err,
-                   fam, premises=[result.derivation],
-                   side_conditions=[SideCondition(
-                       "synthesized error is below the weakening target",
-                       verdict)])
-    return CompileResult(result.approx, err, fam, d)
+    below = SideCondition("synthesized error is below the weakening target",
+                          verdict)
+    d = Derivation("A-Weak", result.derivation.exact, result.approx, err, fam,
+                   [result.derivation], [below])
+    return CompileResult(d.approx, d.err, fam, d)
 
 
 def _base_err_leq(q1: Expr, q2: Expr,

@@ -53,6 +53,7 @@ from .floats import (
     float_interval_op_err, ieee_div, sin_f64,
 )
 from .syntax import (
+    BUILTINS, ERRREAL, FLOAT64, NAT, REAL,
     App, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
     If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, Var, builtin_arity,
     children, with_stack_limit,
@@ -416,27 +417,34 @@ class _Machine:
         return self.apply(fn, _tuple(VFix, (fn,)))
 
     def redseq(self, f: Value, n: Value, g: Value) -> Value:
+        """Fold g(0) .. g(n-1) with f from the zero of the element carrier.
+        A builtin combiner's result type in syntax.BUILTINS names the
+        carrier, so an empty fold evaluates no element.  A closure carries
+        no type: its carrier is read off g(0), which is evaluated even when
+        n is 0."""
         if not isinstance(n, VNat):
             raise EvalError("redseq count did not evaluate to a natural")
-        # fold from the zero of the element carrier; the carrier is read
-        # off the first generated element
-        first = self.apply(g, VNat(0))
-        acc = self._zero_like(first)
+        first = None if type(f) is VBuiltin else self.apply(g, VNat(0))
+        carrier = BUILTINS[f.op][1] if first is None else \
+            _CARRIERS.get(type(first))
+        if carrier == REAL:
+            acc = VReal(from_rational(0, self.cfg.precision_bits))
+        elif carrier in _ZEROS:
+            acc = _ZEROS[carrier]
+        else:
+            raise EvalError("redseq over a carrier without a zero: "
+                            f"{first if carrier is None else carrier!r}")
         for i in range(n.value):
-            elem = first if i == 0 else self.apply(g, _tuple(VNat, (i,)))
+            elem = first if i == 0 and first is not None else \
+                self.apply(g, _tuple(VNat, (i,)))
             acc = self.apply(self.apply(f, elem), acc)
         return acc
 
-    def _zero_like(self, v: Value) -> Value:
-        if isinstance(v, VReal):
-            return VReal(from_rational(0, self.cfg.precision_bits))
-        if isinstance(v, VFloat):
-            return VFloat(0.0)
-        if isinstance(v, VNat):
-            return VNat(0)
-        if isinstance(v, VErr):
-            return ERR_ZERO
-        raise EvalError(f"redseq over a carrier without a zero: {v!r}")
+
+# a reduction's carrier, by its first element's value class, and the zero
+# it folds from (a real's, at the machine's precision, is built per fold)
+_CARRIERS = {VReal: REAL, VFloat: FLOAT64, VNat: NAT, VErr: ERRREAL}
+_ZEROS = {FLOAT64: VFloat(0.0), NAT: VNat(0), ERRREAL: ERR_ZERO}
 
 
 def _nat_float(m: int) -> float:

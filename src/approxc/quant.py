@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .enclosure import from_rational
 from .interp import (
@@ -103,10 +103,11 @@ def q_nonneg_reals() -> QuantInstance:
 # pointwise lifting to function carriers
 
 _LIFT_CFG = EvalConfig(fuel=200_000, precision_bits=96)
+_PROBES = 4  # input tuples a lifted comparison samples
 
 
 def lifted_instance(arg_specs: Sequence[Tuple[Ty, Callable[[random.Random], Value]]],
-                    name: str, probes: int = 4) -> QuantInstance:
+                    name: str) -> QuantInstance:
     """The instance over arg1 -> ... -> argN -> ErrReal, everything
     pointwise over the scalar leaf."""
     specs = list(arg_specs)
@@ -130,7 +131,7 @@ def lifted_instance(arg_specs: Sequence[Tuple[Ty, Callable[[random.Random], Valu
         return VClosure(binders[0], sum_body, (("%f", f), ("%g", g)))
 
     def leq(f: Value, g: Value, rng: random.Random):
-        for _ in range(probes):
+        for _ in range(_PROBES):
             args = [mk(rng) for _, mk in specs]
             fb = bound_of(apply_value(f, args, _LIFT_CFG))
             gb = bound_of(apply_value(g, args, _LIFT_CFG))
@@ -174,12 +175,12 @@ def _real_arg(rng: random.Random) -> Value:
     return VReal(from_rational(sample_real_fraction(rng), _LIFT_CFG.precision_bits))
 
 
-def fn_err_instance(probes: int = 4) -> QuantInstance:
+def fn_err_instance() -> QuantInstance:
     """Errors for approximations of real functions: exact input and its
     input error map to an output error (the scalar instance lifted
     twice, pointwise)."""
     return lifted_instance([(REAL, _real_arg), (ERRREAL, sample_err_value)],
-                           name="real-fn-errors", probes=probes)
+                           name="real-fn-errors")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,15 @@ class AxiomReport:
     trials: int
     seed: int
     results: List[AxiomResult] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, instance: str, trials: int, seed: int, clauses: Sequence[str],
+           failures: Dict[str, str]) -> "AxiomReport":
+        """One result per clause, in clause order: a fail with its witness
+        where failures names the clause, else a pass."""
+        return cls(instance, trials, seed, [
+            AxiomResult(c, "fail" if c in failures else "pass", failures.get(c))
+            for c in clauses])
 
     @property
     def ok(self) -> bool:
@@ -300,8 +310,7 @@ def check_quant_axioms(inst: QuantInstance, trials: int = 1000,
     check on sampled probe points.  A failing axiom reports a shrunk
     witness in surface syntax.
     """
-    report = AxiomReport(instance=inst.name, trials=trials, seed=seed)
-    failures = {}
+    failures: Dict[str, str] = {}
 
     def fail(axiom: str, witness: Value, still_fails=None):
         if axiom in failures:
@@ -341,9 +350,4 @@ def check_quant_axioms(inst: QuantInstance, trials: int = 1000,
                       inst.plus(inst.plus(q1, q2), q3), rng):
             fail("Associativity", q1)
 
-    for name in AXIOM_NAMES:
-        if name in failures:
-            report.results.append(AxiomResult(name, "fail", failures[name]))
-        else:
-            report.results.append(AxiomResult(name, "pass"))
-    return report
+    return AxiomReport.of(inst.name, trials, seed, AXIOM_NAMES, failures)

@@ -494,6 +494,17 @@ def test_type_preservation_across_corpus(corpus_dir):
         assert infer_type(TyCtx(), r.err) == err_ty(r.family), name
 
 
+def test_result_is_its_root_derivation(corpus_dir):
+    # one record per rule instance: the result holds its root derivation's
+    # approximation, error and family, not copies
+    literals = [(src, None, compile_program(parse(src), OPTS))
+                for src in ("7", "true", "1/3")]
+    for name, e, r in [*_corpus_results(corpus_dir), *literals]:
+        d = r.derivation
+        assert (d.approx is r.approx and d.err is r.err
+                and d.family is r.family), name
+
+
 def test_compile_determinism(corpus_dir):
     for name, e, r1 in _corpus_results(corpus_dir):
         r2 = compile_program(e, load_sidecar_opts(
@@ -554,6 +565,13 @@ def test_compilation_samples_nothing(corpus_dir, monkeypatch):
 def test_no_rule_for_unregistered_transform():
     with pytest.raises(NoRuleApplies):
         compile_program(parse("(absr 1/2)"), OPTS)
+
+
+def test_type_argument_without_family_is_unsupported():
+    # a type argument's family is looked up as an argument's is
+    with pytest.raises(Unsupported, match="^a type argument Unit has no "
+                                          "approximation family$"):
+        compile_program(parse("(tyapp (tlam X 1/2) Unit)"), OPTS)
 
 
 def test_compile_rejects_ill_typed_program():

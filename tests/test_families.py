@@ -206,15 +206,24 @@ def test_instantiate_poly_both_bases():
 
 
 def test_polymorphic_membership_monomorphizes():
-    pt = PiTy("X", "X_a", "X_q", "z0", "zp",
-              fn_family(VarBase("X", "X_a", "X_q", "z0", "zp"),
-                        VarBase("X", "X_a", "X_q", "z0", "zp")))
+    # the checker's instantiations are the one path for a polymorphic
+    # claim: the same claim is checked at each base family
     e = parse("(tlam X (lam (x X) x))")
-    a = parse("(tlam X_a (lam (x X_a) x))")
-    q = parse("(tlam X (tlam X_q (lam (z0 X_q) (lam (zp (-> X_q (-> X_q X_q)))"
-              " (lam (x X) (lam (xq X_q) xq))))))")
-    v = appr_member(pt, q, a, e, trials=20, seed=42, cfg=CFG)
-    assert v.ok, v.to_json()
+    result = compile_program(e, CompileOpts(cfg=CFG))
+    assert isinstance(result.family, PiTy)
+    insts = _instantiations(result, e)
+    assert [(tag, family_source(fam)) for tag, *_, fam in insts] == [
+        ("@Fl", "Fl => Fl"), ("@Nat", "Nat => Nat")]
+    for tag, me, ma, mq, fam in insts:
+        v = appr_member(fam, mq, ma, me, trials=20, seed=42, cfg=CFG)
+        assert v.ok and v.passes == 20, (tag, v.to_json())
+    # the families layer checks monomorphic claims only
+    for check, other in ((appr_member, result.approx), (aeq_check, e)):
+        v = check(result.family, result.err, other, e, trials=3, seed=42,
+                  cfg=CFG)
+        assert v.status == "inconclusive" and v.inconclusive == 3
+        assert v.reason == ("polymorphic family: check each instantiation "
+                            "at a base family")
 
 
 def test_approx_axioms_base_and_function():

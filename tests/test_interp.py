@@ -45,6 +45,25 @@ def test_redseq_empty_is_zero():
     assert isinstance(v, VReal) and v.enc.contains(Fraction(0))
 
 
+# a generator that never returns, at any index
+_LOOP = "(lam (i Nat) (app (fix (lam (f (-> Nat {0})) (lam (k Nat) (app f k)))) i))"
+
+
+@pytest.mark.parametrize("evaluate, src, zero", [
+    # g(0) divides by zero, which the oracle cannot decide
+    (eval_exact, "(redseq +r 0 (lam (i Nat) (/r 1/1 (nat2real i))))",
+     VReal(from_rational(0, EvalConfig().precision_bits))),
+    (eval_approx, f"(redseq +f 0 {_LOOP.format('Float64')})", VFloat(0.0)),
+    (eval_exact, f"(redseq +n 0 {_LOOP.format('Nat')})", VNat(0)),
+    (eval_error, "(redseq +q 0 (lam (i Nat) (dr (/r 1/1 (nat2real i)) 0/1)))",
+     VErr.point(Fraction(0))),
+])
+def test_empty_redseq_with_builtin_combiner_evaluates_no_element(
+        evaluate, src, zero):
+    # the builtin combiner's result type names the zero; g is never applied
+    assert evaluate(parse(src), cfg=EvalConfig(fuel=5000)) == zero
+
+
 def test_diverging_fix():
     v = eval_exact(parse("(app (fix (lam (f (-> Nat Nat)) f)) 3)"),
                    cfg=EvalConfig(fuel=5000))

@@ -59,7 +59,7 @@ def test_broken_zero_fails_leastness_with_shrunk_witness():
 
 
 def test_lifted_instance_axioms_pass_on_samples():
-    rep = check_quant_axioms(fn_err_instance(probes=3), trials=150, seed=42)
+    rep = check_quant_axioms(fn_err_instance(), trials=150, seed=42)
     assert rep.ok, rep.to_json()
 
 
