@@ -25,6 +25,14 @@ bound.  The whole path runs on integers: pi is held as numerators over
 the remainder, clamp and final rounding as one floor or ceiling division
 each, and the scan for extrema at (2k+1)*pi/2 as cross-multiplied
 comparisons; every endpoint equals what the same steps on Fractions give.
+Each series term takes two products, not four: the squared argument is
+at least 0, so the signs of the term's ends pick its extreme products.
+The scan first compares against pi cut to t bits, t a few dozen past the
+operands' bit lengths, whose floor and ceiling bound pi too, and redoes
+on the full 5376 bits only a comparison the cut cannot decide (the
+filter, then exact test, of adaptive-precision predicates).  A wider
+candidate range is harmless, since each candidate is still decided
+exactly, so both change no endpoint.
 Before it is rounded to p bits, each endpoint is either +-1 or
 at least 2^-(p+16) outside the sine it encloses, since the first term
 left out is rounded outward to a nonzero grid value and the remainder
@@ -37,7 +45,7 @@ import enum
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 DEFAULT_MAX_PRECISION = 4096
 
@@ -154,6 +162,7 @@ def compare_leq(a: RealEnclosure, b: RealEnclosure) -> Tern:
 # pi via Machin's formula, computed once with integer arithmetic
 
 _pi_cache: Optional[Tuple[int, int]] = None
+_pi_cuts: Dict[int, Tuple[int, int]] = {}
 
 
 def _atan_inv_scaled(m: int, bits: int) -> Tuple[int, int]:
@@ -189,6 +198,17 @@ def _pi_scaled() -> Tuple[int, int]:
         a239_lo, a239_hi = _atan_inv_scaled(239, _PI_BITS)
         _pi_cache = (16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo)
     return _pi_cache
+
+
+def _pi_cut(t: int) -> Tuple[int, int]:
+    """Integer bounds on 2^t * pi for t <= 5376: _pi_scaled's shifted down
+    by a floor and a ceiling, computed once per t."""
+    cut = _pi_cuts.get(t)
+    if cut is None:
+        pi_lo, pi_hi = _pi_scaled()
+        s = _PI_BITS - t
+        cut = _pi_cuts[t] = (pi_lo >> s, -(-pi_hi >> s))
+    return cut
 
 
 def pi_bounds() -> Tuple[Fraction, Fraction]:
@@ -229,14 +249,17 @@ def _sin_taylor_interval(lo: int, hi: int, den: int, p: int) -> Tuple[int, int]:
     while True:
         s_lo += t_lo
         s_hi += t_hi
-        prods = (t_lo * m2_lo, t_lo * m2_hi, t_hi * m2_lo, t_hi * m2_hi)
-        # next term is -T_j * M2 / c, rounded outward to the 2^-w grid
+        # next term is -T_j * M2 / c, rounded outward to the 2^-w grid.
+        # M2 >= 0, so the signs of T_j's ends pick the extreme products
         d = (2 * j + 2) * (2 * j + 3) << w
-        t_lo = -max(prods) // d
-        t_hi = -(min(prods) // d)
+        n_hi = t_hi * (m2_hi if t_hi >= 0 else m2_lo)
+        n_lo = t_lo * (m2_lo if t_lo >= 0 else m2_hi)
+        t_lo = -n_hi // d
+        t_hi = -(n_lo // d)
         j += 1
-        # stop once the term is at most 2^-(p+8), that is 2^8 grid units
-        if max(abs(t_lo), abs(t_hi)) <= 256:
+        # stop once the term is at most 2^-(p+8), that is 2^8 grid units;
+        # t_lo <= t_hi, so that is both ends within +-256
+        if -256 <= t_lo and t_hi <= 256:
             break
         if j > 10000:
             raise PrecisionOverflow("sine series failed to converge")
@@ -310,28 +333,44 @@ def _sin_enclosure(x: RealEnclosure, p: int) -> RealEnclosure:
     one = 1 << (p + 2)
     lo = min(s1.lo_num, s2.lo_num)
     hi = max(s1.hi_num, s2.hi_num)
-    # account for interior extrema at (2k+1) * pi/2, comparing every value
-    # scaled by 2^5377 * b
-    pi_lo, pi_hi = _pi_scaled()
-    xa, xc = a << (_PI_BITS + 1), c << (_PI_BITS + 1)
-    # floor((2x/pi - 1) / 2) at each end, pi_hi at x.lo and pi_lo at x.hi.
-    # That at x.lo is at most the first k the test admits: the quotients
-    # differ by less than 1 for any x sin_point reduces.  At x.hi < 0 the
-    # test uses m * pi_hi, which the floor at pi_lo can miss by one.
-    k_min = (xa - b * pi_hi) // (2 * b * pi_hi)
-    k_max = (xc - b * pi_lo) // (2 * b * pi_lo) + 1
+    # account for interior extrema at (2k+1) * pi/2.  Each is first placed
+    # against the bounds P_lo < pi < P_hi cut to t bits, a few dozen past
+    # the operands', comparing every value scaled by 2^(t+1) * b; only a
+    # test the cut bounds cannot decide is redone on the full ones
+    t = max(a.bit_length(), b.bit_length(), c.bit_length()) + 32
+    t = min(-(-t // 64) * 64, _PI_BITS)  # a multiple of 64, so few are cached
+    pl, ph = _pi_cut(t)
+    xa, xc = a << (t + 1), c << (t + 1)
+    bl, bh = b * pl, b * ph
+    # the ceiling of (2x/P - 1) / 2 at x.lo and its floor at x.hi, each
+    # with the cut bound that makes it least at x.lo and greatest at x.hi:
+    # no k below k_min can reach x.lo, and none above k_max x.hi
+    ba = bh if a >= 0 else bl
+    bc = bl if c >= 0 else bh
+    k_min = -((ba - xa) // (2 * ba))
+    k_max = (xc - bc) // (2 * bc)
     for k in range(k_min, k_max + 1):
         m = 2 * k + 1
-        if m >= 0:
-            c_lo, c_hi = m * pi_lo, m * pi_hi
+        # (2k+1) * pi/2 lies in [v_lo, v_hi]
+        v_lo, v_hi = (m * bl, m * bh) if m >= 0 else (m * bh, m * bl)
+        if v_hi < xa or v_lo > xc:  # extremum outside
+            continue
+        if (v_lo < xa or v_hi > xc) and not _extremum_within(m, a, c, b):
+            continue
+        if k % 2 == 0:
+            hi = one
         else:
-            c_lo, c_hi = m * pi_hi, m * pi_lo
-        if c_hi * b >= xa and c_lo * b <= xc:  # extremum possibly inside
-            if k % 2 == 0:
-                hi = one
-            else:
-                lo = -one
+            lo = -one
     return _rounded(max(lo, -one), min(hi, one), one, p)
+
+
+def _extremum_within(m: int, a: int, c: int, b: int) -> bool:
+    """Does m * pi/2, for odd m, possibly lie in [a/b, c/b]?  The test on
+    the full 5376-bit bounds, every value scaled by 2^5377 * b."""
+    pi_lo, pi_hi = _pi_scaled()
+    c_lo, c_hi = (m * pi_lo, m * pi_hi) if m >= 0 else (m * pi_hi, m * pi_lo)
+    return (c_hi * b >= a << (_PI_BITS + 1)
+            and c_lo * b <= c << (_PI_BITS + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -636,9 +636,13 @@ _DELTA = {
 _CODE = "_code"      # the instance-dict key of a node's function
 _CLOSED = "_closed"  # the instance-dict key of a lambda's closed closure
 # shape -> factory; past the cap a new shape is compiled afresh, and the
-# table keeps answering the shapes it holds
+# table keeps answering the shapes it holds.  A factory whose source is
+# longer than _SHAPE_SOURCE_MAX characters is never kept: a body that
+# large, a deeply nested program's, is compiled afresh for each new node
+# of its shape and freed with its nodes
 _SHAPES: Dict[tuple, object] = {}
 _SHAPES_MAX = 1 << 10
+_SHAPE_SOURCE_MAX = 1 << 16
 # ifs nested deeper than this in one function spill into a helper:
 # CPython refuses more than 100 levels of indentation
 _IF_NEST = 64
@@ -654,10 +658,10 @@ def _code(e: Expr):
     make = _SHAPES.get(key)
     if make is None:
         scope: dict = {}
-        exec(compile(_source(e, seen, shared), "<approxc>", "exec"),
-             globals(), scope)
+        src = _source(e, seen, shared)
+        exec(compile(src, "<approxc>", "exec"), globals(), scope)
         make = scope["make"]
-        if len(_SHAPES) < _SHAPES_MAX:
+        if len(_SHAPES) < _SHAPES_MAX and len(src) <= _SHAPE_SOURCE_MAX:
             _SHAPES[key] = make
     # a node is immutable, so its function never goes stale; the instance
     # dict is written directly, as functools.cached_property does, since

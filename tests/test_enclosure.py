@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from approxc import enclosure
 from approxc.enclosure import (
     _PI_BITS, DivisorStraddlesZero, PrecisionOverflow, RealEnclosure, Tern,
     _pi_scaled, _reduce_arg, _sin_taylor_interval, compare_leq, enclose_op,
@@ -591,3 +592,78 @@ def test_sine_scan_needs_no_margin_below_k_min(args):
     x = RealEnclosure(lo, hi, p)
     assert (_outcome(enclose_op, "sinr", [x], p)
             == _outcome(_margin_sin_enclosure, x, p))
+
+
+# ---------------------------------------------------------------------------
+# the extremum scan decides against pi cut to the operands' width, and
+# falls back to the full 5376-bit bounds where the cut cannot decide
+
+def test_pi_cut_bounds_pi_within_one_unit_each_side():
+    pi_lo, pi_hi = _pi_scaled()
+    for t in (64, 128, 1024, _PI_BITS):
+        lo, hi = enclosure._pi_cut(t)
+        s = _PI_BITS - t
+        assert lo << s <= pi_lo and pi_hi <= hi << s
+        assert (pi_lo - (1 << s)) < lo << s and hi << s < pi_hi + (1 << s)
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record the arguments of every full-width extremum test from now on."""
+    calls = []
+    full = enclosure._extremum_within
+    monkeypatch.setattr(enclosure, "_extremum_within", lambda *args: (
+        calls.append(args), full(*args))[1])
+    return calls
+
+
+def _assert_sine_matches_fraction_sine(lo, hi, p):
+    assert (_outcome(sin_point, lo, p)
+            == _outcome(_fraction_sin_point, Fraction(lo), p))
+    e = RealEnclosure(lo, hi, p)
+    assert (_outcome(enclose_op, "sinr", [e], p)
+            == _outcome(_fraction_sin_enclosure, e, p))
+
+
+@pytest.mark.parametrize("gap", [100, 300, 5380])
+def test_sine_next_to_an_extremum_matches_fraction_sine(gap, monkeypatch):
+    # a point, and an interval ending there, 2^-gap to each side of an end
+    # of either enclosure of (2k+1)*pi/2, for |k| <= 6
+    fallbacks = _count_fallbacks(monkeypatch)
+    d = Fraction(1, 1 << gap)
+    for k in range(-6, 7):
+        for pi in pi_bounds():
+            for x in ((2 * k + 1) * pi / 2 + s * d for s in (-1, 1)):
+                p = 64 + 64 * (k % 3)
+                w = Fraction(1, 1 << p)
+                for lo, hi in ((x, x), (x - w, x), (x, x + w)):
+                    _assert_sine_matches_fraction_sine(lo, hi, p)
+    # only the ends closer than the bounds on pi's own width need the
+    # full bounds
+    assert bool(fallbacks) == (gap > _PI_BITS)
+
+
+def test_sine_on_sampled_arguments_matches_fraction_sine():
+    rng = trial_rng(25, 0)
+    for p in (64, 128, 256, 512):
+        for _ in range(60):
+            x, y = sample_real_fraction(rng), sample_real_fraction(rng)
+            # a point, check-sine's 1-ulp enclosure of it, an interval
+            u = from_rational(x, p)
+            for lo, hi in ((x, x), (u.lo, u.hi), (min(x, y), max(x, y))):
+                _assert_sine_matches_fraction_sine(lo, hi, p)
+
+
+def test_sine_scan_falls_back_wherever_the_cut_cannot_decide(monkeypatch):
+    # bounds on 2^t * pi widened to +-2^(t-16) leave every end within
+    # about 2^-16 of an extremum to the full bounds, which decide it as
+    # before
+    fallbacks = _count_fallbacks(monkeypatch)
+    cut = enclosure._pi_cut
+    monkeypatch.setattr(enclosure, "_pi_cut", lambda t: (
+        cut(t)[0] - (1 << (t - 16)), cut(t)[1] + (1 << (t - 16))))
+    for k in range(-6, 7):
+        for p in (64, 128, 256, 512):
+            u = from_rational((2 * k + 1) * pi_bounds()[0] / 2, p)
+            for lo, hi in ((u.lo, u.lo), (u.lo, u.hi), (u.hi, u.hi + u.width)):
+                _assert_sine_matches_fraction_sine(lo, hi, p)
+    assert len(fallbacks) >= 13 * 4 * 3  # once per enclosure at least

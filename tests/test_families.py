@@ -234,6 +234,25 @@ def test_approx_axioms_base_and_function():
     assert rep.ok, rep.to_json()
 
 
+_X = VarBase("X", "X_a", "X_q", "z0", "zp")
+
+
+@pytest.mark.parametrize("fam", [
+    fn_family(FL, NAT_A), PiTy("X", "X_a", "X_q", "z0", "zp", fn_family(_X, _X))],
+    ids=family_source)
+def test_approx_axioms_refuse_a_family_they_cannot_sample(fam, monkeypatch):
+    # a suite that drew no member would report every clause passing having
+    # tested nothing; it refuses the family before drawing anything
+    drawn = []
+    monkeypatch.setattr(families, "sample_member_triple",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(ValueError) as info:
+        check_approx_axioms(fam, trials=5)
+    assert str(info.value) == (
+        f"no member sampler for the family {family_source(fam)}")
+    assert drawn == []
+
+
 def test_membership_stable_under_precision_raise():
     """A pass never flips to fail at higher oracle precision."""
     cases = [

@@ -466,7 +466,7 @@ def _in_thread(run):
     return out[0]
 
 
-def test_deepest_compilable_plus_chain_error_evaluates():
+def test_deepest_compilable_plus_chain_error_evaluates(monkeypatch):
     # a right-nested +r chain as deep as the compiler is pinned to reach
     # on every supported Python (745 compiles on 3.11, 744 on 3.10): its
     # error program is one large body, generated and compiled once
@@ -478,7 +478,16 @@ def test_deepest_compilable_plus_chain_error_evaluates():
     r = _in_thread(lambda: compile_program(Lam("x", REAL, t)))
     # the float input and the exact one are the same number, error 0
     x = RealLit(Fraction(1 / 7))
+    sources = []
+    monkeypatch.setattr(interp, "_SHAPES", {})
+    monkeypatch.setattr(interp, "compile", lambda src, *args: (
+        sources.append(src), compile(src, *args))[1], raising=False)
     q = bound_of(eval_error(r.err, inputs=(x, ErrLit(Fraction(0)))))
+    # the chain's body is past the size the shape table keeps, and only
+    # the smaller bodies are kept
+    assert max(map(len, sources)) > interp._SHAPE_SOURCE_MAX
+    assert len(interp._SHAPES) == sum(
+        len(s) <= interp._SHAPE_SOURCE_MAX for s in sources) > 0
     assert not q.is_infinite
     want = eval_exact(Lam("x", REAL, t), inputs=(x,)).enc
     got = Fraction(eval_approx(r.approx, inputs=(FloatLit.of(1 / 7),)).value)
