@@ -4,8 +4,8 @@ oracle, with replayable failure records and deterministic reports.
 Polymorphic results are monomorphized at the real and natural base
 families, and each instantiation is checked as a monomorphic claim: the
 only path that checks a polymorphic claim.  A batch runner compiles and
-checks a corpus directory; parse or compile errors are reported per file
-without aborting the batch.
+checks a corpus directory; parse, compile and sidecar errors are reported
+per file without aborting the batch.
 """
 from __future__ import annotations
 
@@ -177,8 +177,9 @@ def check_rule_corpus(corpus_dir: str, opts: CompileOpts = CompileOpts(),
                       weaken_by: Optional[Fraction] = None) -> CorpusReport:
     """Compile and check every .ax program under a directory.
 
-    The exit protocol is the caller's concern: failures are data here.
-    Inconclusive trials are reported but do not fail the run.
+    The exit protocol is the caller's concern: failures are data here, and
+    a program that fails to parse, compile or load its sidecar is one error
+    entry.  Inconclusive trials are reported but do not fail the run.
     """
     report = CorpusReport()
     for path in sorted(Path(corpus_dir).glob("*.ax")):
@@ -193,7 +194,7 @@ def check_rule_corpus(corpus_dir: str, opts: CompileOpts = CompileOpts(),
             status = "fail" if rep.failures else "inconclusive" if (
                 rep.passes == 0 and rep.inconclusive > 0) else "ok"
             report.entries.append(CorpusEntry(name, status, rep))
-        except (ParseError, CompileError, TypeError_, OSError) as ex:
+        except (ParseError, CompileError, TypeError_, OSError, ValueError) as ex:
             report.entries.append(CorpusEntry(name, "error",
                                               error=f"{type(ex).__name__}: {ex}"))
     return report

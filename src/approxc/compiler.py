@@ -6,7 +6,10 @@ A compile types the program once, recording every node's exact type; a
 rule picks a subterm's approximation family from its recorded type, a type
 argument's from the type itself, and returns its derivation, whose
 premises are its subterms' derivations.  The entry points wrap the root's
-derivation in one CompileResult.
+derivation in one CompileResult.  Families come from that typing pass,
+or from builtin leaves that match BUILTINS, and are not checked again.
+Polymorphism is outermost-forall only: a universal type elsewhere, or a
+type argument with no family, is refused with Unsupported.
 
 Each structural construct is approximated by itself while its error is
 synthesized compositionally; the leaf transformations are real-to-float
@@ -37,11 +40,10 @@ from typing import (
 )
 
 from .families import (
-    BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, FlBase,
+    BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, CtxEntry, FlBase,
     NatBase, Pi, PiTy, ValTriple, VarBase, Verdict, approx_ty,
     ctx_exact, err_ty, exact_ty, family_from_type,
     family_source, join_apply, monomorphize, plus_apply, precisions,
-    same_family,
 )
 from .floats import nearest_float, to_fraction
 from .interp import (
@@ -85,6 +87,19 @@ class OrderingUndecidable(CompileError):
     """A weakening check whose bounds the oracle cannot evaluate, even at
     the precision cap: a comparison or a divisor inside them stays
     undecided."""
+
+
+class BinderCollision(CompileError):
+    """A binder reusing a name of an enclosing binder, or one generated for
+    it: the error program would capture it."""
+
+
+def _bind(ctx: ApproxCtx, binder: str, entry: CtxEntry) -> ApproxCtx:
+    try:
+        return ctx.extend(entry)
+    except ValueError:
+        raise BinderCollision(f"binder {binder} reuses a name bound by or "
+                              f"for an enclosing binder; rename it") from None
 
 
 class NestingTooDeep(CompileError):
@@ -328,15 +343,12 @@ def _nat2real_leaf() -> _Leaf:
 @functools.cache
 def _nat_op_leaf(op: str) -> _Leaf:
     fam = Pi("ne", "na", "nq", NAT_A, Pi("me", "ma", "mq", NAT_A, NAT_A))
-    if op in ("+n", "-n"):
-        body: Expr = Builtin("+n", (Var("nq"), Var("mq")))
-    elif op == "*n":
+    body: Expr = Builtin("+n", (Var("nq"), Var("mq")))  # +n and -n
+    if op == "*n":
         # |a*b - a'*b'| <= b*k + (a+k)*j for |a-a'| <= k, |b-b'| <= j
         body = Builtin("+n", (
             Builtin("*n", (Var("nq"), Var("me"))),
             Builtin("*n", (Var("mq"), Builtin("+n", (Var("ne"), Var("nq")))))))
-    else:
-        raise NoRuleApplies(f"no float lowering for {op}")
     return _make_leaf(fam, Builtin(op, ()), (
         ("ne", NAT), ("nq", NAT), ("me", NAT), ("mq", NAT)), body)
 
@@ -402,10 +414,8 @@ class Compiler:
 
     # -- naming ------------------------------------------------------------
 
-    def _names_for(self, base: str, ctx: ApproxCtx, *extra_avoid) -> Tuple[str, str]:
-        avoid = ctx.names()
-        for s in extra_avoid:
-            avoid |= s
+    def _names_for(self, base: str, ctx: ApproxCtx, avoid: set) -> Tuple[str, str]:
+        avoid = ctx.names() | avoid
         xa, xq = base + "_a", base + "_q"
         while xa in avoid or xq in avoid:
             self._fresh_counter += 1
@@ -425,19 +435,12 @@ class Compiler:
 
     def _var(self, ctx: ApproxCtx, e: Var, target: ApproxTy) -> Derivation:
         trip = ctx.lookup(e.name)
-        if trip is None:
-            raise NoRuleApplies(f"variable {e.name} has no approximation triple")
-        if not same_family(trip.family, target):
-            raise TypeMismatch(family_source(target), family_source(trip.family),
-                               f"variable {e.name}")
         return Derivation("A-Var", e, Var(trip.xa), Var(trip.xq), target)
 
     def _lam(self, ctx: ApproxCtx, e: Lam, target: ApproxTy) -> Derivation:
-        if not isinstance(target, Pi):
-            raise TypeMismatch("a function family", family_source(target), to_source(e))
         xa, xq = self._names_for(e.binder, ctx, free_vars(e.body))
         trip = ValTriple(e.binder, xa, xq, target.fam)
-        inner = self.compile(ctx.extend(trip), e.body, target.body)
+        inner = self.compile(_bind(ctx, e.binder, trip), e.body, target.body)
         approx = Lam(xa, approx_ty(target.fam), inner.approx)
         err = Lam(e.binder, exact_ty(target.fam),
                   Lam(xq, err_ty(target.fam), inner.err))
@@ -446,7 +449,7 @@ class Compiler:
 
     def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> Derivation:
         # a universal type, alone or inside an arrow, has no family here
-        arg_fam = _family(self.types[id(e.arg)], self._tymap(ctx),
+        arg_fam = _family(self.types[id(e.arg)], _tymap(ctx),
                           "an argument of type")
         fn_target = Pi("x", "x_a", "x_q", arg_fam, target)
         r1 = self.compile(ctx, e.fn, fn_target)
@@ -456,11 +459,8 @@ class Compiler:
                           [r1, r2])
 
     def _tylam(self, ctx: ApproxCtx, e: TyLam, target: ApproxTy) -> Derivation:
-        if not isinstance(target, PiTy) or target.xe != e.tyvar:
-            raise TypeMismatch("a polymorphic family matching the binder",
-                               family_source(target), to_source(e))
         entry = VarBase(target.xe, target.xa, target.xq, target.z0, target.zp)
-        inner = self.compile(ctx.extend(entry), e.body, target.body)
+        inner = self.compile(_bind(ctx, e.tyvar, entry), e.body, target.body)
         qv = TyVar(target.xq)
         err = TyLam(target.xe, TyLam(target.xq, Lam(
             target.z0, qv, Lam(target.zp, Arrow(qv, Arrow(qv, qv)), inner.err))))
@@ -470,17 +470,10 @@ class Compiler:
     def _tyapp(self, ctx: ApproxCtx, e: TyApp, target: ApproxTy) -> Derivation:
         fam = _family(e.ty, {}, "a type argument")
         # the typing pass refused a type application of a non-universal type
-        pt = _family_of(self.types[id(e.expr)], self._tymap(ctx))
+        pt = _family_of(self.types[id(e.expr)], _tymap(ctx))
         r1 = self.compile(ctx, e.expr, pt)
-        _, approx, err, out_fam = monomorphize(pt, fam, e.expr, r1.approx,
-                                               r1.err)
-        if not same_family(out_fam, target):
-            raise TypeMismatch(family_source(target), family_source(out_fam),
-                               to_source(e))
+        _, approx, err, _ = monomorphize(pt, fam, e.expr, r1.approx, r1.err)
         return Derivation("A-TApp", e, approx, err, target, [r1])
-
-    def _tymap(self, ctx: ApproxCtx) -> Dict[str, VarBase]:
-        return {en.xe: en for en in ctx.entries if isinstance(en, VarBase)}
 
     def _fix(self, ctx: ApproxCtx, e: Fix, target: ApproxTy) -> Derivation:
         # the premise compiles under the assumption that the bound
@@ -523,18 +516,13 @@ class Compiler:
     # -- literals and builtins ---------------------------------------------------
 
     def _real_lit(self, ctx: ApproxCtx, e: RealLit, target: ApproxTy) -> Derivation:
-        if not isinstance(target, FlBase):
-            raise TypeMismatch("Fl", family_source(target), to_source(e))
         a = nearest_float(e.value)
         if math.isinf(a):
             raise Unsupported(f"real literal {e.value} overflows binary64")
         return Derivation("R-Lit", e, FloatLit.of(a),
                           ErrLit(abs(e.value - to_fraction(a))), target)
 
-    def _scalar_lit(self, ctx: ApproxCtx, e: Expr, target: ApproxTy,
-                    fam: ApproxTy) -> Derivation:
-        if not same_family(target, fam):
-            raise TypeMismatch(family_source(fam), family_source(target), to_source(e))
+    def _scalar_lit(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> Derivation:
         return Derivation("R-Lit", e, e, NatLit(0), target)
 
     def _leaf(self, op: str) -> _Leaf:
@@ -556,15 +544,11 @@ class Compiler:
         premises: List[Derivation] = []
         actuals: List[Expr] = []
         for arg in e.args:
-            if not isinstance(fam, Pi):
-                raise NoRuleApplies(f"too many arguments for {e.op}")
             r = self.compile(ctx, arg, fam.fam)
             approx = self._apply_approx(approx, r.approx)
             premises.append(r)
             actuals += (arg, r.err)
             fam = fam.body
-        if not same_family(fam, target):
-            raise TypeMismatch(family_source(target), family_source(fam), to_source(e))
         # one derivation for the leaf and the applications to its arguments
         return Derivation(leaf.rule, e, approx, _leaf_err(leaf, actuals), fam,
                           premises)
@@ -575,8 +559,6 @@ class Compiler:
         return App(fn, arg)
 
     def _compare(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> Derivation:
-        if not isinstance(target, BoolBase):
-            raise TypeMismatch("Bool", family_source(target), to_source(e))
         arg_fam = FL if e.op == "leqr" else NAT_A
         lower = "leqf" if e.op == "leqr" else "leqn"
         r1 = self.compile(ctx, e.args[0], arg_fam)
@@ -672,8 +654,8 @@ _RULES = {
     Fix: Compiler._fix,
     If: Compiler._if,
     RealLit: Compiler._real_lit,
-    NatLit: lambda c, ctx, e, t: c._scalar_lit(ctx, e, t, NAT_A),
-    BoolLit: lambda c, ctx, e, t: c._scalar_lit(ctx, e, t, BOOL_A),
+    NatLit: Compiler._scalar_lit,
+    BoolLit: Compiler._scalar_lit,
     Builtin: Compiler._builtin,
     RedSeq: Compiler._redseq,
 }
@@ -715,24 +697,22 @@ def _reductions(t: Expr, out: List[RedSeq]) -> List[RedSeq]:
 # entry points
 
 def compile_program(e: Expr, opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Compile a closed program; the target family is derived from its
-    exact type."""
-    return compile_expr(ApproxCtx(), e, None, opts)
+    """Compile a closed program."""
+    return compile_expr(ApproxCtx(), e, opts)
 
 
-def compile_expr(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
+def compile_expr(ctx: ApproxCtx, e: Expr,
                  opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Compile under an approximation context toward a target family, or
-    toward the family of e's exact type when target is None."""
-    d = nesting_guarded(lambda: _compile_typed(ctx, e, target, opts))
+    """Compile under an approximation context, toward the family of e's
+    exact type, whose type variables are the context's family variables."""
+    d = nesting_guarded(lambda: _compile_typed(ctx, e, opts))
     result = CompileResult(d.approx, d.err, d.family, d)
     if opts.weaken_to is not None:
         result = weaken(result, opts.weaken_to, opts)
     return result
 
 
-def _compile_typed(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
-                   opts: CompileOpts) -> Derivation:
+def _compile_typed(ctx: ApproxCtx, e: Expr, opts: CompileOpts) -> Derivation:
     # the one typing pass: the rules read each node's recorded type.  The
     # table tells nodes apart by identity, so a program that shares a node
     # object between places of different types is compiled from a fresh copy
@@ -744,16 +724,16 @@ def _compile_typed(ctx: ApproxCtx, e: Expr, target: Optional[ApproxTy],
         e, types = unshared(e), {}
         got = infer_type(ctx_exact(ctx), e, types)
         sites = _site_labels(e)
-    if target is None:
-        target = _family_of(got, {})
-    elif got != exact_ty(target):
-        raise TypeMismatch(exact_ty(target), got, "program")
     unknown = sorted(set(opts.perforation) - set(sites.values()))
     if unknown:
         raise CompileError(
             f"unknown perforation site {', '.join(unknown)}; the program's "
             f"reduction sites are: {', '.join(sites.values()) or 'none'}")
-    return Compiler(opts, types, sites).compile(ctx, e, target)
+    return Compiler(opts, types, sites).compile(ctx, e, _family_of(got, _tymap(ctx)))
+
+
+def _tymap(ctx: ApproxCtx) -> Dict[str, VarBase]:
+    return {en.xe: en for en in ctx.entries if isinstance(en, VarBase)}
 
 
 def _family_of(ty: Ty, tymap: Dict[str, VarBase]) -> ApproxTy:

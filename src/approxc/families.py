@@ -5,7 +5,11 @@ A descriptor ties together an exact type, an approximate type, an error
 carrier with its zero and addition, and the membership relation "e is
 approximated by a within q".  Base descriptors cover reals-by-floats,
 naturals, and booleans; function descriptors quantify over member
-inputs; polymorphic descriptors abstract a whole base family.
+inputs; polymorphic descriptors abstract a whole base family.  The
+compiler builds descriptors from the types its typing pass recorded; a
+polymorphic one stands only outermost and is instantiated only at a
+closed, monomorphic descriptor, so zero_expr and plus_apply have no case
+for a family variable or a polymorphic descriptor.
 
 Membership at function descriptors is checked by sampling input triples
 that are members by construction, so a passing verdict there means
@@ -41,7 +45,7 @@ from .sampling import (
 from .syntax import (
     BOOL, ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, FloatLit, Forall, Lam,
-    NatLit, RealLit, Ty, TyApp, TyLam, TyVar, Var, free_vars, fresh_name,
+    NatLit, RealLit, Ty, TyApp, TyVar, Var, free_vars, fresh_name,
     map_children, subst, to_source,
 )
 
@@ -169,15 +173,9 @@ def zero_expr(a: ApproxTy) -> Expr:
         return ErrLit(Fraction(0))
     if isinstance(a, (NatBase, BoolBase)):
         return NatLit(0)
-    if isinstance(a, VarBase):
-        return Var(a.z0)
     if isinstance(a, Pi):
         return Lam(a.xe, exact_ty(a.fam), Lam(a.xq, err_ty(a.fam),
                                               zero_expr(a.body)))
-    if isinstance(a, PiTy):
-        q = TyVar(a.xq)
-        return TyLam(a.xe, TyLam(a.xq, Lam(
-            a.z0, q, Lam(a.zp, Arrow(q, Arrow(q, q)), zero_expr(a.body)))))
     raise TypeError(a)
 
 
@@ -210,8 +208,6 @@ def _plus_base(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
         return Builtin("+q", (q1, q2))
     if isinstance(a, (NatBase, BoolBase)):
         return Builtin("+n", (q1, q2))
-    if isinstance(a, VarBase):
-        return App(App(Var(a.zp), q1), q2)
     raise TypeError(f"no expressible addition for {a!r}")
 
 
@@ -241,27 +237,6 @@ def join_apply(a: ApproxTy, q1: Expr, q2: Expr) -> Expr:
 def plus_lambda(a: ApproxTy) -> Expr:
     t = err_ty(a)
     return Lam("%qa", t, Lam("%qb", t, plus_apply(a, Var("%qa"), Var("%qb"))))
-
-
-def _canon(a: ApproxTy, ren: Dict[str, str], counter: List[int]):
-    """Structure of a descriptor with binders renamed canonically."""
-    if isinstance(a, (FlBase, NatBase, BoolBase)):
-        return type(a).__name__
-    if isinstance(a, VarBase):
-        return ("var", ren.get(a.xe, a.xe))
-    if isinstance(a, Pi):
-        return ("pi", _canon(a.fam, ren, counter), _canon(a.body, ren, counter))
-    if isinstance(a, PiTy):
-        counter[0] += 1
-        nm = f"X{counter[0]}"
-        ren2 = dict(ren)
-        ren2[a.xe] = nm
-        return ("pity", nm, _canon(a.body, ren2, counter))
-    raise TypeError(a)
-
-
-def same_family(a: ApproxTy, b: ApproxTy) -> bool:
-    return _canon(a, {}, [0]) == _canon(b, {}, [0])
 
 
 def family_source(a: ApproxTy) -> str:
@@ -308,10 +283,6 @@ def instantiate_poly(pt: PiTy, fam: ApproxTy) -> ApproxTy:
             return fam if a.xe == pt.xe else a
         if isinstance(a, Pi):
             return Pi(a.xe, a.xa, a.xq, go(a.fam), go(a.body))
-        if isinstance(a, PiTy):
-            if a.xe == pt.xe:  # shadowed
-                return a
-            return PiTy(a.xe, a.xa, a.xq, a.z0, a.zp, go(a.body))
         return a
 
     return go(pt.body)

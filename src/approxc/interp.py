@@ -45,7 +45,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Dict, Optional, Tuple, Union, get_args
+from typing import Dict, Optional, Tuple, Union
 
 from . import enclosure as enc
 from .enclosure import RealEnclosure, Tern, compare_leq, from_rational
@@ -55,7 +55,7 @@ from .floats import (
 from .syntax import (
     BUILTINS, ERRREAL, FLOAT64, NAT, REAL,
     App, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
-    If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, Var, builtin_arity,
+    If, Lam, NatLit, RealLit, RedSeq, TyApp, TyLam, Var, builtin_arity,
     children, with_stack_limit,
 )
 
@@ -392,11 +392,9 @@ class _Machine:
         self._tick()
         return _code(fn.body)(self, dict(fn.env))
 
-    def apply_input(self, fn: Value, a) -> Value:
-        """fn applied to a type, a closed program or a literal, whose value
-        is read at this machine's precision without generating code."""
-        if isinstance(a, get_args(Ty)):
-            return self.tyapply(fn)
+    def apply_input(self, fn: Value, a: Expr) -> Value:
+        """fn applied to a closed program, or to a literal, whose value is
+        read at this machine's precision without generating code."""
         lit = _LITERALS.get(type(a))
         return self.apply(fn, lit(a.value, self.cfg.precision_bits)
                           if lit else _code(a)(self, {}))

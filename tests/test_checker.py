@@ -144,6 +144,53 @@ def test_corpus_runner_flags_unparsable_file(tmp_path):
     assert not rep.ok
 
 
+def test_corpus_runner_reports_each_bad_program_and_continues(tmp_path):
+    # a compile refusal, a sidecar CompileOpts refuses and a sidecar that
+    # is not JSON are each one error entry; the good program after them
+    # is still checked
+    (tmp_path / "a_binder.ax").write_text("(lam (x Real) (lam (x_q Real) x))\n")
+    (tmp_path / "b_factor.ax").write_text("(redseq +r 8 (lam (i Nat) (nat2real i)))\n")
+    (tmp_path / "b_factor.opts.json").write_text('{"perforate": {"L0": 0}}\n')
+    (tmp_path / "c_json.ax").write_text("1/3\n")
+    (tmp_path / "c_json.opts.json").write_text('{"subst_sin": \n')
+    (tmp_path / "d_good.ax").write_text("1/3\n")
+    rep = check_rule_corpus(str(tmp_path), OPTS, trials=2, seed=42, cfg=CFG)
+    by_name = {e.name: e for e in rep.entries}
+    assert by_name["a_binder.ax"].error.startswith("BinderCollision: binder x_q")
+    assert by_name["b_factor.ax"].error == \
+        "ValueError: perforation factor at L0 must be >= 1"
+    assert by_name["c_json.ax"].error.startswith("JSONDecodeError: ")
+    assert [e.status for e in rep.entries] == ["error"] * 3 + ["ok"]
+    assert by_name["d_good.ax"].report.passes == 2
+    assert rep.failures == 3
+
+
+def test_claim_over_a_bool_argument_checks():
+    e = parse("(lam (b Bool) (if b 1/2 1/3))")
+    r = compile_program(e, OPTS)
+    assert families.family_source(r.family) == "Bool => Fl"
+    rep = check_soundness(e, r, trials=10, seed=42, cfg=CFG)
+    assert rep.ok and rep.passes == rep.trials == 10, rep.to_json()
+
+
+def test_unsound_polymorphic_claim_fails_tagged_by_instantiation():
+    # the identity's error made the zero error: unsound wherever the input
+    # error is not zero, which Fl members draw and Nat members never do
+    e = parse("(tlam X (lam (x X) x))")
+    r = compile_program(e, OPTS)
+    bad = replace(r, err=parse(
+        "(tlam X (tlam X_q (lam (z0_X X_q) (lam (zp_X (-> X_q (-> X_q X_q)))"
+        " (lam (x X) (lam (x_q X_q) z0_X))))))"))
+    assert infer_type(TyCtx(), bad.err) == err_ty(r.family)
+    rep = check_soundness(e, bad, trials=30, seed=42, cfg=CFG)
+    assert rep.trials == 60 and rep.failures
+    assert {rec["instantiation"] for rec in rep.failures} == {"@Fl"}
+    for rec in rep.failures:
+        out = replay_failure(e, bad, rec, cfg=CFG)
+        assert out.status == "fail"
+        assert {**out.record, "instantiation": "@Fl"} == rec
+
+
 def test_report_json_excludes_wall_time():
     e = parse("1/3")
     r = compile_program(e, OPTS)

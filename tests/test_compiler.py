@@ -17,7 +17,7 @@ import approxc.compiler
 import approxc.typecheck
 
 from approxc.compiler import (
-    CompileError, CompileOpts, NestingTooDeep, NoRuleApplies, OrderingUndecidable,
+    BinderCollision, CompileError, CompileOpts, NestingTooDeep, NoRuleApplies, OrderingUndecidable,
     SideConditionFailed, Unsupported, compile_expr, compile_program, float_op_err, fold_err,
     label_sites, nesting_guarded, weaken,
 )
@@ -576,15 +576,115 @@ def test_type_argument_without_family_is_unsupported():
 
 def test_compile_rejects_ill_typed_program():
     with pytest.raises(TypeMismatch):
-        compile_expr(ApproxCtx(), parse("(+r 1/2 7)"), FL, OPTS)
+        compile_expr(ApproxCtx(), parse("(+r 1/2 7)"), OPTS)
 
 
 def test_compile_open_term_under_context():
     from approxc.families import ValTriple
     ctx = ApproxCtx().extend(ValTriple("y", "y_a", "y_q", FL))
-    r = compile_expr(ctx, parse("(+r y y)"), FL, OPTS)
+    r = compile_expr(ctx, parse("(+r y y)"), OPTS)
     assert to_source(r.approx) == "(+f y_a y_a)"
     assert "y_q" in to_source(r.err) and "y_a" not in to_source(r.err)
+
+
+def test_compile_open_term_at_a_context_family_variable():
+    # the root family is derived from the type, whose type variables are
+    # the context's family variables
+    from approxc.families import ValTriple, VarBase
+    vb = VarBase("X", "X_a", "X_q", "z0_X", "zp_X")
+    ctx = ApproxCtx().extend(vb).extend(ValTriple("x", "x_a", "x_q", vb))
+    r = compile_expr(ctx, parse("(lam (y X) x)"), OPTS)
+    assert r.family == Pi("y", "y_a", "y_q", vb, vb)
+    assert to_source(r.approx) == "(lam (y_a X_a) x_a)"
+    assert to_source(r.err) == "(lam (y X) (lam (y_q X_q) x_q))"
+
+
+@pytest.mark.parametrize("src, binder", [
+    # a lambda shadowing an enclosing lambda's binder
+    ("(lam (x Real) (lam (x Real) x))", "x"),
+    # a binder named as the error variable generated for x: the error
+    # program's lambda over x_q would capture x's error
+    ("(lam (x Real) (lam (x_q Real) x))", "x_q"),
+    # a value binder named as the enclosing type variable
+    ("(tlam X (lam (X Real) X))", "X"),
+])
+def test_binder_collision_is_a_typed_refusal(src, binder):
+    with pytest.raises(BinderCollision, match=f"^binder {binder} reuses a "
+                                              f"name bound by or for an "
+                                              f"enclosing binder"):
+        compile_program(parse(src), OPTS)
+
+
+def test_binder_named_as_a_generated_name_renames_the_inner_triple():
+    # x's triple would be x_a, x_q; x_a is taken by the outer binder, so
+    # the inner one is renamed, and the bound is still sound
+    e = parse("(lam (x_a Real) (lam (x Real) (+r x x_a)))")
+    r = compile_program(e, OPTS)
+    assert to_source(r.approx) == \
+        "(lam (x_a_a Float64) (lam (x_a1 Float64) (+f x_a1 x_a_a)))"
+    assert "x_q1" in to_source(r.err)
+    rep = check_soundness(e, r, trials=20, seed=42, cfg=CFG)
+    assert rep.ok and rep.passes == 20, rep.to_json()
+
+
+_FAR_ABOVE_MAXFLOAT = "1" + "0" * 400 + "/1"
+
+
+@pytest.mark.parametrize("src, opts, cls, prefix", [
+    # compile rules
+    ("(app (fix (app (lam (h (-> (-> Nat Nat) (-> Nat Nat))) h) "
+     "(lam (f (-> Nat Nat)) f))) 1)", {}, Unsupported,
+     "fix is supported on literal lambdas"),
+    ("(lam (x Real) (app (if (leqr x 1/3) (lam (y Real) y) "
+     "(lam (y Real) 1/2)) x))", {}, Unsupported,
+     "a condition that may disagree needs a scalar family"),
+    (_FAR_ABOVE_MAXFLOAT, {}, Unsupported,
+     f"real literal {_FAR_ABOVE_MAXFLOAT[:-2]} overflows binary64"),
+    ("(redseq +n 3 (lam (i Nat) i))", {}, Unsupported,
+     "perforation targets scalar real reductions"),
+    ("(lam (n Nat) (redseq +r (+n n 1) (lam (i Nat) (nat2real i))))", {},
+     Unsupported, "the iteration count must be exactly approximated"),
+    ("(redseq +r (+n 2 3) (lam (i Nat) (nat2real i)))",
+     {"perforation": {"L0": 2}}, Unsupported,
+     "perforation needs a literal iteration count"),
+    ("(lam (x Real) x)", {"weaken_to": parse("(err 1/2)")}, TypeMismatch,
+     "expected (-> Real (-> ErrReal ErrReal)), found ErrReal in weakening "
+     "target"),
+    ("1/2", {"perforation": {"L0": 0}}, ValueError,
+     "perforation factor at L0 must be >= 1"),
+    # the typing pass
+    ("(app 1/2 1/2)", {}, TypeMismatch,
+     "expected a function type, found Real in application head"),
+    ("(fix (lam (f Nat) 1/2))", {}, TypeMismatch,
+     "expected a type of shape (-> t t), found (-> Nat Real) in fix"),
+    ("(if 1/2 1/2 1/2)", {}, TypeMismatch,
+     "expected Bool, found Real in if condition"),
+    ("(redseq +r 1/2 (lam (i Nat) (nat2real i)))", {}, TypeMismatch,
+     "expected Nat, found Real in redseq count"),
+    ("(redseq +r 3 (lam (i Real) i))", {}, TypeMismatch,
+     "expected (-> Nat t), found (-> Real Real) in redseq generator"),
+    ("(redseq +n 3 (lam (i Nat) (nat2real i)))", {}, TypeMismatch,
+     "expected (-> Real (-> Real Real)), found (-> Nat (-> Nat Nat)) in "
+     "redseq combiner"),
+    # the parser
+    ("(lam (x (foo Real)) x)", {}, ParseError, "1:10: unknown type form 'foo'"),
+    ("1/0", {}, ParseError, "1:1: zero denominator"),
+    ("(lam (x Real) lam)", {}, ParseError, "1:15: 'lam' is a keyword"),
+    ("", {}, ParseError, "1:1: empty input"),
+], ids=[
+    "fix-of-non-lambda", "disagreeing-if-at-a-function-family",
+    "literal-above-binary64", "redseq-at-nat", "count-with-error",
+    "perforated-non-literal-count", "weakening-target-type",
+    "perforation-factor-zero", "application-head", "fix-not-endomorphic",
+    "condition-not-bool", "redseq-count", "redseq-generator",
+    "redseq-combiner", "unknown-type-form", "zero-denominator",
+    "keyword-as-atom", "empty-input",
+])
+def test_typed_refusals(src, opts, cls, prefix):
+    with pytest.raises(cls) as ei:
+        compile_program(parse(src), CompileOpts(cfg=CFG, **opts))
+    assert type(ei.value) is cls
+    assert str(ei.value).startswith(prefix), str(ei.value)
 
 
 def test_perforate_outside_compile_flow():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from approxc import enclosure, interp
+from approxc.checker import check_soundness
 from approxc.compiler import compile_program
 from approxc.enclosure import from_rational
 from approxc.floats import MAXFLOAT, float_bits
@@ -31,6 +32,28 @@ CFG = EvalConfig(fuel=200_000, precision_bits=128)
 def test_identity_application():
     v = eval_exact(parse("(app (lam (x Real) x) 1/3)"), cfg=CFG)
     assert isinstance(v, VReal) and v.enc.contains(Fraction(1, 3))
+
+
+def test_fix_of_a_non_literal_lambda_unrolls(monkeypatch):
+    # the fixed function's body is an application, not a lambda, so each
+    # call unrolls the fix afresh rather than keeping one closure
+    unrolls = [0]
+    unroll = interp._Machine._unroll
+
+    def counting(self, fn):
+        unrolls[0] += 1
+        return unroll(self, fn)
+
+    monkeypatch.setattr(interp._Machine, "_unroll", counting)
+    e = parse("(lam (m Nat) (app (fix (lam (f (-> Nat Real)) (app (lam (g "
+              "(-> Nat Real)) (lam (n Nat) (if (leqn n 0) 1/3 (+r 1/3 (app g "
+              "(-n n 1)))))) f))) m))")
+    v = eval_exact(e, cfg=CFG, inputs=(NatLit(5),))
+    assert isinstance(v, VReal) and v.enc.contains(Fraction(2))
+    assert v.enc.width < Fraction(1, 2**120)
+    assert unrolls[0] == 6
+    rep = check_soundness(e, compile_program(e), trials=20, seed=42, cfg=CFG)
+    assert rep.ok and rep.passes == 20, rep.to_json()
 
 
 def test_redseq_sums_exclusive():
