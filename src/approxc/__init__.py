@@ -1,7 +1,7 @@
 """Approximating compiler with compositional, machine-evaluable error
 bounds, plus an interval oracle for validating them."""
 
-from .compiler import CompileOpts, CompileResult, compile_expr, compile_program
+from .compiler import CompileOpts, CompileResult, compile_program
 from .checker import check_rule_corpus, check_soundness
 from .families import appr_member, aeq_check, check_approx_axioms
 from .interp import EvalConfig, eval_approx, eval_error, eval_exact

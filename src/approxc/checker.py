@@ -154,20 +154,32 @@ class CorpusReport:
         return json.dumps(doc, sort_keys=True)
 
 
+# each sidecar key: the CompileOpts field it sets, the type of its value,
+# and that type in words
+_SIDECAR = {"subst_sin": ("enable_sin_subst", bool, "a boolean"),
+            "weaken_to": ("weaken_to", str, "a string"),
+            "perforate": ("perforation", dict,
+                          "an object mapping sites to integers")}
+
+
 def load_sidecar_opts(path: Path, base: CompileOpts) -> CompileOpts:
-    """Per-program options from <name>.opts.json next to the source."""
+    """Per-program options from <name>.opts.json next to the source, an
+    object with some of _SIDECAR's keys; another shape raises ValueError."""
     side = path.with_suffix(".opts.json")
     if not side.exists():
         return base
     doc = json.loads(side.read_text())
+    if type(doc) is not dict:
+        raise ValueError("a sidecar must be a JSON object")
     kwargs = {}
-    if "subst_sin" in doc:
-        kwargs["enable_sin_subst"] = bool(doc["subst_sin"])
-    if "perforate" in doc:
-        kwargs["perforation"] = {str(k): int(v)
-                                 for k, v in doc["perforate"].items()}
-    if "weaken_to" in doc:
-        kwargs["weaken_to"] = parse(doc["weaken_to"])
+    for key, v in doc.items():
+        if key not in _SIDECAR:
+            raise ValueError(f"unknown sidecar key {key!r}")
+        opt, ty, what = _SIDECAR[key]
+        if type(v) is not ty or ty is dict and any(
+                type(n) is not int for n in v.values()):
+            raise ValueError(f"sidecar key {key!r} must be {what}")
+        kwargs[opt] = parse(v) if opt == "weaken_to" else v
     return replace(base, **kwargs)
 
 

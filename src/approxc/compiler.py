@@ -5,11 +5,12 @@ expression and a derivation trace.
 A compile types the program once, recording every node's exact type; a
 rule picks a subterm's approximation family from its recorded type, a type
 argument's from the type itself, and returns its derivation, whose
-premises are its subterms' derivations.  The entry points wrap the root's
+premises are its subterms' derivations.  compile_program wraps the root's
 derivation in one CompileResult.  Families come from that typing pass,
 or from builtin leaves that match BUILTINS, and are not checked again.
 Polymorphism is outermost-forall only: a universal type elsewhere, or a
-type argument with no family, is refused with Unsupported.
+type argument with no family, is refused with Unsupported.  A binder
+shadows an enclosing one as in typing; see Compiler for generated names.
 
 Each structural construct is approximated by itself while its error is
 synthesized compositionally; the leaf transformations are real-to-float
@@ -40,9 +41,8 @@ from typing import (
 )
 
 from .families import (
-    BOOL_A, FL, NAT_A, ApproxCtx, ApproxTy, BoolBase, CtxEntry, FlBase,
-    NatBase, Pi, PiTy, ValTriple, VarBase, Verdict, approx_ty,
-    ctx_exact, err_ty, exact_ty, family_from_type,
+    BOOL_A, FL, NAT_A, ApproxTy, BoolBase, FlBase, NatBase, Pi, PiTy,
+    VarBase, Verdict, approx_ty, err_ty, exact_ty, family_from_type,
     family_source, join_apply, monomorphize, plus_apply, precisions,
 )
 from .floats import nearest_float, to_fraction
@@ -87,19 +87,6 @@ class OrderingUndecidable(CompileError):
     """A weakening check whose bounds the oracle cannot evaluate, even at
     the precision cap: a comparison or a divisor inside them stays
     undecided."""
-
-
-class BinderCollision(CompileError):
-    """A binder reusing a name of an enclosing binder, or one generated for
-    it: the error program would capture it."""
-
-
-def _bind(ctx: ApproxCtx, binder: str, entry: CtxEntry) -> ApproxCtx:
-    try:
-        return ctx.extend(entry)
-    except ValueError:
-        raise BinderCollision(f"binder {binder} reuses a name bound by or "
-                              f"for an enclosing binder; rename it") from None
 
 
 class NestingTooDeep(CompileError):
@@ -239,20 +226,12 @@ def _fold_node(e: Expr) -> Expr:
                 return b
             if isinstance(b, NatLit) and b.value == 1:
                 return a
-        if e.op == "+q":
+        if e.op in ("+q", "maxq"):
             if isinstance(a, ErrLit) and isinstance(b, ErrLit):
                 if a.value is None or b.value is None:
                     return ErrLit(None)
-                return ErrLit(a.value + b.value)
-            if isinstance(a, ErrLit) and a.value == 0:
-                return b
-            if isinstance(b, ErrLit) and b.value == 0:
-                return a
-        if e.op == "maxq":
-            if isinstance(a, ErrLit) and isinstance(b, ErrLit):
-                if a.value is None or b.value is None:
-                    return ErrLit(None)
-                return ErrLit(max(a.value, b.value))
+                return ErrLit(a.value + b.value if e.op == "+q"
+                              else max(a.value, b.value))
             if isinstance(a, ErrLit) and a.value == 0:
                 return b
             if isinstance(b, ErrLit) and b.value == 0:
@@ -405,82 +384,122 @@ def _leaf_err(leaf: _Leaf, actuals: Sequence[Expr]) -> Expr:
 # the compiler
 
 class Compiler:
+    """One compile's rules and its scope: each term variable's (x_a, x_q),
+    each type variable's family variable, and the names bound by or for
+    the enclosing binders.  A binder shadows an enclosing one of its
+    namespace, as in typing.  A generated name avoids the scope's names and
+    every name written where it is bound, and a lambda's those a universal
+    family bound in its body takes, so no generated or user binder captures
+    another's name.  A refusal abandons the compile, so a rule restores
+    the enclosing scope only on return."""
+
     def __init__(self, opts: CompileOpts, types: Dict[int, Ty],
                  sites: Dict[int, str]):
         self.opts = opts
         self.types = types  # id(node): exact type, from the one typing pass
         self.sites = sites  # id(reduction node): its label_sites label
         self._fresh_counter = 0
+        self.terms: Dict[str, Tuple[str, str]] = {}
+        self.tyvars: Dict[str, VarBase] = {}
+        self.names: frozenset = frozenset()
 
     # -- naming ------------------------------------------------------------
 
-    def _names_for(self, base: str, ctx: ApproxCtx, avoid: set) -> Tuple[str, str]:
-        avoid = ctx.names() | avoid
-        xa, xq = base + "_a", base + "_q"
-        while xa in avoid or xq in avoid:
+    def _fresh(self, avoid: set, *names: str) -> Tuple[str, ...]:
+        """names, or else each suffixed with one new count, so that none is
+        in avoid."""
+        out = names
+        while any(n in avoid for n in out):
             self._fresh_counter += 1
-            xa = f"{base}_a{self._fresh_counter}"
-            xq = f"{base}_q{self._fresh_counter}"
-        return xa, xq
+            out = tuple(f"{n}{self._fresh_counter}" for n in names)
+        return out
+
+    def _family_of(self, ty: Ty, scoped: Expr) -> ApproxTy:
+        """The family of the exact type of scoped, whose type variables the
+        scope maps; a universal type gets the polymorphic family named after
+        its variable, its names fresh for the scope and for what the type
+        abstraction that binds it covers, if one does."""
+        if not isinstance(ty, Forall):
+            return _family(ty, self.tyvars)
+        v, covered = ty.var, _covered(scoped)
+        avoid = set() if covered is None else covered | self.names
+        vb = VarBase(v, *self._fresh(avoid, v + "_a", v + "_q", "z0_" + v,
+                                     "zp_" + v))
+        return PiTy(v, vb.xa, vb.xq, vb.z0, vb.zp,
+                    _family(ty.body, self.tyvars | {v: vb}))
 
     # -- entry point ---------------------------------------------------------
 
-    def compile(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> Derivation:
+    def compile(self, e: Expr, target: ApproxTy) -> Derivation:
         rule = _RULES.get(type(e))
         if rule is None:
             raise NoRuleApplies(f"no rule for {type(e).__name__}", to_source(e))
-        return rule(self, ctx, e, target)
+        return rule(self, e, target)
 
     # -- structural rules -----------------------------------------------------
 
-    def _var(self, ctx: ApproxCtx, e: Var, target: ApproxTy) -> Derivation:
-        trip = ctx.lookup(e.name)
-        return Derivation("A-Var", e, Var(trip.xa), Var(trip.xq), target)
+    def _var(self, e: Var, target: ApproxTy) -> Derivation:
+        xa, xq = self.terms[e.name]
+        return Derivation("A-Var", e, Var(xa), Var(xq), target)
 
-    def _lam(self, ctx: ApproxCtx, e: Lam, target: ApproxTy) -> Derivation:
-        xa, xq = self._names_for(e.binder, ctx, free_vars(e.body))
-        trip = ValTriple(e.binder, xa, xq, target.fam)
-        inner = self.compile(_bind(ctx, e.binder, trip), e.body, target.body)
+    def _lam(self, e: Lam, target: ApproxTy) -> Derivation:
+        avoid = _names_in(e.body, set(self.names))
+        pt = target.body
+        while isinstance(pt, Pi):
+            pt = pt.body
+        if isinstance(pt, PiTy) and _covered(e.body) is not None:
+            # a type abstraction in the body binds pt's names under x's
+            avoid |= {pt.xa, pt.xq, pt.z0, pt.zp}
+        xa, xq = self._fresh(avoid, e.binder + "_a", e.binder + "_q")
+        scope = self.terms, self.names
+        self.terms = {**self.terms, e.binder: (xa, xq)}
+        self.names |= {e.binder, xa, xq}
+        inner = self.compile(e.body, target.body)
+        self.terms, self.names = scope
         approx = Lam(xa, approx_ty(target.fam), inner.approx)
         err = Lam(e.binder, exact_ty(target.fam),
                   Lam(xq, err_ty(target.fam), inner.err))
         return Derivation("A-Lam", e, approx, err,
                           Pi(e.binder, xa, xq, target.fam, target.body), [inner])
 
-    def _app(self, ctx: ApproxCtx, e: App, target: ApproxTy) -> Derivation:
+    def _app(self, e: App, target: ApproxTy) -> Derivation:
         # a universal type, alone or inside an arrow, has no family here
-        arg_fam = _family(self.types[id(e.arg)], _tymap(ctx),
+        arg_fam = _family(self.types[id(e.arg)], self.tyvars,
                           "an argument of type")
         fn_target = Pi("x", "x_a", "x_q", arg_fam, target)
-        r1 = self.compile(ctx, e.fn, fn_target)
-        r2 = self.compile(ctx, e.arg, arg_fam)
+        r1 = self.compile(e.fn, fn_target)
+        r2 = self.compile(e.arg, arg_fam)
         return Derivation("A-App", e, App(r1.approx, r2.approx),
                           fold_err(App(App(r1.err, e.arg), r2.err)), target,
                           [r1, r2])
 
-    def _tylam(self, ctx: ApproxCtx, e: TyLam, target: ApproxTy) -> Derivation:
-        entry = VarBase(target.xe, target.xa, target.xq, target.z0, target.zp)
-        inner = self.compile(_bind(ctx, e.tyvar, entry), e.body, target.body)
+    def _tylam(self, e: TyLam, target: ApproxTy) -> Derivation:
+        vb = VarBase(target.xe, target.xa, target.xq, target.z0, target.zp)
+        scope = self.tyvars, self.names
+        self.tyvars = {**self.tyvars, e.tyvar: vb}
+        self.names |= {vb.xe, vb.xa, vb.xq, vb.z0, vb.zp}
+        inner = self.compile(e.body, target.body)
+        self.tyvars, self.names = scope
         qv = TyVar(target.xq)
         err = TyLam(target.xe, TyLam(target.xq, Lam(
             target.z0, qv, Lam(target.zp, Arrow(qv, Arrow(qv, qv)), inner.err))))
         return Derivation("A-TLam", e, TyLam(target.xa, inner.approx), err,
                           target, [inner])
 
-    def _tyapp(self, ctx: ApproxCtx, e: TyApp, target: ApproxTy) -> Derivation:
+    def _tyapp(self, e: TyApp, target: ApproxTy) -> Derivation:
         fam = _family(e.ty, {}, "a type argument")
         # the typing pass refused a type application of a non-universal type
-        pt = _family_of(self.types[id(e.expr)], _tymap(ctx))
-        r1 = self.compile(ctx, e.expr, pt)
+        pt = self._family_of(self.types[id(e.expr)], e.expr)
+        r1 = self.compile(e.expr, pt)
         _, approx, err, _ = monomorphize(pt, fam, e.expr, r1.approx, r1.err)
         return Derivation("A-TApp", e, approx, err, target, [r1])
 
-    def _fix(self, ctx: ApproxCtx, e: Fix, target: ApproxTy) -> Derivation:
+    def _fix(self, e: Fix, target: ApproxTy) -> Derivation:
         # the premise compiles under the assumption that the bound
         # variable equals the fixpoint being built
         if not isinstance(e.expr, Lam):
             raise Unsupported("fix is supported on literal lambdas")
-        inner = self._lam(ctx, e.expr, Pi("x", "x_a", "x_q", target, target))
+        inner = self._lam(e.expr, Pi("x", "x_a", "x_q", target, target))
         assumed = SideCondition(
             "fix premise compiled under the fixpoint-equality assumption",
             Verdict(status="pass", reason="recorded assumption"))
@@ -489,10 +508,10 @@ class Compiler:
 
     # -- conditionals ----------------------------------------------------------
 
-    def _if(self, ctx: ApproxCtx, e: If, target: ApproxTy) -> Derivation:
-        rc = self.compile(ctx, e.cond, BOOL_A)
-        rt = self.compile(ctx, e.then_e, target)
-        rf = self.compile(ctx, e.else_e, target)
+    def _if(self, e: If, target: ApproxTy) -> Derivation:
+        rc = self.compile(e.cond, BOOL_A)
+        rt = self.compile(e.then_e, target)
+        rf = self.compile(e.else_e, target)
         # a condition error of 0 means both sides take the same branch, so
         # the error follows the exact condition; this also gives recursive
         # errors the same base case as the value recursion
@@ -515,14 +534,14 @@ class Compiler:
 
     # -- literals and builtins ---------------------------------------------------
 
-    def _real_lit(self, ctx: ApproxCtx, e: RealLit, target: ApproxTy) -> Derivation:
+    def _real_lit(self, e: RealLit, target: ApproxTy) -> Derivation:
         a = nearest_float(e.value)
         if math.isinf(a):
             raise Unsupported(f"real literal {e.value} overflows binary64")
         return Derivation("R-Lit", e, FloatLit.of(a),
                           ErrLit(abs(e.value - to_fraction(a))), target)
 
-    def _scalar_lit(self, ctx: ApproxCtx, e: Expr, target: ApproxTy) -> Derivation:
+    def _scalar_lit(self, e: Expr, target: ApproxTy) -> Derivation:
         return Derivation("R-Lit", e, e, NatLit(0), target)
 
     def _leaf(self, op: str) -> _Leaf:
@@ -536,15 +555,15 @@ class Compiler:
             return _nat_op_leaf(op)
         raise NoRuleApplies(f"builtin {op} has no approximation rule")
 
-    def _builtin(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> Derivation:
+    def _builtin(self, e: Builtin, target: ApproxTy) -> Derivation:
         if e.op in ("leqr", "leqn") and len(e.args) == 2:
-            return self._compare(ctx, e, target)
+            return self._compare(e, target)
         leaf = self._leaf(e.op)
         fam, approx = leaf.fam, leaf.approx
         premises: List[Derivation] = []
         actuals: List[Expr] = []
         for arg in e.args:
-            r = self.compile(ctx, arg, fam.fam)
+            r = self.compile(arg, fam.fam)
             approx = self._apply_approx(approx, r.approx)
             premises.append(r)
             actuals += (arg, r.err)
@@ -558,11 +577,11 @@ class Compiler:
             return Builtin(fn.op, fn.args + (arg,))
         return App(fn, arg)
 
-    def _compare(self, ctx: ApproxCtx, e: Builtin, target: ApproxTy) -> Derivation:
+    def _compare(self, e: Builtin, target: ApproxTy) -> Derivation:
         arg_fam = FL if e.op == "leqr" else NAT_A
         lower = "leqf" if e.op == "leqr" else "leqn"
-        r1 = self.compile(ctx, e.args[0], arg_fam)
-        r2 = self.compile(ctx, e.args[1], arg_fam)
+        r1 = self.compile(e.args[0], arg_fam)
+        r2 = self.compile(e.args[1], arg_fam)
         # with exactly approximated operands the lowered comparison
         # agrees with the exact one; otherwise it may differ
         if e.op == "leqn":
@@ -575,7 +594,7 @@ class Compiler:
 
     # -- reductions ----------------------------------------------------------------
 
-    def _redseq(self, ctx: ApproxCtx, e: RedSeq, target: ApproxTy) -> Derivation:
+    def _redseq(self, e: RedSeq, target: ApproxTy) -> Derivation:
         """The float lowering of a reduction, perforated by the factor k
         given for its site; k = 1 is the plain loop."""
         site = self.sites[id(e)]
@@ -587,18 +606,18 @@ class Compiler:
             raise Unsupported(
                 "reduction lowering requires the addition combiner: the "
                 "synthesized bound chains the rounding error of +r")
-        comb_res = self._builtin(ctx, e.combiner, _binary_real_leaf("+r").fam)
-        count_res = self.compile(ctx, e.count, NAT_A)
+        comb_res = self._builtin(e.combiner, _binary_real_leaf("+r").fam)
+        count_res = self.compile(e.count, NAT_A)
         if not _is_zero_err(count_res.err):
             raise Unsupported("the iteration count must be exactly "
                               "approximated (zero error)")
-        gen_res = self.compile(ctx, e.generator, Pi("i", "i_a", "i_q", NAT_A, FL))
+        gen_res = self.compile(e.generator, Pi("i", "i_a", "i_q", NAT_A, FL))
 
         approx = self._perforated_approx(e, gen_res.approx, comb_res.approx, k)
 
         # the float fold adds the kept elements N times: element
         # g(floorK s k) at step s, N = n at k = 1 and ceil(n/k)*k otherwise
-        avoid = free_vars(e) | free_vars(gen_res.err) | ctx.names()
+        avoid = free_vars(e) | free_vars(gen_res.err) | self.names
         acc_q, s, t = (fresh_name(v, avoid) for v in ("acc_q", "s", "t"))
         n_up = e.count if k == 1 else NatLit(-(-e.count.value // k) * k)
         kept = e.generator if k == 1 else Lam(t, NAT, App(
@@ -697,55 +716,61 @@ def _reductions(t: Expr, out: List[RedSeq]) -> List[RedSeq]:
 # entry points
 
 def compile_program(e: Expr, opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Compile a closed program."""
-    return compile_expr(ApproxCtx(), e, opts)
-
-
-def compile_expr(ctx: ApproxCtx, e: Expr,
-                 opts: CompileOpts = CompileOpts()) -> CompileResult:
-    """Compile under an approximation context, toward the family of e's
-    exact type, whose type variables are the context's family variables."""
-    d = nesting_guarded(lambda: _compile_typed(ctx, e, opts))
+    """Compile a closed program toward the family of its type."""
+    d = nesting_guarded(lambda: _compile_typed(e, opts))
     result = CompileResult(d.approx, d.err, d.family, d)
     if opts.weaken_to is not None:
         result = weaken(result, opts.weaken_to, opts)
     return result
 
 
-def _compile_typed(ctx: ApproxCtx, e: Expr, opts: CompileOpts) -> Derivation:
+def _compile_typed(e: Expr, opts: CompileOpts) -> Derivation:
     # the one typing pass: the rules read each node's recorded type.  The
     # table tells nodes apart by identity, so a program that shares a node
     # object between places of different types is compiled from a fresh copy
     types: Dict[int, Ty] = {}
     try:
-        got = infer_type(ctx_exact(ctx), e, types)
-        sites = _site_labels(e)
+        got, sites = infer_type(TyCtx(), e, types), _site_labels(e)
     except SharedNode:
         e, types = unshared(e), {}
-        got = infer_type(ctx_exact(ctx), e, types)
-        sites = _site_labels(e)
+        got, sites = infer_type(TyCtx(), e, types), _site_labels(e)
     unknown = sorted(set(opts.perforation) - set(sites.values()))
     if unknown:
         raise CompileError(
             f"unknown perforation site {', '.join(unknown)}; the program's "
             f"reduction sites are: {', '.join(sites.values()) or 'none'}")
-    return Compiler(opts, types, sites).compile(ctx, e, _family_of(got, _tymap(ctx)))
+    c = Compiler(opts, types, sites)
+    return c.compile(e, c._family_of(got, e))
 
 
-def _tymap(ctx: ApproxCtx) -> Dict[str, VarBase]:
-    return {en.xe: en for en in ctx.entries if isinstance(en, VarBase)}
+def _names_in(e: Expr, out: set) -> set:
+    """out with the names written in e added: its variables, bound or
+    free, and its term and type binders."""
+    t = type(e)
+    if t is Var:
+        out.add(e.name)
+    elif t is Lam:
+        out.add(e.binder)
+    elif t is TyLam:
+        out.add(e.tyvar)
+    for c in children(e):
+        _names_in(c, out)
+    return out
 
 
-def _family_of(ty: Ty, tymap: Dict[str, VarBase]) -> ApproxTy:
-    """The family of an exact type whose type variables tymap maps; a
-    universal type gets the polymorphic family named after its variable."""
-    if not isinstance(ty, Forall):
-        return _family(ty, tymap)
-    xa, xq = ty.var + "_a", ty.var + "_q"
-    z0, zp = "z0_" + ty.var, "zp_" + ty.var
-    vb = VarBase(ty.var, xa, xq, z0, zp)
-    return PiTy(ty.var, xa, xq, z0, zp,
-                _family(ty.body, tymap | {ty.var: vb}))
+def _covered(e: Expr) -> Optional[set]:
+    """The names that a type abstraction binding e's universal type
+    covers: the names written in it and the binders enclosing it within e;
+    None when no type abstraction binds it."""
+    t = type(e)
+    if t is TyLam:
+        return _names_in(e, set())
+    if t is If:
+        a, b = _covered(e.then_e), _covered(e.else_e)
+        return b if a is None else a | (b or set())
+    inner = _covered(e.body if t is Lam else e.expr if t is Fix else e.fn) \
+        if t in (Lam, Fix, App) else None
+    return inner if inner is None or t is not Lam else inner | {e.binder}
 
 
 def _family(ty: Ty, tymap: Dict[str, VarBase], what: str = "type") -> ApproxTy:

@@ -6,10 +6,11 @@ carrier with its zero and addition, and the membership relation "e is
 approximated by a within q".  Base descriptors cover reals-by-floats,
 naturals, and booleans; function descriptors quantify over member
 inputs; polymorphic descriptors abstract a whole base family.  The
-compiler builds descriptors from the types its typing pass recorded; a
-polymorphic one stands only outermost and is instantiated only at a
-closed, monomorphic descriptor, so zero_expr and plus_apply have no case
-for a family variable or a polymorphic descriptor.
+compiler builds descriptors from the types its typing pass recorded, and
+names their variables from its own scope; a polymorphic one stands only
+outermost and is instantiated only at a closed, monomorphic descriptor,
+so zero_expr and plus_apply have no case for a family variable or a
+polymorphic descriptor.
 
 Membership at function descriptors is checked by sampling input triples
 that are members by construction, so a passing verdict there means
@@ -120,13 +121,14 @@ def fn_family(*fams: ApproxTy) -> ApproxTy:
     return out
 
 
+# each base family's source name and its exact, approximate and error types
+_BASES = {FlBase: ("Fl", REAL, FLOAT64, ERRREAL),
+          NatBase: ("Nat", NAT, NAT, NAT), BoolBase: ("Bool", BOOL, BOOL, NAT)}
+
+
 def exact_ty(a: ApproxTy) -> Ty:
-    if isinstance(a, FlBase):
-        return REAL
-    if isinstance(a, NatBase):
-        return NAT
-    if isinstance(a, BoolBase):
-        return BOOL
+    if type(a) in _BASES:
+        return _BASES[type(a)][1]
     if isinstance(a, VarBase):
         return TyVar(a.xe)
     if isinstance(a, Pi):
@@ -137,12 +139,8 @@ def exact_ty(a: ApproxTy) -> Ty:
 
 
 def approx_ty(a: ApproxTy) -> Ty:
-    if isinstance(a, FlBase):
-        return FLOAT64
-    if isinstance(a, NatBase):
-        return NAT
-    if isinstance(a, BoolBase):
-        return BOOL
+    if type(a) in _BASES:
+        return _BASES[type(a)][2]
     if isinstance(a, VarBase):
         return TyVar(a.xa)
     if isinstance(a, Pi):
@@ -153,10 +151,8 @@ def approx_ty(a: ApproxTy) -> Ty:
 
 
 def err_ty(a: ApproxTy) -> Ty:
-    if isinstance(a, FlBase):
-        return ERRREAL
-    if isinstance(a, (NatBase, BoolBase)):
-        return NAT
+    if type(a) in _BASES:
+        return _BASES[type(a)][3]
     if isinstance(a, VarBase):
         return TyVar(a.xq)
     if isinstance(a, Pi):
@@ -240,12 +236,8 @@ def plus_lambda(a: ApproxTy) -> Expr:
 
 
 def family_source(a: ApproxTy) -> str:
-    if isinstance(a, FlBase):
-        return "Fl"
-    if isinstance(a, NatBase):
-        return "Nat"
-    if isinstance(a, BoolBase):
-        return "Bool"
+    if type(a) in _BASES:
+        return _BASES[type(a)][0]
     if isinstance(a, VarBase):
         return a.xe
     if isinstance(a, Pi):
@@ -296,63 +288,6 @@ def monomorphize(pt: PiTy, fam: ApproxTy, e: Expr, a: Expr, q: Expr
     mq = App(App(TyApp(TyApp(q, exact_ty(fam)), err_ty(fam)),
                  zero_expr(fam)), plus_lambda(fam))
     return me, ma, mq, instantiate_poly(pt, fam)
-
-
-# ---------------------------------------------------------------------------
-# approximation contexts
-
-@dataclass(frozen=True)
-class ValTriple:
-    xe: str
-    xa: str
-    xq: str
-    family: ApproxTy
-
-
-# a type variable's entry is the family variable that a polymorphic
-# descriptor binds for it
-CtxEntry = Union[ValTriple, VarBase]
-
-
-@dataclass(frozen=True)
-class ApproxCtx:
-    entries: Tuple[CtxEntry, ...] = ()
-
-    def extend(self, entry: CtxEntry) -> "ApproxCtx":
-        clash = self.names() & _entry_names(entry)
-        if clash:
-            raise ValueError(f"context names collide: {clash}")
-        return ApproxCtx(self.entries + (entry,))
-
-    def names(self) -> set:
-        out = set()
-        for en in self.entries:
-            out |= _entry_names(en)
-        return out
-
-    def lookup(self, xe: str) -> Optional[ValTriple]:
-        for en in reversed(self.entries):
-            if isinstance(en, ValTriple) and en.xe == xe:
-                return en
-        return None
-
-
-def _entry_names(en: CtxEntry) -> set:
-    if isinstance(en, ValTriple):
-        return {en.xe, en.xa, en.xq}
-    return {en.xe, en.xa, en.xq, en.z0, en.zp}
-
-
-def ctx_exact(ctx: ApproxCtx):
-    """|ctx| projected to the exact world as a typing context."""
-    from .typecheck import TyCtx
-    t = TyCtx()
-    for en in ctx.entries:
-        if isinstance(en, ValTriple):
-            t = t.bind(en.xe, exact_ty(en.family))
-        else:
-            t = t.bind_tyvar(en.xe)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +366,6 @@ def precisions(cfg: EvalConfig):
 # once.  Approximate equality (approx=False) takes a second exact
 # program, evaluated at each precision like e.
 
-_BASES = (FlBase, NatBase, BoolBase)
 _TIGHT_CUTOFF_BITS = 48
 
 
@@ -523,7 +457,7 @@ def _check_once(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     inputs what the record reports.  Membership feeds both sides a member
     triple; equality feeds both the exact input, with an arbitrary error
     for a real input."""
-    if isinstance(fam, _BASES):
+    if type(fam) in _BASES:
         return _base_check(fam, q, e, other, approx, cfg, q_in, e_in, o_in)
     if isinstance(fam, Pi):
         trip = sample_member_triple(fam.fam, rng)
@@ -550,7 +484,7 @@ def _trial(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     """Trial t: inputs drawn on its own generator trial_rng(seed, t), which
     a base family, drawing none, never seeds."""
     inputs: list = []
-    rng = None if isinstance(fam, _BASES) else trial_rng(seed, t)
+    rng = None if type(fam) in _BASES else trial_rng(seed, t)
     status, rec = _check_once(fam, q, e, other, approx, rng, cfg, inputs)
     return TrialOutcome(t, status, {"seed": seed, "trial": t,
                                     "inputs": inputs, **rec})
@@ -561,7 +495,7 @@ def _outcomes(fam: ApproxTy, q: Expr, e: Expr, other: Expr, approx: bool,
     """Per-trial outcomes.  Base families take no samples: one check runs,
     and membership copies it into every requested trial."""
     n = max(1, trials)
-    if not isinstance(fam, _BASES):
+    if type(fam) not in _BASES:
         return [_trial(fam, q, e, other, approx, t, seed, cfg)
                 for t in range(n)]
     first = _trial(fam, q, e, other, approx, 0, seed, cfg)
@@ -575,7 +509,7 @@ def _verdict(fam: ApproxTy, outcomes: List[TrialOutcome]) -> Verdict:
     inconc = sum(1 for o in outcomes if o.status == "inconclusive")
     first_fail = next((o for o in outcomes if o.status == "fail"), None)
     v = Verdict(status="pass", trials=len(outcomes), passes=passes,
-                inconclusive=inconc, on_samples=not isinstance(fam, _BASES))
+                inconclusive=inconc, on_samples=type(fam) not in _BASES)
     if first_fail is not None:
         v.status = "fail"
         v.counterexample = first_fail.record
@@ -678,7 +612,7 @@ def _fn_triples(key: str) -> List[Tuple[Expr, Expr, Expr]]:
 
 def _samples_members(fam: ApproxTy) -> bool:
     """Does sample_member_triple draw members of fam?"""
-    return isinstance(fam, _BASES) or (
+    return type(fam) in _BASES or (
         isinstance(fam, Pi) and family_source(fam) in _FN_TRIPLES)
 
 

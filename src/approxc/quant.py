@@ -12,7 +12,6 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
-from functools import reduce
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -106,33 +105,30 @@ _LIFT_CFG = EvalConfig(fuel=200_000, precision_bits=96)
 _PROBES = 4  # input tuples a lifted comparison samples
 
 
-def lifted_instance(arg_specs: Sequence[Tuple[Ty, Callable[[random.Random], Value]]],
-                    name: str) -> QuantInstance:
-    """The instance over arg1 -> ... -> argN -> ErrReal, everything
-    pointwise over the scalar leaf."""
-    specs = list(arg_specs)
-    binders = [f"%x{i}" for i in range(len(specs))]
-    carrier: Ty = ERRREAL
-    for ty, _ in reversed(specs):
-        carrier = Arrow(ty, carrier)
+def _real_arg(rng: random.Random) -> Value:
+    return VReal(from_rational(sample_real_fraction(rng), _LIFT_CFG.precision_bits))
+
+
+def fn_err_instance() -> QuantInstance:
+    """Errors for approximations of real functions: exact input and its
+    input error map to an output error (the scalar instance lifted
+    twice, pointwise)."""
 
     def _const(body: Expr) -> VClosure:
-        for b, (ty, _) in reversed(list(zip(binders, specs))[1:]):
-            body = Lam(b, ty, body)
-        return VClosure(binders[0], body, ())
+        return VClosure("%x0", Lam("%x1", ERRREAL, body), ())
 
     zero = _const(ErrLit(Fraction(0)))
     top = _const(ErrLit(None))
     # every sum shares one body, staged once; the addends are in its env
     sum_body = _const(Builtin("+q", tuple(
-        reduce(App, map(Var, binders), Var(f)) for f in ("%f", "%g")))).body
+        App(App(Var(f), Var("%x0")), Var("%x1")) for f in ("%f", "%g")))).body
 
     def plus(f: Value, g: Value) -> Value:
-        return VClosure(binders[0], sum_body, (("%f", f), ("%g", g)))
+        return VClosure("%x0", sum_body, (("%f", f), ("%g", g)))
 
     def leq(f: Value, g: Value, rng: random.Random):
         for _ in range(_PROBES):
-            args = [mk(rng) for _, mk in specs]
+            args = [_real_arg(rng), sample_err_value(rng)]
             fb = bound_of(apply_value(f, args, _LIFT_CFG))
             gb = bound_of(apply_value(g, args, _LIFT_CFG))
             if scalar_err_leq(fb, gb) is LeqVerdict.NO:
@@ -147,40 +143,27 @@ def lifted_instance(arg_specs: Sequence[Tuple[Ty, Callable[[random.Random], Valu
         if k == 1:
             return top
         if k <= 4:
-            q = sample_err_fraction(rng)
-            return _const(ErrLit(q))
-        if k <= 6 and specs[-1][0] == ERRREAL:
-            # shapes like the canonical function errors: the input error
-            # passed through, optionally shifted by a constant
-            if k == 5:
-                return _const(Var(binders[-1]))
+            return _const(ErrLit(sample_err_fraction(rng)))
+        # shapes like the canonical function errors: the input error
+        # passed through, optionally shifted by a constant
+        if k == 5:
+            return _const(Var("%x1"))
+        if k == 6:
             c = sample_err_fraction(rng)
-            return _const(Builtin("+q", (Var(binders[-1]), ErrLit(c))))
+            return _const(Builtin("+q", (Var("%x1"), ErrLit(c))))
         q1 = sample_err_fraction(rng)
         q2 = sample_err_fraction(rng)
         return _const(Builtin("+q", (ErrLit(q1), ErrLit(q2))))
 
     return QuantInstance(
-        name=name,
-        carrier=carrier,
+        name="real-fn-errors",
+        carrier=Arrow(REAL, Arrow(ERRREAL, ERRREAL)),
         zero=zero,
         plus=plus,
         leq=leq,
         sample=sample,
         exact=False,
     )
-
-
-def _real_arg(rng: random.Random) -> Value:
-    return VReal(from_rational(sample_real_fraction(rng), _LIFT_CFG.precision_bits))
-
-
-def fn_err_instance() -> QuantInstance:
-    """Errors for approximations of real functions: exact input and its
-    input error map to an output error (the scalar instance lifted
-    twice, pointwise)."""
-    return lifted_instance([(REAL, _real_arg), (ERRREAL, sample_err_value)],
-                           name="real-fn-errors")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .syntax import (
     BOOL, BUILTINS, ERRREAL, FLOAT64, NAT, REAL,
     App, Arrow, BoolLit, Builtin, ErrLit, Expr, Fix, FloatLit,
     Forall, If, Lam, NatLit, RealLit, RedSeq, Ty, TyApp, TyLam, TyVar,
-    Var, subst_ty,
+    Var, free_tyvars, subst_ty,
 )
 
 
@@ -109,6 +109,12 @@ def infer_type(ctx: TyCtx, e: Expr,
             raise TypeMismatch(fn_t.dom, arg_t, "application argument")
         t = fn_t.cod
     elif isinstance(e, TyLam):
+        # types name their variables, so the body's type could not tell a
+        # shadowed X that a variable in scope has in its type from this one
+        if ctx.has_tyvar(e.tyvar) and any(
+                e.tyvar in free_tyvars(t) for _, t in ctx.vars):
+            raise KindError(f"type variable {e.tyvar} shadows one that a "
+                            f"variable in scope has in its type")
         t = Forall(e.tyvar, infer_type(ctx.bind_tyvar(e.tyvar), e.body, types))
     elif isinstance(e, TyApp):
         fn_t = infer_type(ctx, e.expr, types)

@@ -145,24 +145,39 @@ def test_corpus_runner_flags_unparsable_file(tmp_path):
 
 
 def test_corpus_runner_reports_each_bad_program_and_continues(tmp_path):
-    # a compile refusal, a sidecar CompileOpts refuses and a sidecar that
-    # is not JSON are each one error entry; the good program after them
-    # is still checked
-    (tmp_path / "a_binder.ax").write_text("(lam (x Real) (lam (x_q Real) x))\n")
+    # a compile refusal, a sidecar CompileOpts refuses, a sidecar that is
+    # not JSON and each sidecar of the wrong shape are one error entry
+    # each; the good program after them is still checked
+    (tmp_path / "a_unit.ax").write_text("(lam (x Unit) x)\n")
     (tmp_path / "b_factor.ax").write_text("(redseq +r 8 (lam (i Nat) (nat2real i)))\n")
     (tmp_path / "b_factor.opts.json").write_text('{"perforate": {"L0": 0}}\n')
-    (tmp_path / "c_json.ax").write_text("1/3\n")
-    (tmp_path / "c_json.opts.json").write_text('{"subst_sin": \n')
-    (tmp_path / "d_good.ax").write_text("1/3\n")
+    sidecars = {
+        "c_json": ('{"subst_sin": \n', "JSONDecodeError: "),
+        "d_list": ('{"perforate": [1]}', "ValueError: sidecar key 'perforate' "
+                   "must be an object mapping sites to integers"),
+        "e_number": ('{"weaken_to": 5}',
+                     "ValueError: sidecar key 'weaken_to' must be a string"),
+        "f_top": ("[1]", "ValueError: a sidecar must be a JSON object"),
+        "g_string": ('{"subst_sin": "no"}',
+                     "ValueError: sidecar key 'subst_sin' must be a boolean"),
+        "h_misspelt": ('{"perforation": {"L0": 2}}',
+                       "ValueError: unknown sidecar key 'perforation'"),
+    }
+    for name, (doc, _) in sidecars.items():
+        (tmp_path / f"{name}.ax").write_text("1/3\n")
+        (tmp_path / f"{name}.opts.json").write_text(doc)
+    (tmp_path / "z_good.ax").write_text("1/3\n")
     rep = check_rule_corpus(str(tmp_path), OPTS, trials=2, seed=42, cfg=CFG)
     by_name = {e.name: e for e in rep.entries}
-    assert by_name["a_binder.ax"].error.startswith("BinderCollision: binder x_q")
+    assert by_name["a_unit.ax"].error == ("Unsupported: type (-> Unit Unit) "
+                                          "has no approximation family")
     assert by_name["b_factor.ax"].error == \
         "ValueError: perforation factor at L0 must be >= 1"
-    assert by_name["c_json.ax"].error.startswith("JSONDecodeError: ")
-    assert [e.status for e in rep.entries] == ["error"] * 3 + ["ok"]
-    assert by_name["d_good.ax"].report.passes == 2
-    assert rep.failures == 3
+    for name, (_, error) in sidecars.items():
+        assert by_name[f"{name}.ax"].error.startswith(error), name
+    assert [e.status for e in rep.entries] == ["error"] * 8 + ["ok"]
+    assert by_name["z_good.ax"].report.passes == 2
+    assert rep.failures == 8
 
 
 def test_claim_over_a_bool_argument_checks():

@@ -17,13 +17,13 @@ import approxc.compiler
 import approxc.typecheck
 
 from approxc.compiler import (
-    BinderCollision, CompileError, CompileOpts, NestingTooDeep, NoRuleApplies, OrderingUndecidable,
-    SideConditionFailed, Unsupported, compile_expr, compile_program, float_op_err, fold_err,
+    CompileError, CompileOpts, NestingTooDeep, NoRuleApplies, OrderingUndecidable,
+    SideConditionFailed, Unsupported, compile_program, float_op_err, fold_err,
     label_sites, nesting_guarded, weaken,
 )
 from approxc.enclosure import RealEnclosure, from_rational
 from approxc.families import (
-    FL, ApproxCtx, Pi, approx_ty, err_ty, family_source, sample_member_triple,
+    FL, Pi, PiTy, approx_ty, err_ty, family_source, sample_member_triple,
     weaken_err_expr,
 )
 from approxc.floats import (
@@ -41,7 +41,7 @@ from approxc.syntax import (
     REAL, App, BoolLit, Builtin, ErrLit, FloatLit, If, Lam, NatLit, RealLit,
     Var, children, map_children, to_source,
 )
-from approxc.typecheck import TyCtx, TypeMismatch, infer_type
+from approxc.typecheck import KindError, TyCtx, TypeMismatch, infer_type
 from test_random_programs import programs
 
 REPO = Path(__file__).resolve().parents[1]
@@ -576,43 +576,88 @@ def test_type_argument_without_family_is_unsupported():
 
 def test_compile_rejects_ill_typed_program():
     with pytest.raises(TypeMismatch):
-        compile_expr(ApproxCtx(), parse("(+r 1/2 7)"), OPTS)
+        compile_program(parse("(+r 1/2 7)"), OPTS)
 
 
-def test_compile_open_term_under_context():
-    from approxc.families import ValTriple
-    ctx = ApproxCtx().extend(ValTriple("y", "y_a", "y_q", FL))
-    r = compile_expr(ctx, parse("(+r y y)"), OPTS)
-    assert to_source(r.approx) == "(+f y_a y_a)"
-    assert "y_q" in to_source(r.err) and "y_a" not in to_source(r.err)
+# well-typed programs whose binders shadow an enclosing binder or reuse a
+# name generated for one, in either namespace
+_SHADOWING = {
+    "shadowing-lambda": "(lam (x Real) (lam (x Real) x))",
+    "binder-named-x_q": "(lam (x Real) (lam (x_q Real) x))",
+    "x_q-beside-x": "(lam (x Real) (lam (x_q Real) (+r x x_q)))",
+    "x_a-beside-x": "(lam (x Real) (lam (x_a Real) (*r x x_a)))",
+    "shadowing-applied-lambda":
+        "(lam (x Real) (+r (app (lam (x Real) (*r x x)) x) x))",
+    "x_q-under-another-binder":
+        "(lam (x Real) (lam (y Real) (app (lam (x_q Real) (+r x x_q)) y)))",
+    "shadowing-generator":
+        "(lam (x Real) (redseq +r 4 (lam (x Nat) (nat2real x))))",
+    "term-binder-named-type-variable": "(tlam X (lam (X Real) X))",
+    "term-binder-named-X_a":
+        "(fix (lam (X_a (forall X (-> X X))) (tlam X (lam (x X) x))))",
+    "term-binder-named-z0_X":
+        "(lam (z0_X Real) (tyapp (tlam X (lam (y X) y)) Real))",
+    "type-variable-named-X_q":
+        "(tlam X_q (lam (v X_q) (tyapp (tlam X (lam (y X) y)) Real)))",
+    # the lambda's z0_q would be the name the type abstraction binds for
+    # q's zero, and would capture the lambda's error
+    "lambda-named-z0-over-type-abstraction":
+        "(app (lam (z0 Real) (tlam q (lam (y q) z0))) 1/3)",
+    "fixed-lambda-named-z0-over-type-abstraction":
+        "(fix (lam (z0 (forall q (-> q q))) (tlam q (lam (y q) y))))",
+}
 
 
-def test_compile_open_term_at_a_context_family_variable():
-    # the root family is derived from the type, whose type variables are
-    # the context's family variables
-    from approxc.families import ValTriple, VarBase
-    vb = VarBase("X", "X_a", "X_q", "z0_X", "zp_X")
-    ctx = ApproxCtx().extend(vb).extend(ValTriple("x", "x_a", "x_q", vb))
-    r = compile_expr(ctx, parse("(lam (y X) x)"), OPTS)
-    assert r.family == Pi("y", "y_a", "y_q", vb, vb)
-    assert to_source(r.approx) == "(lam (y_a X_a) x_a)"
-    assert to_source(r.err) == "(lam (y X) (lam (y_q X_q) x_q))"
+@pytest.mark.parametrize("src", _SHADOWING.values(), ids=_SHADOWING.keys())
+def test_shadowing_program_compiles_and_checks(src):
+    e = parse(src)
+    perforation = {"L0": 2} if "redseq" in src else {}
+    r = compile_program(e, dataclasses.replace(OPTS, perforation=perforation))
+    assert infer_type(TyCtx(), r.approx) == approx_ty(r.family)
+    assert infer_type(TyCtx(), r.err) == err_ty(r.family)
+    rep = check_soundness(e, r, trials=20, seed=42, cfg=CFG)
+    # a polymorphic claim is checked at Fl and at Nat
+    want = 40 if isinstance(r.family, PiTy) else 20
+    assert rep.ok and rep.trials == rep.passes == want, rep.to_json()
 
 
-@pytest.mark.parametrize("src, binder", [
-    # a lambda shadowing an enclosing lambda's binder
-    ("(lam (x Real) (lam (x Real) x))", "x"),
-    # a binder named as the error variable generated for x: the error
-    # program's lambda over x_q would capture x's error
-    ("(lam (x Real) (lam (x_q Real) x))", "x_q"),
-    # a value binder named as the enclosing type variable
-    ("(tlam X (lam (X Real) X))", "X"),
+def test_names_generated_around_a_user_binder_are_pinned():
+    # x's x_q is written in its body, so x's triple is x_a1, x_q1
+    r = compile_program(parse(_SHADOWING["x_q-beside-x"]), OPTS)
+    assert to_source(r.approx) == \
+        "(lam (x_a1 Float64) (lam (x_q_a Float64) (+f x_a1 x_q_a)))"
+    assert to_source(r.err) == (
+        "(lam (x Real) (lam (x_q1 ErrReal) (lam (x_q Real) (lam (x_q_q "
+        "ErrReal) (+err x x_q1 x_q x_q_q)))))")
+    # the term binder X takes X_q1 beside the type variable's X_q
+    r = compile_program(parse(
+        _SHADOWING["term-binder-named-type-variable"]), OPTS)
+    assert to_source(r.approx) == "(tlam X_a (lam (X_a1 Float64) X_a1))"
+    assert to_source(r.err) == (
+        "(tlam X (tlam X_q (lam (z0_X X_q) (lam (zp_X (-> X_q (-> X_q X_q))) "
+        "(lam (X Real) (lam (X_q1 ErrReal) X_q1))))))")
+
+
+def test_names_a_type_abstraction_binds_avoid_the_lambdas_around_it():
+    # the type abstraction binds z0_q; z0's triple, around it, is renamed
+    r = compile_program(parse(
+        _SHADOWING["fixed-lambda-named-z0-over-type-abstraction"]), OPTS)
+    assert to_source(r.approx) == (
+        "(fix (lam (z0_a1 (forall q_a (-> q_a q_a))) "
+        "(tlam q_a (lam (y_a q_a) y_a))))")
+    assert "(lam (z0_q1 (forall q" in to_source(r.err)
+
+
+@pytest.mark.parametrize("src, want", [
+    # no type abstraction binds the universal type
+    ("(lam (X_a Real) (tyapp (fix (lam (g (forall X (-> X X))) g)) Real))",
+     "(forall X_a (-> X_a X_a))"),
+    # X_a is bound in an argument, outside the type abstraction
+    ("(tyapp (app (lam (w Real) (tlam X (lam (y X) y))) "
+     "(app (lam (X_a Real) X_a) 1/3)) Real)", "(tlam X_a (lam (y_a X_a)"),
 ])
-def test_binder_collision_is_a_typed_refusal(src, binder):
-    with pytest.raises(BinderCollision, match=f"^binder {binder} reuses a "
-                                              f"name bound by or for an "
-                                              f"enclosing binder"):
-        compile_program(parse(src), OPTS)
+def test_names_no_type_abstraction_covers_are_not_avoided(src, want):
+    assert want in to_source(compile_program(parse(src), OPTS).approx)
 
 
 def test_binder_named_as_a_generated_name_renames_the_inner_triple():
@@ -666,6 +711,9 @@ _FAR_ABOVE_MAXFLOAT = "1" + "0" * 400 + "/1"
     ("(redseq +n 3 (lam (i Nat) (nat2real i)))", {}, TypeMismatch,
      "expected (-> Real (-> Real Real)), found (-> Nat (-> Nat Nat)) in "
      "redseq combiner"),
+    # the body's type could not tell the inner X from x's
+    ("(tlam X (lam (x X) (tyapp (tlam X (lam (y X) x)) Real)))", {},
+     KindError, "type variable X shadows one that a variable in scope has"),
     # the parser
     ("(lam (x (foo Real)) x)", {}, ParseError, "1:10: unknown type form 'foo'"),
     ("1/0", {}, ParseError, "1:1: zero denominator"),
@@ -677,7 +725,7 @@ _FAR_ABOVE_MAXFLOAT = "1" + "0" * 400 + "/1"
     "perforated-non-literal-count", "weakening-target-type",
     "perforation-factor-zero", "application-head", "fix-not-endomorphic",
     "condition-not-bool", "redseq-count", "redseq-generator",
-    "redseq-combiner", "unknown-type-form", "zero-denominator",
+    "redseq-combiner", "type-variable-capture", "unknown-type-form", "zero-denominator",
     "keyword-as-atom", "empty-input",
 ])
 def test_typed_refusals(src, opts, cls, prefix):

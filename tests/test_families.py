@@ -10,9 +10,9 @@ from approxc import enclosure, families, interp
 from approxc.checker import _instantiations, load_sidecar_opts
 from approxc.compiler import CompileError, CompileOpts, compile_program
 from approxc.families import (
-    BOOL_A, FL, NAT_A, ApproxCtx, Pi, PiTy, ValTriple, VarBase,
+    BOOL_A, FL, NAT_A, Pi, PiTy, VarBase,
     _base_check, _verdict, aeq_check, appr_member, approx_ty,
-    check_approx_axioms, ctx_exact, err_ty, exact_ty, family_from_type,
+    check_approx_axioms, err_ty, exact_ty, family_from_type,
     family_source, fn_family, instantiate_poly, join_apply, member_trial,
     member_trials,
     plus_apply,
@@ -267,15 +267,6 @@ def test_membership_stable_under_precision_raise():
         hi = appr_member(FL, q, a, e, trials=1, seed=42,
                          cfg=EvalConfig(fuel=10**5, precision_bits=512))
         assert lo.ok and hi.ok
-
-
-def test_projected_contexts_are_disjoint():
-    ctx = ApproxCtx()
-    ctx = ctx.extend(ValTriple("x", "x_a", "x_q", FL))
-    ctx = ctx.extend(VarBase("X", "X_a", "X_q", "z0", "zp"))
-    with pytest.raises(ValueError):
-        ctx.extend(ValTriple("x", "u", "v", FL))
-    assert ctx_exact(ctx).lookup("x") == REAL
 
 
 # -- one call table per precision step --------------------------------------

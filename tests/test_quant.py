@@ -10,9 +10,9 @@ from approxc.interp import (
 )
 from approxc.quant import (
     AXIOM_NAMES, LeqVerdict, _value_source, check_quant_axioms,
-    fn_err_instance, lifted_instance, q_leq, q_nonneg_reals, q_plus,
+    fn_err_instance, q_leq, q_nonneg_reals, q_plus,
 )
-from approxc.syntax import ERRREAL, Builtin, ErrLit, Var
+from approxc.syntax import ERRREAL, Builtin, ErrLit, Lam, Var
 
 
 def test_zero_is_least():
@@ -64,10 +64,10 @@ def test_lifted_instance_axioms_pass_on_samples():
 
 
 def test_pointwise_dominance_and_refutation():
-    inner = [(ERRREAL, lambda rng: VErr.point(Fraction(rng.randint(0, 5))))]
-    inst = lifted_instance(inner, "t")
-    ident = VClosure("%x0", Var("%x0"), ())
-    shifted = VClosure("%x0", Builtin("+q", (Var("%x0"), ErrLit(Fraction(1)))), ())
+    inst = fn_err_instance()
+    ident = VClosure("%x0", Lam("%x1", ERRREAL, Var("%x1")), ())
+    shifted = VClosure("%x0", Lam("%x1", ERRREAL, Builtin(
+        "+q", (Var("%x1"), ErrLit(Fraction(1))))), ())
     v, _ = q_leq(inst, ident, shifted, trials=10, seed=1)
     assert v is LeqVerdict.YES_ON_SAMPLES
     v, w = q_leq(inst, shifted, ident, trials=10, seed=1)

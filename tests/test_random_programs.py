@@ -7,7 +7,10 @@ Programs are built directly as syntax.py trees, well typed by
 construction, from the constructs whose rules synthesize error terms for
 each other: real arithmetic, sinr, conditionals with conditions that may
 disagree (also at Nat and Bool), reductions over open generators with
-perforation, and a fix recursion of bounded depth.
+perforation, a fix recursion of bounded depth, and a type abstraction
+under a lambda, applied at Real.  Binders are drawn from enclosing
+binders' names and from names the compiler generates, so programs shadow
+binders and clash with generated names.
 """
 from fractions import Fraction
 
@@ -21,7 +24,7 @@ from approxc.families import approx_ty, err_ty
 from approxc.interp import EvalConfig
 from approxc.syntax import (
     NAT, REAL, App, Arrow, BoolLit, Builtin, Expr, Fix, If, Lam, NatLit,
-    RealLit, RedSeq, Var, to_source,
+    RealLit, RedSeq, TyApp, TyLam, TyVar, Var, to_source,
 )
 from approxc.typecheck import TyCtx, infer_type
 
@@ -29,6 +32,26 @@ CFG = EvalConfig(fuel=200_000, precision_bits=128)
 # dyadic literals are exact in binary64, the others carry an error
 LITS = [Fraction(1, 2), Fraction(2), Fraction(5, 4), Fraction(1, 3),
         Fraction(1, 10), Fraction(7, 3)]
+
+
+# binder names: x, i and names the compiler generates, for a binder
+# (x_a, x_q, i_q), a reduction (s, t, acc_q) or a type variable q (z0_q)
+NAMES = ["x", "i", "s", "t", "x_a", "x_q", "i_q", "acc_q", "z0_q"]
+# type variable names, term names too; a lambda z0 or zp around a type
+# abstraction over q would take the names that it binds, z0_q and zp_q
+TYVARS = ["q", "x"]
+
+
+def _binder(draw, scope, taken=()) -> str:
+    """A binder name: an enclosing binder's or one of NAMES, not in taken."""
+    pool = sorted(({n for n, _ in scope} | set(NAMES)) - set(taken))
+    return draw(st.sampled_from(pool))
+
+
+def _bind(scope, name, ty):
+    """scope under a binder of name: the entry it shadows is dropped, so
+    every variable drawn from scope names its own binder."""
+    return [(n, t) for n, t in scope if n != name] + [(name, ty)]
 
 
 def _real_lit(draw) -> Expr:
@@ -75,8 +98,8 @@ def bool_expr(draw, scope, depth):
 def real_expr(draw, scope, depth):
     leaves = ["lit", "nat2real"] + (["var"] * 2 if _vars(scope, REAL) else [])
     kind = draw(st.sampled_from(
-        leaves + (["arith"] * 3 + ["div", "sinr", "if", "if", "redseq", "fix"]
-                  if depth > 0 else [])))
+        leaves + (["arith"] * 3 + ["div", "sinr", "if", "if", "redseq", "fix",
+                                   "poly"] if depth > 0 else [])))
     sub = depth - 1
     if kind == "lit":
         return _real_lit(draw)
@@ -96,13 +119,28 @@ def real_expr(draw, scope, depth):
         return If(draw(bool_expr(scope, sub)), draw(real_expr(scope, sub)),
                   draw(real_expr(scope, sub)))
     if kind == "redseq":
-        i = f"i{depth}"
-        body = draw(real_expr(scope + [(i, NAT)], sub))
+        i = _binder(draw, scope)
+        body = draw(real_expr(_bind(scope, i, NAT), sub))
         return RedSeq(Builtin("+r", ()), NatLit(draw(st.integers(0, 4))),
                       Lam(i, NAT, body))
+    if kind == "poly":
+        # (app (tyapp (app (lam (z Real) (tlam X (lam (y X) (+r z c)))) a)
+        # Real) b): the family's names, picked at the type application, are
+        # bound under z, whose error the body's error reads.  X is in no
+        # type in scope, as typing refuses that shadowing
+        z = draw(st.sampled_from(["z0", "zp", _binder(draw, scope)]))
+        y = _binder(draw, scope, taken=(z,))
+        busy = {t.name for _, t in scope if isinstance(t, TyVar)}
+        tv = draw(st.sampled_from([v for v in TYVARS if v not in busy]))
+        c = draw(real_expr(_bind(_bind(scope, z, REAL), y, TyVar(tv)), sub))
+        fn = Lam(z, REAL, TyLam(tv, Lam(y, TyVar(tv),
+                                         Builtin("+r", (Var(z), c)))))
+        return App(TyApp(App(fn, draw(real_expr(scope, sub))), REAL),
+                   draw(real_expr(scope, sub)))
     # a recursion of bounded depth: f n = base if n <= 0, else step + f (n-1)
-    f, n = f"f{depth}", f"n{depth}"
-    inner = scope + [(n, NAT)]
+    f = _binder(draw, scope)
+    n = _binder(draw, scope, taken=(f,))
+    inner = _bind(_bind(scope, f, Arrow(NAT, REAL)), n, NAT)
     base = draw(real_expr(inner, sub))
     step = draw(real_expr(inner, sub))
     rec = Builtin("+r", (step, App(Var(f), Builtin("-n", (Var(n), NatLit(1))))))
@@ -115,7 +153,8 @@ def real_expr(draw, scope, depth):
 def programs(draw):
     """A closed real program or a real function of x, with options."""
     if draw(st.booleans()):
-        e = Lam("x", REAL, draw(real_expr([("x", REAL)], 3)))
+        x = _binder(draw, [])
+        e = Lam(x, REAL, draw(real_expr([(x, REAL)], 3)))
     else:
         e = draw(real_expr([], 3))
     sites = [label for label, _ in label_sites(e)]
